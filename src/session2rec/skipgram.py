@@ -3,8 +3,11 @@
 Co-viewed listings are pushed together and random negatives apart with a
 logistic loss over dot products.  Two weight tables are kept: the input
 vectors are the published embeddings, the output vectors act as context-side
-weights.  Training is single-threaded and fully deterministic for a fixed
-seed.
+weights.  Training walks the shuffled window pairs in mini-batches of
+``SGNS_BATCH``: every pair of a batch reads the vectors as they stood before
+the batch, and the batch's gradients are summed into the tables in one
+scatter-add (the mini-batch form of Hogwild!, Recht et al., 2011).  Training
+is single-threaded and fully deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .corpus import SessionCorpus, Vocabulary
 from .errors import ConfigError, ParseError
 
 LOGIT_CLAMP = 30.0  # dot products are clipped here before exponentiation
+SGNS_BATCH = 128  # pairs per update; every pair of a batch reads pre-batch vectors
 SIDECAR_MAGIC = b"S2RE"
 SIDECAR_VERSION = 1
 
@@ -135,28 +139,62 @@ def sgns_loss_and_grads(center_vec, pos_vec, neg_vecs):
     return loss, d_center, d_pos, d_negs
 
 
-def sgns_step(center: int, context: int, negatives, table: EmbeddingTable, learning_rate: float) -> float:
-    """Apply one SGD update for a (center, context, negatives) triple.
+def _scatter_subtract(table: np.ndarray, rows: np.ndarray, updates: np.ndarray) -> None:
+    """``table[rows] -= updates`` with repeated rows accumulating.
 
-    Gradients are computed from the pre-update vectors and applied with
-    ``np.add.at`` so a negative that collides with the context index still
-    receives the correctly accumulated update.  Returns the pre-update loss.
+    Each distinct row's updates are summed in input order by one
+    ``np.bincount`` over (distinct row, column) bins, then subtracted once.
     """
-    if learning_rate <= 0:
+    distinct, slot = np.unique(rows, return_inverse=True)
+    dim = table.shape[1]
+    bins = (slot[:, None] * dim + np.arange(dim)).ravel()
+    sums = np.bincount(bins, weights=updates.ravel(), minlength=len(distinct) * dim)
+    table[distinct] -= sums.reshape(len(distinct), dim)
+
+
+def sgns_step(centers, contexts, negatives, table: EmbeddingTable, learning_rate) -> float:
+    """Apply one SGD update for a batch of (center, context, negatives) triples.
+
+    ``centers`` and ``contexts`` are (B,) indices, ``negatives`` is (B, k) and
+    ``learning_rate`` a scalar or one rate per row.  Scalars and a (k,)
+    negative list are accepted for a single triple.  Every gradient is taken
+    from the vectors as they stood before the batch; rows touched more than
+    once (a repeated center or context, a negative equal to its context)
+    receive the summed update.  Returns the summed pre-update loss.
+    """
+    centers = np.atleast_1d(np.asarray(centers, dtype=np.int64))
+    contexts = np.atleast_1d(np.asarray(contexts, dtype=np.int64))
+    negatives = np.asarray(negatives, dtype=np.int64).reshape(len(centers), -1)
+    rate = np.broadcast_to(np.asarray(learning_rate, dtype=np.float64), centers.shape)
+    if not (rate > 0).all():
         raise ValueError("learning_rate must be > 0")
-    negatives = np.asarray(negatives, dtype=np.int64)
     inp, out = table.input_vectors, table.output_vectors
-    loss, d_center, d_pos, d_negs = sgns_loss_and_grads(
-        inp[center], out[context], out[negatives]
+    center_vecs, pos_vecs, neg_vecs = inp[centers], out[contexts], out[negatives]
+
+    s_pos = np.clip(np.einsum("bd,bd->b", center_vecs, pos_vecs), -LOGIT_CLAMP, LOGIT_CLAMP)
+    s_neg = np.clip(np.einsum("bkd,bd->bk", neg_vecs, center_vecs), -LOGIT_CLAMP, LOGIT_CLAMP)
+    loss = -float(np.log(_sigmoid(s_pos)).sum() + np.log(_sigmoid(-s_neg)).sum())
+
+    g_pos = (_sigmoid(s_pos) - 1.0) * rate  # rate * d loss / d s_pos
+    g_neg = _sigmoid(s_neg) * rate[:, None]  # rate * d loss / d s_neg
+    d_center = g_pos[:, None] * pos_vecs + np.einsum("bkd,bk->bd", neg_vecs, g_neg)
+    d_pos = g_pos[:, None] * center_vecs
+    d_negs = g_neg[:, :, None] * center_vecs[:, None, :]
+    _scatter_subtract(inp, centers, d_center)
+    _scatter_subtract(
+        out,
+        np.concatenate([contexts, negatives.ravel()]),
+        np.concatenate([d_pos, d_negs.reshape(-1, out.shape[1])]),
     )
-    inp[center] -= learning_rate * d_center
-    np.add.at(out, negatives, -learning_rate * d_negs)
-    out[context] -= learning_rate * d_pos
     return loss
 
 
-def _session_index_sequences(corpus: SessionCorpus, vocabulary: Vocabulary) -> list[np.ndarray]:
-    """View sequences mapped to vocabulary indices, OOV views dropped."""
+def _session_views(corpus: SessionCorpus, vocabulary: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
+    """Views of every session with >= 2 known views, as one flat index array.
+
+    OOV views are dropped.  Returns (indices, session id per view); the
+    session ids are non-decreasing.
+    """
     key_to_index = vocabulary.key_to_index
     sequences = []
     for session in corpus.sessions:
@@ -166,25 +204,30 @@ def _session_index_sequences(corpus: SessionCorpus, vocabulary: Vocabulary) -> l
             if it.event_kind == "view" and it.listing_key in key_to_index
         ]
         if len(idx) >= 2:
-            sequences.append(np.asarray(idx, dtype=np.int64))
-    return sequences
+            sequences.append(idx)
+    lengths = [len(seq) for seq in sequences]
+    flat = np.fromiter((i for seq in sequences for i in seq), dtype=np.int64, count=sum(lengths))
+    return flat, np.repeat(np.arange(len(sequences)), lengths)
 
 
-def _pairs_from_sequence(seq: np.ndarray, window: int) -> np.ndarray:
-    """Vectorised window enumeration; same order as generate_training_pairs."""
-    n = len(seq)
-    chunks = []
-    for i in range(n):
-        lo, hi = max(0, i - window), min(n, i + window + 1)
-        ctx = np.concatenate([seq[lo:i], seq[i + 1 : hi]])
-        if len(ctx):
-            chunk = np.empty((len(ctx), 2), dtype=np.int64)
-            chunk[:, 0] = seq[i]
-            chunk[:, 1] = ctx
-            chunks.append(chunk)
-    if not chunks:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.concatenate(chunks)
+def _window_pairs(indices: np.ndarray, session_ids: np.ndarray, window: int) -> np.ndarray:
+    """(center, context) pairs of every session at once.
+
+    ``indices`` holds the views of consecutive sessions, ``session_ids`` the
+    non-decreasing session of each view.  The pairs equal
+    ``generate_training_pairs`` applied to each session in turn, concatenated
+    in session order.
+    """
+    n = len(indices)
+    center_pos, context_pos = [], []
+    for offset in range(1, window + 1):
+        left = np.flatnonzero(session_ids[: max(n - offset, 0)] == session_ids[offset:])
+        center_pos += [left, left + offset]
+        context_pos += [left + offset, left]
+    center_pos = np.concatenate(center_pos)
+    context_pos = np.concatenate(context_pos)
+    order = np.lexsort((context_pos, center_pos))
+    return np.stack([indices[center_pos[order]], indices[context_pos[order]]], axis=1)
 
 
 def _bulk_negatives(contexts: np.ndarray, vocab_size: int, k: int, rng, weights=None) -> np.ndarray:
@@ -213,8 +256,13 @@ def train_embeddings(
 
     Input vectors start uniform in [-0.5/d, 0.5/d], output vectors at zero.
     Every epoch re-subsamples frequent views, enumerates window pairs, and
-    walks them in shuffled order while the learning rate decays linearly from
-    the initial to the final value across all steps of all epochs.
+    walks them in shuffled order, ``SGNS_BATCH`` pairs per ``sgns_step``.
+    Each pair reads the vectors as they stood before its batch.  The learning
+    rate decays linearly from the initial to the final value across all
+    pairs of all epochs, and each pair of a batch takes the rate of its own
+    position in that sequence.  An epoch's loss is the mean pre-batch loss of
+    its pairs.  Raises ``ValueError`` naming the epoch if a table or the
+    epoch loss stops being finite.
     """
     v = len(vocabulary)
     if v <= 1:
@@ -223,7 +271,7 @@ def train_embeddings(
     inp = rng.uniform(-0.5 / config.dim, 0.5 / config.dim, size=(v, config.dim))
     table = EmbeddingTable(inp, np.zeros((v, config.dim)))
 
-    sequences = _session_index_sequences(corpus, vocabulary)
+    views, session_ids = _session_views(corpus, vocabulary)
     keep_prob = np.minimum(
         1.0, np.sqrt(config.subsample_threshold * vocabulary.total_views / vocabulary.counts)
     )
@@ -236,13 +284,8 @@ def train_embeddings(
     # total step count before the first update.
     epoch_pairs = []
     for _ in range(config.epochs):
-        chunks = []
-        for seq in sequences:
-            kept = seq[rng.random(len(seq)) < keep_prob[seq]]
-            if len(kept) >= 2:
-                chunks.append(_pairs_from_sequence(kept, config.window))
-        pairs = np.concatenate(chunks) if chunks else np.empty((0, 2), dtype=np.int64)
-        epoch_pairs.append(pairs)
+        kept = rng.random(len(views)) < keep_prob[views]
+        epoch_pairs.append(_window_pairs(views[kept], session_ids[kept], config.window))
     total_steps = sum(len(p) for p in epoch_pairs)
     if total_steps == 0:
         raise ValueError("no training pairs after subsampling")
@@ -251,7 +294,7 @@ def train_embeddings(
     losses: list[float] = []
     step = 0
     denom = max(1, total_steps - 1)
-    for pairs in epoch_pairs:
+    for epoch, pairs in enumerate(epoch_pairs, start=1):
         if not len(pairs):
             losses.append(losses[-1] if losses else 0.0)
             continue
@@ -259,11 +302,20 @@ def train_embeddings(
         pairs = pairs[order]
         negs = _bulk_negatives(pairs[:, 1], v, config.negatives, rng, weights)
         epoch_loss = 0.0
-        for row in range(len(pairs)):
-            lr = lr_hi + (lr_lo - lr_hi) * (step / denom)
-            epoch_loss += sgns_step(pairs[row, 0], pairs[row, 1], negs[row], table, lr)
-            step += 1
+        for lo in range(0, len(pairs), SGNS_BATCH):
+            hi = min(lo + SGNS_BATCH, len(pairs))
+            lr = lr_hi + (lr_lo - lr_hi) * (np.arange(step + lo, step + hi) / denom)
+            epoch_loss += sgns_step(pairs[lo:hi, 0], pairs[lo:hi, 1], negs[lo:hi], table, lr)
+        step += len(pairs)
         losses.append(epoch_loss / len(pairs))
+        if not (
+            np.isfinite(losses[-1])
+            and np.isfinite(table.input_vectors).all()
+            and np.isfinite(table.output_vectors).all()
+        ):
+            raise ValueError(
+                f"skip-gram training diverged in epoch {epoch}: non-finite loss or vectors"
+            )
     return table, losses
 
 
@@ -352,7 +404,7 @@ def load_embeddings_text(path) -> tuple[list[str], np.ndarray]:
 
 
 def save_embeddings_binary(table: EmbeddingTable, path) -> None:
-    """Binary sidecar with both tables for exact training resume."""
+    """Binary sidecar holding both tables bit-exactly."""
     with open(path, "wb") as fh:
         fh.write(SIDECAR_MAGIC)
         fh.write(struct.pack("<B", SIDECAR_VERSION))

@@ -145,6 +145,14 @@ class TestTrainEmbeddings:
         assert cli.main(["--config", str(path), "train-embeddings"]) == 2
         assert "vocabulary empty" in capsys.readouterr().err
 
+    def test_divergence_exits_one_without_writing_vectors(self, tmp_path, capsys):
+        rates = {"learning_rate_initial": 1e40, "learning_rate_final": 1e40}
+        path = write_config(tmp_path, {"skipgram": rates})
+        cli.main(["--config", str(path), "generate"])
+        assert cli.main(["--config", str(path), "train-embeddings"]) == 1
+        assert "diverged in epoch" in capsys.readouterr().err
+        assert not (tmp_path / "embeddings.txt").exists()
+
     def test_input_log_not_mutated(self, tmp_path):
         path = write_config(tmp_path)
         cli.main(["--config", str(path), "generate"])

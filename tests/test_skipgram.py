@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from session2rec import neural
+from session2rec import neural, skipgram
 from session2rec.corpus import SyntheticConfig, build_vocabulary, generate_synthetic
 from session2rec.errors import ConfigError, ParseError
 from session2rec.skipgram import (
@@ -38,6 +39,24 @@ class TestTrainingPairs:
 
     def test_single_view_yields_nothing(self):
         assert generate_training_pairs([7], 3) == []
+
+    @given(
+        sessions=st.lists(
+            st.lists(st.tuples(st.integers(0, 20), st.booleans()), max_size=12), max_size=8
+        ),
+        window=st.integers(1, 4),
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_all_session_enumeration_matches_per_session(self, sessions, window):
+        # each view carries a keep flag, so kept sessions shrink to 0 or 1 views too
+        kept_sessions = [[i for i, keep in session if keep] for session in sessions]
+        expected = [pair for kept in kept_sessions for pair in generate_training_pairs(kept, window)]
+        views = np.array([i for session in sessions for i, _ in session], dtype=np.int64)
+        keep = np.array([k for session in sessions for _, k in session], dtype=bool)
+        session_ids = np.repeat(np.arange(len(sessions)), [len(session) for session in sessions])
+        got = skipgram._window_pairs(views[keep], session_ids[keep], window)
+        assert got.shape == (len(expected), 2)
+        assert [(int(c), int(x)) for c, x in got] == expected
 
 
 class TestNegativeSampling:
@@ -101,6 +120,29 @@ class TestSgnsStep:
         expected_row1 = out[1] - 0.1 * (d_pos + d_negs[0])
         assert np.allclose(table.output_vectors[1], expected_row1, atol=1e-15)
 
+    def test_batch_equals_accumulated_per_pair_updates(self, rng):
+        # repeated centers (0), repeated contexts (1, 2) and negatives equal to
+        # their context (rows 0, 2, 4, 5) must all sum into the same rows
+        inp = rng.normal(size=(6, 5))
+        out = rng.normal(size=(6, 5))
+        centers = np.array([0, 0, 1, 2, 0, 3])
+        contexts = np.array([1, 1, 2, 2, 4, 1])
+        negatives = np.array([[1, 2, 5], [3, 1, 1], [2, 0, 4], [5, 5, 2], [4, 4, 0], [1, 0, 3]])
+        rates = np.linspace(0.2, 0.05, len(centers))
+        expected_in, expected_out, expected_loss = inp.copy(), out.copy(), 0.0
+        for c, ctx, negs, rate in zip(centers, contexts, negatives, rates):
+            loss, d_center, d_pos, d_negs = sgns_loss_and_grads(inp[c], out[ctx], out[negs])
+            expected_loss += loss
+            expected_in[c] -= rate * d_center
+            expected_out[ctx] -= rate * d_pos
+            for n, d_neg in zip(negs, d_negs):
+                expected_out[n] -= rate * d_neg
+        table = EmbeddingTable(inp.copy(), out.copy())
+        loss = sgns_step(centers, contexts, negatives, table, rates)
+        assert loss == pytest.approx(expected_loss, abs=1e-12)
+        np.testing.assert_allclose(table.input_vectors, expected_in, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(table.output_vectors, expected_out, rtol=0, atol=1e-12)
+
     def test_extreme_dots_stay_finite(self):
         inp = np.full((2, 3), 100.0)
         out = np.full((2, 3), 100.0)
@@ -119,6 +161,64 @@ def small_synthetic(seed=21, n_travelers=300):
     corpus, truth = generate_synthetic(config)
     vocab = build_vocabulary(corpus, min_count=1)
     return corpus, truth, vocab
+
+
+def per_pair_sgns_step(center, context, negatives, table, learning_rate):
+    """Reference update: one triple at a time, duplicates summed by np.add.at."""
+    inp, out = table.input_vectors, table.output_vectors
+    loss, d_center, d_pos, d_negs = sgns_loss_and_grads(inp[center], out[context], out[negatives])
+    inp[center] -= learning_rate * d_center
+    np.add.at(out, negatives, -learning_rate * d_negs)
+    out[context] -= learning_rate * d_pos
+    return loss
+
+
+def per_pair_train_embeddings(corpus, vocabulary, config):
+    """Reference trainer: per-session pair enumeration, one update per pair.
+
+    Draws from the generator in the same order as ``train_embeddings``, so
+    with one pair per batch both produce the same tables up to rounding.
+    """
+    v = len(vocabulary)
+    rng = np.random.default_rng(config.seed)
+    inp = rng.uniform(-0.5 / config.dim, 0.5 / config.dim, size=(v, config.dim))
+    table = EmbeddingTable(inp, np.zeros((v, config.dim)))
+    sequences = []
+    for session in corpus.sessions:
+        idx = [
+            vocabulary.key_to_index[it.listing_key]
+            for it in session.interactions
+            if it.event_kind == "view" and it.listing_key in vocabulary.key_to_index
+        ]
+        if len(idx) >= 2:
+            sequences.append(np.asarray(idx, dtype=np.int64))
+    keep_prob = np.minimum(
+        1.0, np.sqrt(config.subsample_threshold * vocabulary.total_views / vocabulary.counts)
+    )
+    weights = None
+    if config.smoothed_negatives:
+        w = vocabulary.counts.astype(np.float64) ** 0.75
+        weights = w / w.sum()
+    epoch_pairs = []
+    for _ in range(config.epochs):
+        pairs = []
+        for seq in sequences:
+            kept = seq[rng.random(len(seq)) < keep_prob[seq]]
+            pairs += generate_training_pairs(kept, config.window)
+        epoch_pairs.append(np.asarray(pairs, dtype=np.int64).reshape(-1, 2))
+    denom = max(1, sum(len(p) for p in epoch_pairs) - 1)
+    lr_hi, lr_lo = config.learning_rate_initial, config.learning_rate_final
+    losses, step = [], 0
+    for pairs in epoch_pairs:
+        pairs = pairs[rng.permutation(len(pairs))]
+        negs = skipgram._bulk_negatives(pairs[:, 1], v, config.negatives, rng, weights)
+        epoch_loss = 0.0
+        for row in range(len(pairs)):
+            lr = lr_hi + (lr_lo - lr_hi) * (step / denom)
+            epoch_loss += per_pair_sgns_step(pairs[row, 0], pairs[row, 1], negs[row], table, lr)
+            step += 1
+        losses.append(epoch_loss / len(pairs))
+    return table, losses
 
 
 class TestTrainEmbeddings:
@@ -182,6 +282,44 @@ class TestTrainEmbeddings:
         same = [softmax_prob(0, j) for j in range(len(vocab)) if j != 0 and cluster[j] == cluster[0]]
         other = [softmax_prob(0, j) for j in range(len(vocab)) if cluster[j] != cluster[0]]
         assert np.mean(same) > np.mean(other)
+
+    @pytest.mark.parametrize("smoothed", [False, True])
+    def test_batch_of_one_matches_per_pair_reference(self, monkeypatch, smoothed):
+        # einsum and BLAS dot sum in different orders, so equality is to rounding
+        corpus, _, vocab = small_synthetic()
+        config = SkipgramConfig(dim=8, epochs=2, seed=6, smoothed_negatives=smoothed)
+        expected, expected_losses = per_pair_train_embeddings(corpus, vocab, config)
+        monkeypatch.setattr(skipgram, "SGNS_BATCH", 1)
+        table, losses = train_embeddings(corpus, vocab, config)
+        np.testing.assert_allclose(table.input_vectors, expected.input_vectors, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(table.output_vectors, expected.output_vectors, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(losses, expected_losses, rtol=0, atol=1e-12)
+
+    def test_each_pair_of_a_batch_takes_its_own_decayed_rate(self, monkeypatch):
+        calls = []
+
+        def recording_step(centers, contexts, negatives, table, learning_rate):
+            calls.append((len(centers), np.array(learning_rate)))
+            return sgns_step(centers, contexts, negatives, table, learning_rate)
+
+        monkeypatch.setattr(skipgram, "sgns_step", recording_step)
+        corpus, _, vocab = small_synthetic()
+        config = SkipgramConfig(dim=8, epochs=2, seed=5)
+        train_embeddings(corpus, vocab, config)
+        sizes = [size for size, _ in calls]
+        assert max(sizes) == skipgram.SGNS_BATCH
+        rates = np.concatenate([rate for _, rate in calls])
+        expected = np.linspace(config.learning_rate_initial, config.learning_rate_final, len(rates))
+        np.testing.assert_allclose(rates, expected, rtol=1e-12, atol=0)
+
+    def test_divergence_raises_naming_the_epoch(self):
+        # the vectors overflow during epoch 2; training must stop there
+        corpus, _, vocab = small_synthetic()
+        config = SkipgramConfig(
+            dim=8, epochs=3, seed=1, learning_rate_initial=1e40, learning_rate_final=1e40
+        )
+        with pytest.raises(ValueError, match=r"diverged in epoch 2\b"):
+            train_embeddings(corpus, vocab, config)
 
     def test_smoothed_negative_flag_changes_sampling(self):
         corpus, _, vocab = small_synthetic()
