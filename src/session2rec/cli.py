@@ -33,32 +33,6 @@ from . import evaluation as eval_mod
 from . import neural, skipgram, traveler as traveler_mod
 from .errors import ConfigError, ParseError
 
-_SECTION_KEYS = {
-    "corpus": {
-        "n_listings", "n_clusters", "n_travelers", "mean_session_len",
-        "booking_base_rate", "epsilon", "booking_slope", "sessions_per_traveler",
-        "sessions_file", "ground_truth_file",
-    },
-    "skipgram": {
-        "dim", "window", "negatives", "epochs", "learning_rate_initial",
-        "learning_rate_final", "subsample_threshold", "min_count",
-        "smoothed_negatives", "embeddings_file", "sidecar_file",
-    },
-    "coldstart": {
-        "demand_file", "centroids_file", "cold_listings_file", "nearest_destinations",
-    },
-    "traveler": {
-        "kind", "epochs", "batch_size", "learning_rate", "positive_class_weight",
-        "max_prefix_views", "hidden_expand", "hidden_contract", "embedding_dim",
-        "lstm_hidden", "model_file", "trace_file",
-    },
-    "eval": {
-        "train_fraction", "settings", "epochs", "batch_size", "learning_rate",
-        "positive_class_weight", "eval_sessions_file", "reports_dir", "comparison_file",
-    },
-}
-_TOP_KEYS = {"seed"} | set(_SECTION_KEYS)
-
 _CORPUS_DEFAULTS = {
     "n_listings": 1000, "n_clusters": 10, "n_travelers": 10000,
     "mean_session_len": 8, "booking_base_rate": 0.3, "epsilon": 0.1,
@@ -87,6 +61,13 @@ _EVAL_DEFAULTS = {
     "positive_class_weight": None, "eval_sessions_file": None,
     "reports_dir": "reports", "comparison_file": "comparison.txt",
 }
+# a section accepts exactly the keys it has defaults for
+_SECTION_DEFAULTS = {
+    "corpus": _CORPUS_DEFAULTS, "skipgram": _SKIPGRAM_DEFAULTS,
+    "coldstart": _COLDSTART_DEFAULTS, "traveler": _TRAVELER_DEFAULTS,
+    "eval": _EVAL_DEFAULTS,
+}
+_TOP_KEYS = {"seed"} | set(_SECTION_DEFAULTS)
 
 
 @dataclass
@@ -115,19 +96,14 @@ def load_config(path, seed_override=None, out_override=None) -> PipelineConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     sections = {}
-    defaults = {
-        "corpus": _CORPUS_DEFAULTS, "skipgram": _SKIPGRAM_DEFAULTS,
-        "coldstart": _COLDSTART_DEFAULTS, "traveler": _TRAVELER_DEFAULTS,
-        "eval": _EVAL_DEFAULTS,
-    }
-    for name, allowed in _SECTION_KEYS.items():
+    for name, defaults in _SECTION_DEFAULTS.items():
         section = raw.get(name, {})
         if not isinstance(section, dict):
             raise ConfigError(f"section {name!r} must be a JSON object")
-        unknown = set(section) - allowed
+        unknown = set(section) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown keys in section {name!r}: {sorted(unknown)}")
-        sections[name] = {**defaults[name], **section}
+        sections[name] = {**defaults, **section}
     seed = seed_override if seed_override is not None else raw.get("seed", 0)
     if not isinstance(seed, int):
         raise ConfigError("seed must be an integer")

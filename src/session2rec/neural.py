@@ -34,11 +34,16 @@ class DenseLayer:
             raise ValueError("parameters must be finite")
 
 
+def sigmoid(x):
+    """Elementwise logistic function."""
+    return 1.0 / (1.0 + np.exp(-x))
+
+
 def _activate(z, kind):
     if kind == "relu":
         return np.maximum(z, 0.0)
     if kind == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
+        return sigmoid(z)
     if kind == "tanh":
         return np.tanh(z)
     return z
@@ -49,7 +54,7 @@ def _activate_grad(z, kind):
     if kind == "relu":
         return (z > 0).astype(float)
     if kind == "sigmoid":
-        s = 1.0 / (1.0 + np.exp(-z))
+        s = sigmoid(z)
         return s * (1.0 - s)
     if kind == "tanh":
         return 1.0 - np.tanh(z) ** 2

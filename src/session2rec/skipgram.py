@@ -19,6 +19,7 @@ import numpy as np
 
 from .corpus import SessionCorpus, Vocabulary
 from .errors import ConfigError, ParseError
+from .neural import sigmoid
 
 LOGIT_CLAMP = 30.0  # dot products are clipped here before exponentiation
 SGNS_BATCH = 128  # pairs per update; every pair of a batch reads pre-batch vectors
@@ -114,10 +115,6 @@ def negative_sample(vocab_size: int, k: int, rng, positive_context: int) -> np.n
     return draws
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
 def sgns_loss_and_grads(center_vec, pos_vec, neg_vecs):
     """Loss and exact gradients of one positive/negative classification step.
 
@@ -129,10 +126,10 @@ def sgns_loss_and_grads(center_vec, pos_vec, neg_vecs):
     """
     s_pos = np.clip(center_vec @ pos_vec, -LOGIT_CLAMP, LOGIT_CLAMP)
     s_neg = np.clip(neg_vecs @ center_vec, -LOGIT_CLAMP, LOGIT_CLAMP)
-    loss = -float(np.log(_sigmoid(s_pos)) + np.log(_sigmoid(-s_neg)).sum())
+    loss = -float(np.log(sigmoid(s_pos)) + np.log(sigmoid(-s_neg)).sum())
 
-    g_pos = _sigmoid(s_pos) - 1.0  # d loss / d s_pos
-    g_neg = _sigmoid(s_neg)  # d loss / d s_neg, one per negative
+    g_pos = sigmoid(s_pos) - 1.0  # d loss / d s_pos
+    g_neg = sigmoid(s_neg)  # d loss / d s_neg, one per negative
     d_center = g_pos * pos_vec + neg_vecs.T @ g_neg
     d_pos = g_pos * center_vec
     d_negs = g_neg[:, None] * center_vec[None, :]
@@ -173,10 +170,10 @@ def sgns_step(centers, contexts, negatives, table: EmbeddingTable, learning_rate
 
     s_pos = np.clip(np.einsum("bd,bd->b", center_vecs, pos_vecs), -LOGIT_CLAMP, LOGIT_CLAMP)
     s_neg = np.clip(np.einsum("bkd,bd->bk", neg_vecs, center_vecs), -LOGIT_CLAMP, LOGIT_CLAMP)
-    loss = -float(np.log(_sigmoid(s_pos)).sum() + np.log(_sigmoid(-s_neg)).sum())
+    loss = -float(np.log(sigmoid(s_pos)).sum() + np.log(sigmoid(-s_neg)).sum())
 
-    g_pos = (_sigmoid(s_pos) - 1.0) * rate  # rate * d loss / d s_pos
-    g_neg = _sigmoid(s_neg) * rate[:, None]  # rate * d loss / d s_neg
+    g_pos = (sigmoid(s_pos) - 1.0) * rate  # rate * d loss / d s_pos
+    g_neg = sigmoid(s_neg) * rate[:, None]  # rate * d loss / d s_neg
     d_center = g_pos[:, None] * pos_vecs + np.einsum("bkd,bk->bd", neg_vecs, g_neg)
     d_pos = g_pos[:, None] * center_vecs
     d_negs = g_neg[:, :, None] * center_vecs[:, None, :]

@@ -9,6 +9,11 @@ Five kinds share one training and inference surface:
 * ``lstm``      -- four-gate recurrence over the view sequence
 * ``lstm_attention`` -- additive attention over all hidden states
 
+Each kind has one ordered layer spec of ``(name, out, in, activation)``
+entries computed from its ``dims`` (see ``KINDS``); parameters are a
+``{name: DenseLayer}`` dict in spec order, which is also the gradient order
+and the on-disk layer order.
+
 All trainable kinds minimise class-weighted binary cross entropy on booking
 labels with the adaptive optimizer from :mod:`.neural`; every gradient is
 hand-derived and checked against finite differences.
@@ -16,16 +21,24 @@ hand-derived and checked against finite differences.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import neural
 from .corpus import LabeledPrefix
-from .errors import ConfigError
-from .neural import DenseLayer, dense_backward, dense_forward
+from .errors import ConfigError, ParseError
+from .neural import DenseLayer, dense_backward, dense_forward, sigmoid
 from .skipgram import EmbeddingTable
+
+LayerSpec = tuple[str, int, int, str]  # (name, out, in, activation)
+Params = dict[str, DenseLayer]
+
+# forget/input/candidate/output gates over the concatenated [h_prev, view]
+GATES = (("forget", "sigmoid"), ("input", "sigmoid"), ("cell", "tanh"), ("output", "sigmoid"))
 
 TRAINABLE_KINDS = ("average", "dan", "lstm", "lstm_attention")
 ALL_KINDS = ("random",) + TRAINABLE_KINDS
@@ -47,93 +60,9 @@ class TravelerExample:
 
 
 @dataclass
-class DanParams:
-    """Expand-then-contract stack over the pooled view vector.
-
-    The chain runs pool -> expansion -> contraction -> embedding, with a
-    separate scalar scoring head so the embedding stays vector-valued.
-    """
-
-    pool_proj: DenseLayer  # d -> d_h2, relu (expansion)
-    hidden: DenseLayer  # d_h2 -> d_h1, relu (contraction)
-    embed: DenseLayer  # d_h1 -> d_f, relu (traveler embedding)
-    head: DenseLayer  # d_f -> 1, sigmoid
-
-    def __post_init__(self):
-        d = self.pool_proj.weights.shape[1]
-        d_h2 = self.pool_proj.weights.shape[0]
-        d_h1 = self.hidden.weights.shape[0]
-        d_f = self.embed.weights.shape[0]
-        if self.hidden.weights.shape[1] != d_h2 or self.embed.weights.shape[1] != d_h1:
-            raise ValueError("chained layer dims are inconsistent")
-        if self.head.weights.shape != (1, d_f):
-            raise ValueError("head must map the embedding to a scalar")
-        if not (d_h2 > d >= d_h1 > d_f):
-            raise ValueError(f"dims must expand then contract: got {d_h2} > {d} >= {d_h1} > {d_f}")
-
-
-@dataclass
-class LstmGates:
-    """Forget/input/candidate/output gates over concatenated [h_prev, view]."""
-
-    w_forget: np.ndarray
-    b_forget: np.ndarray
-    w_input: np.ndarray
-    b_input: np.ndarray
-    w_cell: np.ndarray
-    b_cell: np.ndarray
-    w_output: np.ndarray
-    b_output: np.ndarray
-
-    def __post_init__(self):
-        d_h = self.w_forget.shape[0]
-        for w in (self.w_forget, self.w_input, self.w_cell, self.w_output):
-            if w.shape != self.w_forget.shape:
-                raise ValueError("all gates must share the (d_h, d_h + d) shape")
-        for b in (self.b_forget, self.b_input, self.b_cell, self.b_output):
-            if b.shape != (d_h,):
-                raise ValueError("gate biases must be (d_h,)")
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.w_forget.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.w_forget.shape[1] - self.w_forget.shape[0]
-
-
-@dataclass
-class LstmParams:
-    gates: LstmGates
-    head: DenseLayer  # d_h -> 1, sigmoid
-
-
-@dataclass
-class AttentionParams:
-    score_vector: np.ndarray  # (d_h,)
-    head: DenseLayer  # d_h -> 1, sigmoid over the context vector
-
-    def __post_init__(self):
-        if not np.isfinite(self.score_vector).all():
-            raise ValueError("score vector must be finite")
-
-
-@dataclass
-class LstmAttentionParams:
-    gates: LstmGates
-    attention: AttentionParams
-
-
-@dataclass
-class AverageParams:
-    head: DenseLayer  # d -> 1, sigmoid over the pooled vector
-
-
-@dataclass
 class TravelerModel:
     kind: str
-    params: object | None  # None for the random baseline
+    params: Params | None  # None for the random baseline
     input_dim: int
     seed: int = 0
     provenance: dict = field(default_factory=dict)
@@ -163,6 +92,13 @@ class TravelerConfig:
             raise ConfigError("batch_size must be >= 1")
         if not self.hidden_expand > self.input_dim >= self.hidden_contract > self.embedding_dim:
             raise ConfigError("dims must satisfy expand > input >= contract > embedding")
+        if self.lstm_hidden < 1:
+            raise ConfigError("lstm_hidden must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError("learning_rate must be finite and > 0")
+        weight = self.positive_class_weight
+        if weight is not None and not (math.isfinite(weight) and weight > 0):
+            raise ConfigError("positive_class_weight must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -213,45 +149,46 @@ def build_examples(
 # forward / backward per kind
 
 
-def dan_forward(params: DanParams, viewed: np.ndarray):
+def dan_forward(params: Params, viewed: np.ndarray):
     """Pooled pipeline; returns (probability, traveler embedding, cache)."""
     pooled = pool_average(viewed)
-    h2, c1 = dense_forward(params.pool_proj, pooled)
-    h1, c2 = dense_forward(params.hidden, h2)
-    f, c3 = dense_forward(params.embed, h1)
-    out, c4 = dense_forward(params.head, f)
+    h2, c1 = dense_forward(params["pool_proj"], pooled)
+    h1, c2 = dense_forward(params["hidden"], h2)
+    f, c3 = dense_forward(params["embed"], h1)
+    out, c4 = dense_forward(params["head"], f)
     return float(out[0]), f, (c1, c2, c3, c4)
 
 
-def _dan_backward(params: DanParams, cache, d_prob: float):
+def _dan_backward(params: Params, cache, d_prob: float):
     c1, c2, c3, c4 = cache
-    df, dw_head, db_head = dense_backward(params.head, c4, np.array([d_prob]))
-    dh1, dw_embed, db_embed = dense_backward(params.embed, c3, df)
-    dh2, dw_hidden, db_hidden = dense_backward(params.hidden, c2, dh1)
-    _, dw_pool, db_pool = dense_backward(params.pool_proj, c1, dh2)
+    df, dw_head, db_head = dense_backward(params["head"], c4, np.array([d_prob]))
+    dh1, dw_embed, db_embed = dense_backward(params["embed"], c3, df)
+    dh2, dw_hidden, db_hidden = dense_backward(params["hidden"], c2, dh1)
+    _, dw_pool, db_pool = dense_backward(params["pool_proj"], c1, dh2)
     return [dw_pool, db_pool, dw_hidden, db_hidden, dw_embed, db_embed, dw_head, db_head]
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+def _gate_arrays(params: Params) -> list[np.ndarray]:
+    return [a for gate, _ in GATES for a in (params[gate].weights, params[gate].bias)]
 
 
-def _lstm_scan(gates: LstmGates, viewed: np.ndarray):
+def _lstm_scan(params: Params, viewed: np.ndarray):
     """Run the gated recurrence; returns hidden states and per-step caches.
 
     x_t is the concatenation [h_{t-1}, view_t]; cell and hidden state start
     at zero.
     """
-    d_h = gates.hidden_dim
+    w_f, b_f, w_i, b_i, w_c, b_c, w_o, b_o = _gate_arrays(params)
+    d_h = len(b_f)
     h = np.zeros(d_h)
     c = np.zeros(d_h)
     states, caches = [], []
     for v in viewed:
         x = np.concatenate([h, v])
-        forget = _sigmoid(gates.w_forget @ x + gates.b_forget)
-        gain = _sigmoid(gates.w_input @ x + gates.b_input)
-        cand = np.tanh(gates.w_cell @ x + gates.b_cell)
-        out = _sigmoid(gates.w_output @ x + gates.b_output)
+        forget = sigmoid(w_f @ x + b_f)
+        gain = sigmoid(w_i @ x + b_i)
+        cand = np.tanh(w_c @ x + b_c)
+        out = sigmoid(w_o @ x + b_o)
         c_prev = c
         c = forget * c_prev + gain * cand
         h = out * np.tanh(c)
@@ -260,16 +197,16 @@ def _lstm_scan(gates: LstmGates, viewed: np.ndarray):
     return states, caches
 
 
-def _lstm_backward_through_time(gates: LstmGates, caches, dh_inject):
+def _lstm_backward_through_time(params: Params, caches, dh_inject):
     """Backprop through the recurrence given per-step external gradients.
 
     ``dh_inject[t]`` is d loss / d h_t coming from outside the recurrence
     (the head for the plain LSTM, the attention mix for the attended one).
     Returns gradients in gate parameter order.
     """
-    d_h = gates.hidden_dim
-    zeros = lambda w: np.zeros_like(w)
-    dw_f, dw_i, dw_c, dw_o = map(zeros, (gates.w_forget, gates.w_input, gates.w_cell, gates.w_output))
+    w_f, _, w_i, _, w_c, _, w_o, _ = _gate_arrays(params)
+    d_h = len(w_f)
+    dw_f, dw_i, dw_c, dw_o = (np.zeros_like(w) for w in (w_f, w_i, w_c, w_o))
     db_f, db_i, db_c, db_o = (np.zeros(d_h) for _ in range(4))
     dh_next = np.zeros(d_h)
     dc_next = np.zeros(d_h)
@@ -290,35 +227,30 @@ def _lstm_backward_through_time(gates: LstmGates, caches, dh_inject):
         db_i += dz_i
         db_c += dz_c
         db_o += dz_o
-        dx = (
-            gates.w_forget.T @ dz_f
-            + gates.w_input.T @ dz_i
-            + gates.w_cell.T @ dz_c
-            + gates.w_output.T @ dz_o
-        )
+        dx = w_f.T @ dz_f + w_i.T @ dz_i + w_c.T @ dz_c + w_o.T @ dz_o
         dh_next = dx[:d_h]
         dc_next = dc * forget
     return [dw_f, db_f, dw_i, db_i, dw_c, db_c, dw_o, db_o]
 
 
-def lstm_forward(params: LstmParams, viewed: np.ndarray):
+def lstm_forward(params: Params, viewed: np.ndarray):
     """Returns (probability, final hidden state, cache)."""
-    states, caches = _lstm_scan(params.gates, viewed)
+    states, caches = _lstm_scan(params, viewed)
     h_last = states[-1]
-    out, head_cache = dense_forward(params.head, h_last)
+    out, head_cache = dense_forward(params["head"], h_last)
     return float(out[0]), h_last, (states, caches, head_cache)
 
 
-def _lstm_backward(params: LstmParams, cache, d_prob: float):
+def _lstm_backward(params: Params, cache, d_prob: float):
     states, caches, head_cache = cache
-    dh_last, dw_head, db_head = dense_backward(params.head, head_cache, np.array([d_prob]))
+    dh_last, dw_head, db_head = dense_backward(params["head"], head_cache, np.array([d_prob]))
     dh_inject = [np.zeros_like(states[0]) for _ in states]
     dh_inject[-1] = dh_last
-    gate_grads = _lstm_backward_through_time(params.gates, caches, dh_inject)
+    gate_grads = _lstm_backward_through_time(params, caches, dh_inject)
     return gate_grads + [dw_head, db_head]
 
 
-def attention_combine(params: AttentionParams, hidden_states):
+def attention_combine(score_vector: np.ndarray, hidden_states):
     """Additive attention over the hidden-state sequence.
 
     Scores ``e_t = score_vector . tanh(h_t)`` pass through a softmax; the
@@ -329,14 +261,14 @@ def attention_combine(params: AttentionParams, hidden_states):
     hs = np.asarray(hidden_states)
     if hs.ndim != 2 or len(hs) < 1:
         raise ValueError("need at least one hidden state")
-    scores = np.tanh(hs) @ params.score_vector
+    scores = np.tanh(hs) @ score_vector
     shifted = np.exp(scores - scores.max())
     weights = shifted / shifted.sum()
     context = weights @ hs
     return context, weights
 
 
-def _attention_backward(params: AttentionParams, hs, weights, d_context):
+def _attention_backward(score_vector: np.ndarray, hs, weights, d_context):
     """Gradients of the attention mix: score vector and per-state grads."""
     hs = np.asarray(hs)
     d_alpha = hs @ d_context
@@ -344,159 +276,144 @@ def _attention_backward(params: AttentionParams, hs, weights, d_context):
     tanh_h = np.tanh(hs)
     d_score_vec = tanh_h.T @ d_scores
     dh = weights[:, None] * d_context[None, :] + d_scores[:, None] * (
-        params.score_vector[None, :] * (1.0 - tanh_h**2)
+        score_vector[None, :] * (1.0 - tanh_h**2)
     )
     return d_score_vec, dh
 
 
-def lstm_attention_forward(params: LstmAttentionParams, viewed: np.ndarray):
+def lstm_attention_forward(params: Params, viewed: np.ndarray):
     """Returns (probability, context vector, cache)."""
-    states, caches = _lstm_scan(params.gates, viewed)
-    context, weights = attention_combine(params.attention, states)
-    out, head_cache = dense_forward(params.attention.head, context)
+    states, caches = _lstm_scan(params, viewed)
+    context, weights = attention_combine(params["score"].weights[0], states)
+    out, head_cache = dense_forward(params["head"], context)
     return float(out[0]), context, (states, caches, weights, head_cache)
 
 
-def _lstm_attention_backward(params: LstmAttentionParams, cache, d_prob: float):
+def _lstm_attention_backward(params: Params, cache, d_prob: float):
     states, caches, weights, head_cache = cache
-    d_context, dw_head, db_head = dense_backward(
-        params.attention.head, head_cache, np.array([d_prob])
+    d_context, dw_head, db_head = dense_backward(params["head"], head_cache, np.array([d_prob]))
+    d_score_vec, dh_inject = _attention_backward(
+        params["score"].weights[0], states, weights, d_context
     )
-    d_score_vec, dh_inject = _attention_backward(params.attention, states, weights, d_context)
-    gate_grads = _lstm_backward_through_time(params.gates, caches, list(dh_inject))
-    return gate_grads + [d_score_vec, dw_head, db_head]
+    gate_grads = _lstm_backward_through_time(params, caches, list(dh_inject))
+    return gate_grads + [d_score_vec[None, :], np.zeros(1), dw_head, db_head]
 
 
-def average_forward(params: AverageParams, viewed: np.ndarray):
+def average_forward(params: Params, viewed: np.ndarray):
     pooled = pool_average(viewed)
-    out, cache = dense_forward(params.head, pooled)
+    out, cache = dense_forward(params["head"], pooled)
     return float(out[0]), pooled, cache
 
 
-def _average_backward(params: AverageParams, cache, d_prob: float):
-    _, dw_head, db_head = dense_backward(params.head, cache, np.array([d_prob]))
+def _average_backward(params: Params, cache, d_prob: float):
+    _, dw_head, db_head = dense_backward(params["head"], cache, np.array([d_prob]))
     return [dw_head, db_head]
+
+
+# ---------------------------------------------------------------------------
+# one spec per kind
+
+
+def _average_spec(dims: dict) -> list[LayerSpec]:
+    return [("head", 1, dims["input_dim"], "sigmoid")]
+
+
+def _dan_spec(dims: dict) -> list[LayerSpec]:
+    """pool -> expansion -> contraction -> embedding, then a scalar head so
+    the embedding stays vector-valued."""
+    d, d_h2, d_h1, d_f = (
+        dims[key] for key in ("input_dim", "hidden_expand", "hidden_contract", "embedding_dim")
+    )
+    if not d_h2 > d >= d_h1 > d_f:
+        raise ValueError(f"dims must expand then contract: got {d_h2} > {d} >= {d_h1} > {d_f}")
+    return [
+        ("pool_proj", d_h2, d, "relu"),
+        ("hidden", d_h1, d_h2, "relu"),
+        ("embed", d_f, d_h1, "relu"),
+        ("head", 1, d_f, "sigmoid"),
+    ]
+
+
+def _lstm_spec(dims: dict) -> list[LayerSpec]:
+    d_h = dims["lstm_hidden"]
+    gates = [(gate, d_h, d_h + dims["input_dim"], act) for gate, act in GATES]
+    return gates + [("head", 1, d_h, "sigmoid")]
+
+
+def _lstm_attention_spec(dims: dict) -> list[LayerSpec]:
+    """The score vector is a 1-row linear layer stored before the head; its
+    bias stays zero and never enters the softmax, which would cancel it."""
+    *gates, head = _lstm_spec(dims)
+    return gates + [("score", 1, dims["lstm_hidden"], "linear"), head]
+
+
+class KindSpec(NamedTuple):
+    """A kind's widths, its layer spec as a function of them, its kernels."""
+
+    dims: dict[str, str]  # dims key besides input_dim -> layer whose out-dim it is
+    layers: Callable[[dict], list[LayerSpec]]
+    forward: Callable | None = None  # (params, viewed) -> (probability, embedding, cache)
+    backward: Callable | None = None  # (params, cache, d_prob) -> gradients
+
+
+_DAN_DIMS = {"hidden_expand": "pool_proj", "hidden_contract": "hidden", "embedding_dim": "embed"}
+_LSTM_DIMS = {"lstm_hidden": "forget"}
+KINDS = {
+    "random": KindSpec({}, lambda dims: []),
+    "average": KindSpec({}, _average_spec, average_forward, _average_backward),
+    "dan": KindSpec(_DAN_DIMS, _dan_spec, dan_forward, _dan_backward),
+    "lstm": KindSpec(_LSTM_DIMS, _lstm_spec, lstm_forward, _lstm_backward),
+    "lstm_attention": KindSpec(
+        _LSTM_DIMS, _lstm_attention_spec, lstm_attention_forward, _lstm_attention_backward
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
 # uniform parameter plumbing
 
 
-def _dense(rng, out_dim, in_dim, activation, scale=None):
-    scale = scale if scale is not None else np.sqrt(2.0 / in_dim)
-    return DenseLayer(rng.normal(0.0, scale, size=(out_dim, in_dim)), np.zeros(out_dim), activation)
+def init_params(kind: str, config: TravelerConfig, rng) -> Params:
+    """Fresh parameters drawn from ``rng``, one layer per spec entry.
 
-
-def init_params(kind: str, config: TravelerConfig, rng):
-    d = config.input_dim
-    if kind == "average":
-        return AverageParams(head=_dense(rng, 1, d, "sigmoid", scale=1.0 / np.sqrt(d)))
-    if kind == "dan":
-        return DanParams(
-            pool_proj=_dense(rng, config.hidden_expand, d, "relu"),
-            hidden=_dense(rng, config.hidden_contract, config.hidden_expand, "relu"),
-            embed=_dense(rng, config.embedding_dim, config.hidden_contract, "relu"),
-            head=_dense(rng, 1, config.embedding_dim, "sigmoid", scale=1.0 / np.sqrt(config.embedding_dim)),
-        )
-    d_h = config.lstm_hidden
-
-    def gate_weights():
-        return rng.normal(0.0, 1.0 / np.sqrt(d_h + d), size=(d_h, d_h + d))
-
-    gates = LstmGates(
-        gate_weights(), np.zeros(d_h),
-        gate_weights(), np.zeros(d_h),
-        gate_weights(), np.zeros(d_h),
-        gate_weights(), np.zeros(d_h),
+    Weights are normal with std sqrt(2/in) for relu layers, 1/sqrt(in)
+    otherwise; biases are zero but the forget gate's is 1 (open forget gates
+    keep early gradients alive).  The score vector is drawn after the head
+    although it precedes it on disk: seeded models depend on this order.
+    """
+    if kind not in TRAINABLE_KINDS:
+        raise ConfigError(f"unknown trainable kind {kind!r}; valid: {', '.join(TRAINABLE_KINDS)}")
+    spec = KINDS[kind].layers(
+        {key: getattr(config, key) for key in ("input_dim", *KINDS[kind].dims)}
     )
-    gates.b_forget[:] = 1.0  # open forget gates keep early gradients alive
-    head = _dense(rng, 1, d_h, "sigmoid", scale=1.0 / np.sqrt(d_h))
-    if kind == "lstm":
-        return LstmParams(gates=gates, head=head)
-    if kind == "lstm_attention":
-        score = rng.normal(0.0, 1.0 / np.sqrt(d_h), size=d_h)
-        return LstmAttentionParams(gates=gates, attention=AttentionParams(score, head))
-    raise ConfigError(f"unknown trainable kind {kind!r}; valid: {', '.join(TRAINABLE_KINDS)}")
+    drawn = {}
+    for name, out, inp, activation in sorted(spec, key=lambda entry: entry[0] == "score"):
+        scale = np.sqrt(2.0 / inp) if activation == "relu" else 1.0 / np.sqrt(inp)
+        bias = np.ones(out) if name == "forget" else np.zeros(out)
+        drawn[name] = DenseLayer(rng.normal(0.0, scale, size=(out, inp)), bias, activation)
+    return {name: drawn[name] for name, *_ in spec}
 
 
-def _gate_arrays(gates: LstmGates):
-    return [
-        gates.w_forget, gates.b_forget,
-        gates.w_input, gates.b_input,
-        gates.w_cell, gates.b_cell,
-        gates.w_output, gates.b_output,
-    ]
+def params_list(kind: str, params: Params) -> list[np.ndarray]:
+    """Canonical flat parameter order: each layer's weights then bias, in
+    spec order (matches gradient order)."""
+    return [a for layer in params.values() for a in (layer.weights, layer.bias)]
 
 
-def params_list(kind: str, params) -> list[np.ndarray]:
-    """Canonical flat parameter order per kind (matches gradient order)."""
-    if kind == "average":
-        return [params.head.weights, params.head.bias]
-    if kind == "dan":
-        return [
-            params.pool_proj.weights, params.pool_proj.bias,
-            params.hidden.weights, params.hidden.bias,
-            params.embed.weights, params.embed.bias,
-            params.head.weights, params.head.bias,
-        ]
-    if kind == "lstm":
-        return _gate_arrays(params.gates) + [params.head.weights, params.head.bias]
-    if kind == "lstm_attention":
-        return _gate_arrays(params.gates) + [
-            params.attention.score_vector,
-            params.attention.head.weights,
-            params.attention.head.bias,
-        ]
-    raise ConfigError(f"unknown trainable kind {kind!r}")
-
-
-def with_params(kind: str, params, arrays: list[np.ndarray]):
+def with_params(kind: str, params: Params, arrays: list[np.ndarray]) -> Params:
     """Rebuild a parameter bundle from a flat array list (non-mutating)."""
-
-    def dense_like(layer, w, b):
-        return DenseLayer(w, b, layer.activation)
-
-    if kind == "average":
-        return AverageParams(head=dense_like(params.head, *arrays))
-    if kind == "dan":
-        return DanParams(
-            pool_proj=dense_like(params.pool_proj, arrays[0], arrays[1]),
-            hidden=dense_like(params.hidden, arrays[2], arrays[3]),
-            embed=dense_like(params.embed, arrays[4], arrays[5]),
-            head=dense_like(params.head, arrays[6], arrays[7]),
-        )
-    gates = LstmGates(*arrays[:8])
-    if kind == "lstm":
-        return LstmParams(gates=gates, head=dense_like(params.head, arrays[8], arrays[9]))
-    if kind == "lstm_attention":
-        att = params.attention
-        return LstmAttentionParams(
-            gates=gates,
-            attention=AttentionParams(arrays[8], dense_like(att.head, arrays[9], arrays[10])),
-        )
-    raise ConfigError(f"unknown trainable kind {kind!r}")
-
-
-_FORWARD = {
-    "average": average_forward,
-    "dan": dan_forward,
-    "lstm": lstm_forward,
-    "lstm_attention": lstm_attention_forward,
-}
-_BACKWARD = {
-    "average": _average_backward,
-    "dan": _dan_backward,
-    "lstm": _lstm_backward,
-    "lstm_attention": _lstm_attention_backward,
-}
+    return {
+        name: DenseLayer(arrays[2 * i], arrays[2 * i + 1], layer.activation)
+        for i, (name, layer) in enumerate(params.items())
+    }
 
 
 def example_loss_and_grads(kind: str, params, viewed, label: int, positive_weight: float):
     """Weighted BCE loss and gradients for one example (used by training and
     by the finite-difference checker)."""
-    prob, _, cache = _FORWARD[kind](params, viewed)
+    prob, _, cache = KINDS[kind].forward(params, viewed)
     loss, d_prob = neural.weighted_bce(prob, label, positive_weight)
-    grads = _BACKWARD[kind](params, cache, d_prob)
+    grads = KINDS[kind].backward(params, cache, d_prob)
     return float(loss), grads
 
 
@@ -510,7 +427,7 @@ def loss_fn_for_gradcheck(kind: str, template, viewed, label: int, positive_weig
     return fn
 
 
-def dan_relu_margin(params: DanParams, viewed) -> float:
+def dan_relu_margin(params: Params, viewed) -> float:
     """Smallest |pre-activation| across the relu layers for one example.
 
     Finite-difference checks must avoid the relu kink: an entry whose +-h
@@ -529,7 +446,9 @@ def train_traveler_model(
 
     Gradients are averaged over shuffled mini-batches; one optimizer step per
     batch.  The recorded per-epoch loss is the mean pre-update loss over the
-    epoch's examples.  Deterministic for a fixed config and seed.
+    epoch's examples.  Deterministic for a fixed config and seed.  Raises
+    ValueError naming the kind and the epoch as soon as the loss or a
+    parameter turns non-finite.
     """
     if kind not in TRAINABLE_KINDS:
         raise ConfigError(f"unknown model kind {kind!r}; valid: {', '.join(TRAINABLE_KINDS)}")
@@ -567,27 +486,25 @@ def train_traveler_model(
                 for acc, g in zip(batch_grads, grads):
                     acc += g
             scale = 1.0 / len(batch)
-            arrays, state = neural.adam_step(
-                arrays, [g * scale for g in batch_grads], state
-            )
+            arrays, state = neural.adam_step(arrays, [g * scale for g in batch_grads], state)
+            # checked per step: the next batch could not rebuild its layers
+            if not (math.isfinite(epoch_loss) and all(np.isfinite(a).all() for a in arrays)):
+                raise ValueError(
+                    f"{kind} training diverged in epoch {epoch + 1} of {config.epochs}: "
+                    "non-finite loss or parameters"
+                )
         wall_ms = (time.perf_counter() - started) * 1000.0
         trace.append(TraceEntry(epoch, epoch_loss / n, wall_ms))
 
     params = with_params(kind, params, arrays)
-    model = TravelerModel(
-        kind=kind,
-        params=params,
-        input_dim=config.input_dim,
-        seed=config.seed,
-        provenance=dict(provenance or {}),
-    )
+    model = TravelerModel(kind, params, config.input_dim, config.seed, dict(provenance or {}))
     return model, trace
 
 
 def predict_probability(model: TravelerModel, viewed: np.ndarray) -> float:
     if model.kind == "random":
         raise ValueError("the random baseline has no booking head")
-    prob, _, _ = _FORWARD[model.kind](model.params, viewed)
+    prob, _, _ = KINDS[model.kind].forward(model.params, viewed)
     return prob
 
 
@@ -604,16 +521,13 @@ def traveler_embedding(model: TravelerModel, viewed: np.ndarray, rng=None) -> np
         if rng is None:
             raise ValueError("the random baseline needs an rng")
         return baseline_random(viewed, rng)
-    _, emb, _ = _FORWARD[model.kind](model.params, viewed)
+    _, emb, _ = KINDS[model.kind].forward(model.params, viewed)
     return emb
 
 
 def embedding_dim(model: TravelerModel) -> int:
-    if model.kind in ("random", "average"):
-        return model.input_dim
-    if model.kind == "dan":
-        return model.params.embed.weights.shape[0]
-    return model.params.gates.hidden_dim
+    """Width of the traveler embedding: what the head reads, else a view."""
+    return model.params["head"].weights.shape[1] if model.params else model.input_dim
 
 
 def write_training_log(trace: list[TraceEntry], path) -> None:
@@ -627,79 +541,45 @@ def write_training_log(trace: list[TraceEntry], path) -> None:
 # persistence (shared JSON format from the neural module)
 
 
-def _gate_layers(gates: LstmGates) -> list[DenseLayer]:
-    return [
-        DenseLayer(gates.w_forget, gates.b_forget, "sigmoid"),
-        DenseLayer(gates.w_input, gates.b_input, "sigmoid"),
-        DenseLayer(gates.w_cell, gates.b_cell, "tanh"),
-        DenseLayer(gates.w_output, gates.b_output, "sigmoid"),
-    ]
-
-
 def save_traveler_model(model: TravelerModel, path) -> None:
-    dims = {"input_dim": model.input_dim}
-    if model.kind == "random":
-        layers = []
-    elif model.kind == "average":
-        layers = [model.params.head]
-    elif model.kind == "dan":
-        p = model.params
-        layers = [p.pool_proj, p.hidden, p.embed, p.head]
-        dims.update(
-            hidden_expand=p.pool_proj.weights.shape[0],
-            hidden_contract=p.hidden.weights.shape[0],
-            embedding_dim=p.embed.weights.shape[0],
-        )
-    elif model.kind == "lstm":
-        layers = _gate_layers(model.params.gates) + [model.params.head]
-        dims.update(lstm_hidden=model.params.gates.hidden_dim)
-    else:
-        att = model.params.attention
-        layers = _gate_layers(model.params.gates) + [
-            DenseLayer(att.score_vector[None, :], np.zeros(1), "linear"),
-            att.head,
-        ]
-        dims.update(lstm_hidden=model.params.gates.hidden_dim)
+    widths = {key: model.params[name].weights.shape[0] for key, name in KINDS[model.kind].dims.items()}
+    dims = {"input_dim": model.input_dim, **widths}
     extra = {
         "traveler_embedding_dim": embedding_dim(model),
         "seed": model.seed,
         "provenance": model.provenance,
     }
+    layers = list((model.params or {}).values())
     neural.save_model_json(path, model.kind, dims, layers, extra)
 
 
 def load_traveler_model(path) -> TravelerModel:
+    """Read a model file; ParseError unless ``dims`` holds exactly the kind's
+    positive integer widths and the layers match the spec built from them in
+    count, shape and activation."""
     payload = neural.load_model_json(path)
-    kind = payload["model_kind"]
-    dims = payload["dims"]
-    layers = payload["layers"]
-    if kind == "random":
-        params = None
-    elif kind == "average":
-        params = AverageParams(head=layers[0])
-    elif kind == "dan":
-        params = DanParams(*layers)
-    elif kind == "lstm":
-        gates = _gates_from_layers(layers[:4])
-        params = LstmParams(gates=gates, head=layers[4])
-    elif kind == "lstm_attention":
-        gates = _gates_from_layers(layers[:4])
-        params = LstmAttentionParams(
-            gates=gates, attention=AttentionParams(layers[4].weights[0], layers[5])
-        )
-    else:
+    kind = payload.get("model_kind")
+    if kind not in KINDS:
         raise ConfigError(f"unknown model kind {kind!r}")
-    return TravelerModel(
-        kind=kind,
-        params=params,
-        input_dim=dims["input_dim"],
-        seed=payload.get("seed", 0),
-        provenance=payload.get("provenance", {}),
-    )
-
-
-def _gates_from_layers(layers: list[DenseLayer]) -> LstmGates:
-    arrays = []
-    for layer in layers:
-        arrays.extend([layer.weights, layer.bias])
-    return LstmGates(*arrays)
+    keys = ("input_dim", *KINDS[kind].dims)
+    dims = payload.get("dims")
+    if not isinstance(dims, dict) or set(dims) != set(keys) or not all(
+        type(dims[key]) is int and dims[key] >= 1 for key in keys
+    ):
+        raise ParseError(f"{path}: {kind} dims must be positive integers {list(keys)}, got {dims!r}")
+    try:
+        spec = KINDS[kind].layers(dims)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {kind} {exc}") from None
+    layers = payload["layers"]
+    if len(layers) != len(spec):
+        raise ParseError(f"{path}: {kind} needs {len(spec)} layers, found {len(layers)}")
+    for (name, out, inp, activation), layer in zip(spec, layers):
+        if layer.weights.shape != (out, inp) or layer.activation != activation:
+            raise ParseError(
+                f"{path}: {kind} layer {name!r} must be ({out}, {inp}) {activation}, "
+                f"found {layer.weights.shape} {layer.activation}"
+            )
+    params = {name: layer for (name, *_), layer in zip(spec, layers)} or None
+    seed, provenance = payload.get("seed", 0), payload.get("provenance", {})
+    return TravelerModel(kind, params, dims["input_dim"], seed, provenance)

@@ -35,7 +35,7 @@ from session2rec.evaluation import (
     downstream_eval,
     precision_recall_f1,
 )
-from session2rec.neural import DenseLayer, weighted_bce
+from session2rec.neural import weighted_bce
 from session2rec.skipgram import (
     EmbeddingTable,
     SkipgramConfig,
@@ -43,7 +43,6 @@ from session2rec.skipgram import (
     train_embeddings,
 )
 from session2rec.traveler import (
-    AttentionParams,
     TravelerConfig,
     TravelerModel,
     attention_combine,
@@ -403,16 +402,14 @@ def test_criterion_10_invariance_suite():
     attention_ok = True
     for _ in range(20):
         d_h = int(rng.integers(2, 6))
-        params = AttentionParams(
-            rng.normal(size=d_h), DenseLayer(np.zeros((1, d_h)), np.zeros(1), "sigmoid")
-        )
+        score = rng.normal(size=d_h)
         states = rng.normal(size=(int(rng.integers(1, 9)), d_h))
-        _, weights = attention_combine(params, states)
+        _, weights = attention_combine(score, states)
         if abs(weights.sum() - 1.0) > 1e-12 or np.any(weights < 0):
             attention_ok = False
         t = int(rng.integers(1, 9))
         identical = np.tile(rng.normal(size=d_h), (t, 1))
-        _, uniform = attention_combine(params, identical)
+        _, uniform = attention_combine(score, identical)
         if not np.allclose(uniform, 1.0 / t, atol=1e-12):
             attention_ok = False
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 
 import numpy as np
+import pytest
 
 from session2rec import cli
 from session2rec.coldstart import (
@@ -235,6 +236,15 @@ class TestTrainTraveler:
         err = capsys.readouterr().err
         for kind in ("average", "dan", "lstm", "lstm_attention"):
             assert kind in err
+
+    @pytest.mark.parametrize("key, value", [("positive_class_weight", 0), ("learning_rate", -0.01)])
+    def test_out_of_range_traveler_value_exits_two(self, key, value, tmp_path, capsys):
+        path = write_config(tmp_path, {"traveler": {key: value}})
+        cli.main(["--config", str(path), "generate"])
+        cli.main(["--config", str(path), "train-embeddings"])
+        assert cli.main(["--config", str(path), "train-traveler", "--kind", "dan"]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "traveler_dan.json").exists()
 
     def test_model_file_rerun_is_byte_identical(self, tmp_path):
         path = write_config(tmp_path)

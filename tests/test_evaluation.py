@@ -26,7 +26,7 @@ from session2rec.evaluation import (
 )
 from session2rec.neural import DenseLayer
 from session2rec.skipgram import EmbeddingTable
-from session2rec.traveler import AverageParams, TravelerModel
+from session2rec.traveler import TravelerModel
 
 from conftest import view
 
@@ -174,7 +174,7 @@ def synthetic_cases(rng, n=120, d=4, signal=True):
 
 
 def average_model(d, rng, provenance=None):
-    params = AverageParams(DenseLayer(rng.normal(size=(1, d)), np.zeros(1), "sigmoid"))
+    params = {"head": DenseLayer(rng.normal(size=(1, d)), np.zeros(1), "sigmoid")}
     return TravelerModel("average", params, input_dim=d, provenance=provenance or {"split": "train"})
 
 

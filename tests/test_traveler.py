@@ -1,20 +1,18 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from session2rec import neural
 from session2rec.corpus import LabeledPrefix
-from session2rec.errors import ConfigError
+from session2rec.errors import ConfigError, ParseError
 from session2rec.neural import DenseLayer
 from session2rec.skipgram import EmbeddingTable
 from session2rec.traveler import (
+    GATES,
     TRAINABLE_KINDS,
-    AttentionParams,
-    AverageParams,
-    DanParams,
-    LstmGates,
-    LstmParams,
     TravelerConfig,
     TravelerExample,
     TravelerModel,
@@ -42,17 +40,18 @@ from conftest import view
 
 
 def zero_dan(d=4, d_h2=6, d_h1=3, d_f=2):
-    return DanParams(
-        pool_proj=DenseLayer(np.zeros((d_h2, d)), np.zeros(d_h2), "relu"),
-        hidden=DenseLayer(np.zeros((d_h1, d_h2)), np.zeros(d_h1), "relu"),
-        embed=DenseLayer(np.zeros((d_f, d_h1)), np.zeros(d_f), "relu"),
-        head=DenseLayer(np.zeros((1, d_f)), np.zeros(1), "sigmoid"),
-    )
+    return {
+        "pool_proj": DenseLayer(np.zeros((d_h2, d)), np.zeros(d_h2), "relu"),
+        "hidden": DenseLayer(np.zeros((d_h1, d_h2)), np.zeros(d_h1), "relu"),
+        "embed": DenseLayer(np.zeros((d_f, d_h1)), np.zeros(d_f), "relu"),
+        "head": DenseLayer(np.zeros((1, d_f)), np.zeros(1), "sigmoid"),
+    }
 
 
 def zero_lstm(d=3, d_h=2):
-    gates = LstmGates(*[np.zeros((d_h, d_h + d)) if i % 2 == 0 else np.zeros(d_h) for i in range(8)])
-    return LstmParams(gates=gates, head=DenseLayer(np.zeros((1, d_h)), np.zeros(1), "sigmoid"))
+    params = {gate: DenseLayer(np.zeros((d_h, d_h + d)), np.zeros(d_h), act) for gate, act in GATES}
+    params["head"] = DenseLayer(np.zeros((1, d_h)), np.zeros(1), "sigmoid")
+    return params
 
 
 def random_case(kind, rng, t=None):
@@ -144,13 +143,13 @@ class TestLstmForward:
     def test_single_step_matches_hand_computation(self):
         # d = 1 input, d_h = 2 hidden, hand-evaluated gates for one step
         w = 0.5
-        gates = LstmGates(
-            np.full((2, 3), 0.2), np.array([0.1, -0.1]),
-            np.full((2, 3), 0.3), np.array([0.0, 0.2]),
-            np.full((2, 3), -0.4), np.array([0.5, 0.0]),
-            np.full((2, 3), 0.6), np.array([-0.2, 0.3]),
-        )
-        params = LstmParams(gates, DenseLayer(np.array([[w, -w]]), np.array([0.25]), "sigmoid"))
+        params = {
+            "forget": DenseLayer(np.full((2, 3), 0.2), np.array([0.1, -0.1]), "sigmoid"),
+            "input": DenseLayer(np.full((2, 3), 0.3), np.array([0.0, 0.2]), "sigmoid"),
+            "cell": DenseLayer(np.full((2, 3), -0.4), np.array([0.5, 0.0]), "tanh"),
+            "output": DenseLayer(np.full((2, 3), 0.6), np.array([-0.2, 0.3]), "sigmoid"),
+            "head": DenseLayer(np.array([[w, -w]]), np.array([0.25]), "sigmoid"),
+        }
         x_val = 0.8  # h_prev = 0, so the concatenated input is [0, 0, 0.8]
         sig = lambda z: 1.0 / (1.0 + math.exp(-z))
         forget = [sig(0.2 * x_val + 0.1), sig(0.2 * x_val - 0.1)]
@@ -175,25 +174,25 @@ class TestLstmForward:
 
 class TestAttention:
     def test_single_state_degenerates(self, rng):
-        params = AttentionParams(rng.normal(size=3), DenseLayer(np.zeros((1, 3)), np.zeros(1), "sigmoid"))
+        score = rng.normal(size=3)
         h = rng.normal(size=(1, 3))
-        context, weights = attention_combine(params, h)
+        context, weights = attention_combine(score, h)
         assert np.array_equal(weights, [1.0])
         assert np.array_equal(context, h[0])
 
     def test_identical_states_give_uniform_weights(self, rng):
-        params = AttentionParams(rng.normal(size=4), DenseLayer(np.zeros((1, 4)), np.zeros(1), "sigmoid"))
+        score = rng.normal(size=4)
         h = np.tile(rng.normal(size=4), (6, 1))
-        context, weights = attention_combine(params, h)
+        context, weights = attention_combine(score, h)
         assert np.allclose(weights, 1 / 6, atol=1e-12)
         assert abs(weights.sum() - 1.0) < 1e-12
         assert np.allclose(context, h[0], atol=1e-12)
 
     def test_matches_brute_force_softmax(self, rng):
-        params = AttentionParams(rng.normal(size=5), DenseLayer(np.zeros((1, 5)), np.zeros(1), "sigmoid"))
+        score = rng.normal(size=5)
         h = rng.normal(size=(6, 5))
-        context, weights = attention_combine(params, h)
-        scores = [float(params.score_vector @ np.tanh(h[i])) for i in range(6)]
+        context, weights = attention_combine(score, h)
+        scores = [float(score @ np.tanh(h[i])) for i in range(6)]
         exp = [math.exp(s) for s in scores]
         expected_w = np.array([e / sum(exp) for e in exp])
         assert np.allclose(weights, expected_w, atol=1e-12)
@@ -202,11 +201,9 @@ class TestAttention:
     def test_weights_nonnegative_and_normalized(self, rng):
         for _ in range(20):
             d_h = int(rng.integers(2, 6))
-            params = AttentionParams(
-                rng.normal(size=d_h), DenseLayer(np.zeros((1, d_h)), np.zeros(1), "sigmoid")
-            )
+            score = rng.normal(size=d_h)
             h = rng.normal(size=(int(rng.integers(1, 8)), d_h))
-            _, weights = attention_combine(params, h)
+            _, weights = attention_combine(score, h)
             assert np.all(weights >= 0)
             assert abs(weights.sum() - 1.0) < 1e-12
 
@@ -344,7 +341,7 @@ class TestTravelerEmbedding:
         assert np.array_equal(emb, np.zeros(2))
 
     def test_average_kind_equals_pool(self, rng):
-        params = AverageParams(DenseLayer(rng.normal(size=(1, 5)), rng.normal(size=1), "sigmoid"))
+        params = {"head": DenseLayer(rng.normal(size=(1, 5)), rng.normal(size=1), "sigmoid")}
         model = TravelerModel("average", params, input_dim=5)
         viewed = rng.normal(size=(4, 5))
         assert np.array_equal(traveler_embedding(model, viewed), pool_average(viewed))
@@ -418,3 +415,96 @@ class TestPersistenceRoundTrip:
         assert loaded.kind == "random"
         assert loaded.input_dim == 7
         assert loaded.seed == 21
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def golden_model(kind):
+    """The model each tests/data/traveler_<kind>.json was written from."""
+    config = TravelerConfig(
+        input_dim=3, hidden_expand=5, hidden_contract=3, embedding_dim=2, lstm_hidden=2, seed=11
+    )
+    params = init_params(kind, config, np.random.default_rng(11))
+    return TravelerModel(kind, params, 3, 11, {"split": "train"})
+
+
+class TestModelFileLayout:
+    """The golden files pin layer order, activations, dims key order and the
+    parameter draw order of init_params."""
+
+    @pytest.mark.parametrize("kind", TRAINABLE_KINDS)
+    def test_writer_reproduces_golden_bytes(self, kind, tmp_path):
+        save_traveler_model(golden_model(kind), tmp_path / "model.json")
+        assert (tmp_path / "model.json").read_bytes() == (DATA / f"traveler_{kind}.json").read_bytes()
+
+    @pytest.mark.parametrize("kind", TRAINABLE_KINDS)
+    def test_load_then_save_reproduces_golden_bytes(self, kind, tmp_path):
+        golden = DATA / f"traveler_{kind}.json"
+        save_traveler_model(load_traveler_model(golden), tmp_path / "model.json")
+        assert (tmp_path / "model.json").read_bytes() == golden.read_bytes()
+
+
+def _shrink_dan_input(payload):
+    payload["dims"]["input_dim"] = 4  # still expands then contracts; weights read 3
+
+
+def _widen_dan_contraction(payload):
+    # consistent shapes, but the contraction (4) exceeds the input (3)
+    payload["dims"]["hidden_contract"] = 4
+    payload["layers"][1].update(weights=np.zeros((4, 5)).tolist(), bias=[0.0] * 4)
+    payload["layers"][2].update(weights=np.zeros((2, 4)).tolist())
+
+
+BAD_MODEL_FILES = [
+    pytest.param("lstm", lambda p: p["layers"][4].update(weights=[[0.1, 0.2, 0.3]]), id="lstm-head-shape"),
+    pytest.param("dan", _shrink_dan_input, id="input-dim-disagrees"),
+    pytest.param("average", lambda p: p["layers"].append(p["layers"][0]), id="extra-layer"),
+    pytest.param("dan", lambda p: p["layers"][1].update(activation="tanh"), id="dan-activation"),
+    pytest.param("dan", lambda p: p["layers"].pop(), id="truncated-dan"),
+    pytest.param("lstm_attention", lambda p: p.pop("dims"), id="missing-dims"),
+    pytest.param("lstm", lambda p: p["dims"].update(lstm_hidden="2"), id="non-integer-dim"),
+    pytest.param("dan", _widen_dan_contraction, id="dan-not-expand-contract"),
+]
+
+
+class TestModelFileValidation:
+    @pytest.mark.parametrize("kind, mutate", BAD_MODEL_FILES)
+    def test_spec_mismatch_is_parse_error(self, kind, mutate, tmp_path):
+        payload = json.loads((DATA / f"traveler_{kind}.json").read_text())
+        mutate(payload)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError):
+            load_traveler_model(path)
+
+
+class TestTravelerConfigRanges:
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("learning_rate", -0.01),
+            ("learning_rate", 0.0),
+            ("learning_rate", math.inf),
+            ("learning_rate", math.nan),
+            ("positive_class_weight", 0.0),
+            ("positive_class_weight", -2.0),
+            ("positive_class_weight", math.inf),
+            ("positive_class_weight", math.nan),
+            ("lstm_hidden", 0),
+        ],
+    )
+    def test_out_of_range_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            TravelerConfig(**{name: value})
+
+
+class TestDivergence:
+    def test_names_kind_and_epoch(self, rng):
+        examples = separable_examples(rng, n=60)
+        config = TravelerConfig(
+            input_dim=8, hidden_expand=12, hidden_contract=6, embedding_dim=4,
+            epochs=3, batch_size=16, learning_rate=1e300, seed=1,
+        )
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"dan training diverged in epoch 1 of 3"):
+            train_traveler_model(examples, "dan", config)
