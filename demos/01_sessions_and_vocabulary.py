@@ -53,10 +53,10 @@ print("most viewed:", [
     (key, int(vocabulary.counts[i])) for i, key in enumerate(vocabulary.index_to_key[:5])
 ])
 
-# the keep rule damps frequent listings; rare ones always survive
-top = int(vocabulary.counts[0])
-print(f"\nkeep probability of the most viewed listing (t=1e-3): "
-      f"{subsample_keep_probability(top, vocabulary.total_views, 1e-3):.3f}")
+# the keep rule damps frequent listings; rare ones always survive.  It is
+# the rule skip-gram training applies, one probability per listing.
+keep = subsample_keep_probability(vocabulary.counts, vocabulary.total_views, 1e-3)
+print(f"\nkeep probability of the most viewed listing (t=1e-3): {keep[0]:.3f}")
 subsampled = apply_subsampling(corpus, vocabulary, threshold=1e-3, seed=0)
 before = sum(len(s.views()) for s in corpus.sessions)
 after = sum(len(s.views()) for s in subsampled.sessions)

@@ -18,7 +18,6 @@ from session2rec.corpus import (
 from session2rec.evaluation import (
     DownstreamConfig,
     FeatureSetSpec,
-    build_downstream_cases,
     compare_settings,
     downstream_eval,
 )
@@ -41,17 +40,17 @@ table, _ = train_embeddings(corpus, vocabulary, SkipgramConfig(dim=16, epochs=10
 train_corpus, test_corpus = split_by_user(corpus, 0.7, seed)
 train_prefixes = labeled_prefixes(train_corpus)
 test_prefixes = labeled_prefixes(test_corpus)
-train_cases = build_downstream_cases(train_prefixes, vocabulary.key_to_index, table)
-test_cases = build_downstream_cases(test_prefixes, vocabulary.key_to_index, table)
+# one example list per side feeds both the traveler models and the classifier
+train_cases = build_examples(train_prefixes, vocabulary.key_to_index, table)
+test_cases = build_examples(test_prefixes, vocabulary.key_to_index, table)
 print(f"{len(train_cases)} train cases, {len(test_cases)} test cases")
 
 traveler_config = TravelerConfig(
     input_dim=16, hidden_expand=32, hidden_contract=12, embedding_dim=6,
     lstm_hidden=8, epochs=40, batch_size=64, learning_rate=2e-3, seed=seed,
 )
-examples = build_examples(train_prefixes, vocabulary.key_to_index, table)
-dan, _ = train_traveler_model(examples, "dan", traveler_config, {"split": "train"})
-average, _ = train_traveler_model(examples, "average", traveler_config, {"split": "train"})
+dan, _ = train_traveler_model(train_cases, "dan", traveler_config, {"split": "train"})
+average, _ = train_traveler_model(train_cases, "average", traveler_config, {"split": "train"})
 random_baseline = TravelerModel(
     "random", None, input_dim=16, seed=seed, provenance={"split": "train"}
 )

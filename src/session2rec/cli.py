@@ -232,8 +232,7 @@ def _load_table_and_index(config: PipelineConfig):
     return table, {k: i for i, k in enumerate(keys)}
 
 
-def _train_kind(config: PipelineConfig, kind: str, train_prefixes, table, key_to_index):
-    examples = traveler_mod.build_examples(train_prefixes, key_to_index, table)
+def _train_kind(config: PipelineConfig, kind: str, examples):
     return traveler_mod.train_traveler_model(
         examples, kind, _traveler_config(config), provenance={"split": "train"}
     )
@@ -248,7 +247,8 @@ def cmd_train_traveler(config: PipelineConfig, kind: str) -> int:
     corpus = _load_corpus(config)
     train_prefixes, _ = _split_prefixes(config, corpus)
     table, key_to_index = _load_table_and_index(config)
-    model, trace = _train_kind(config, kind, train_prefixes, table, key_to_index)
+    examples = traveler_mod.build_examples(train_prefixes, key_to_index, table)
+    model, trace = _train_kind(config, kind, examples)
     model_file = config.traveler["model_file"] or f"traveler_{kind}.json"
     trace_file = config.traveler["trace_file"] or f"traveler_{kind}.log"
     traveler_mod.save_traveler_model(model, _resolve(config, model_file))
@@ -279,8 +279,8 @@ def cmd_evaluate(config: PipelineConfig, settings: list[str]) -> int:
         corpus = corpus_mod.load_sessions(_resolve(config, eval_file))
     train_prefixes, test_prefixes = _split_prefixes(config, corpus)
     table, key_to_index = _load_table_and_index(config)
-    train_cases = eval_mod.build_downstream_cases(train_prefixes, key_to_index, table)
-    test_cases = eval_mod.build_downstream_cases(test_prefixes, key_to_index, table)
+    train_cases = traveler_mod.build_examples(train_prefixes, key_to_index, table)
+    test_cases = traveler_mod.build_examples(test_prefixes, key_to_index, table)
 
     reports_dir = _resolve(config, config.eval["reports_dir"])
     if not reports_dir.is_dir():
@@ -303,7 +303,7 @@ def cmd_evaluate(config: PipelineConfig, settings: list[str]) -> int:
             )
         elif kind is not None:
             if kind not in trained:
-                trained[kind], _ = _train_kind(config, kind, train_prefixes, table, key_to_index)
+                trained[kind], _ = _train_kind(config, kind, train_cases)
             model = trained[kind]
         spec = eval_mod.FeatureSetSpec(name=token, use_handcrafted=use_handcrafted, model=model)
         report = eval_mod.downstream_eval(train_cases, test_cases, spec, downstream_config)
@@ -366,8 +366,15 @@ def run_gradcheck(seed: int = 0, corrupt_kind: str | None = None, rounds: int = 
         arrays = [rng.normal(size=d), rng.normal(size=d), rng.normal(size=(k, d))]
 
         def fn(params):
-            loss, d_center, d_pos, d_negs = skipgram.sgns_loss_and_grads(*params)
-            return loss, [d_center, d_pos, d_negs]
+            # one sgns_step at rate 1 on distinct rows (center 0, context 1,
+            # negatives 2..k+1): each row moves by exactly minus its gradient
+            center, context, negatives = params
+            before = np.zeros((2, k + 2, d))
+            before[0, 0], before[1, 1], before[1, 2:] = center, context, negatives
+            table = skipgram.EmbeddingTable(before[0].copy(), before[1].copy())
+            loss = skipgram.sgns_step(0, 1, np.arange(2, k + 2), table, 1.0)
+            grad = before - np.stack([table.input_vectors, table.output_vectors])
+            return loss, [grad[0, 0], grad[1, 1], grad[1, 2:]]
 
         return fn, arrays
 

@@ -181,12 +181,18 @@ def load_centroids_csv(path) -> dict[str, GeoPoint]:
 def append_cold_rows(path, rows: list[tuple[str, np.ndarray]]) -> None:
     """Append extrapolated rows to an embedding text file.
 
-    A ``#coldstart`` comment precedes the appended block; nothing is written
-    when there are no rows, leaving the file untouched.
+    A ``#coldstart`` comment precedes the appended block.  A block an earlier
+    run appended is replaced, so a rerun leaves the same bytes.  Nothing is
+    written when there are no rows, leaving the file untouched.
     """
     if not rows:
         return
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write("#coldstart\n")
-        for key, vec in rows:
-            fh.write(key + " " + " ".join(repr(float(x)) for x in vec) + "\n")
+    block = "#coldstart\n" + "".join(
+        key + " " + " ".join(repr(float(x)) for x in vec) + "\n" for key, vec in rows
+    )
+    with open(path, "rb+") as fh:
+        cut = fh.read().find(b"\n#coldstart\n")
+        if cut >= 0:
+            fh.seek(cut + 1)
+            fh.truncate()
+        fh.write(block.encode("utf-8"))

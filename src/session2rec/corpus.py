@@ -161,20 +161,6 @@ def _traveler_key(i: int) -> str:
     return f"T{i:06d}"
 
 
-def same_cluster_coview_rate(config: SyntheticConfig) -> float:
-    """Closed-form probability that two views in one session share a cluster.
-
-    Each view lands in the home cluster with probability ``1 - eps`` and in
-    each of the other K - 1 clusters with probability ``eps / (K - 1)``;
-    views are independent given the session.  Exact when ``n_listings`` is a
-    multiple of ``n_clusters``.
-    """
-    eps, k = config.epsilon, config.n_clusters
-    if k == 1:
-        return 1.0
-    return (1.0 - eps) ** 2 + eps**2 / (k - 1)
-
-
 def generate_synthetic(config: SyntheticConfig) -> tuple[SessionCorpus, SyntheticGroundTruth]:
     """Generate a clickstream corpus with planted cluster structure.
 
@@ -360,20 +346,22 @@ def build_vocabulary(corpus: SessionCorpus, min_count: int = 5) -> Vocabulary:
     )
 
 
-def subsample_keep_probability(freq: int, total_views: int, threshold: float) -> float:
-    """Keep probability ``min(1, sqrt(t / f_rel))`` for one view occurrence.
+def subsample_keep_probability(counts, total_views: int, threshold: float):
+    """Keep probability ``min(1, sqrt(t / f_rel))`` per view of a listing.
 
-    ``f_rel`` is the listing's share of all views; the rule damps frequent
-    listings with the inverse square root of that share and never exceeds 1.
+    ``counts`` is one listing's view count or an array of them, and
+    ``f_rel = count / total_views`` a listing's share of all views; the rule
+    damps frequent listings with the inverse square root of that share and
+    never exceeds 1.  Returns one probability per count.
     """
-    if freq < 1:
-        raise ValueError("freq must be >= 1")
-    if total_views < freq:
-        raise ValueError("total_views must be >= freq")
+    counts = np.asarray(counts)
+    if (counts < 1).any():
+        raise ValueError("counts must be >= 1")
+    if (counts > total_views).any():
+        raise ValueError("total_views must be >= every count")
     if threshold <= 0:
         raise ValueError("threshold must be > 0")
-    f_rel = freq / total_views
-    return min(1.0, math.sqrt(threshold / f_rel))
+    return np.minimum(1.0, np.sqrt(threshold * total_views / counts))
 
 
 def apply_subsampling(
@@ -387,9 +375,7 @@ def apply_subsampling(
     removed.
     """
     rng = np.random.default_rng(seed)
-    keep_prob = np.minimum(
-        1.0, np.sqrt(threshold * vocabulary.total_views / vocabulary.counts)
-    )
+    keep_prob = subsample_keep_probability(vocabulary.counts, vocabulary.total_views, threshold)
     sessions = []
     for session in corpus.sessions:
         kept = []

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import neural, traveler as traveler_mod
-from .corpus import LabeledPrefix
 from .errors import ConfigError
-from .traveler import TravelerModel
+from .traveler import TravelerExample, TravelerModel
 
 
 @dataclass(frozen=True)
@@ -150,25 +149,8 @@ class FeatureSetSpec:
             raise ConfigError(f"setting {self.name!r} selects no features at all")
 
 
-@dataclass(frozen=True)
-class DownstreamCase:
-    """One downstream example: raw view prefix plus its embedded form."""
-
-    prefix: LabeledPrefix
-    viewed: np.ndarray  # (t, d) embedding rows for in-vocabulary views
-    label: int
-
-
-def build_downstream_cases(prefixes, key_to_index, table) -> list[DownstreamCase]:
-    cases = []
-    for case in prefixes:
-        rows = [
-            key_to_index[it.listing_key] for it in case.views if it.listing_key in key_to_index
-        ]
-        if not rows:
-            continue
-        cases.append(DownstreamCase(case, table.input_vectors[rows], case.label))
-    return cases
+# the benchmark in perfbench/ calls and traces the downstream cases by this name
+build_downstream_cases = traveler_mod.build_examples
 
 
 @dataclass(frozen=True)
@@ -181,8 +163,13 @@ class DownstreamConfig:
     seed: int = 0
     required_provenance: str = "train"  # embedding models must carry this tag
 
+    def __post_init__(self):
+        traveler_mod.check_training_fields(self)
+        if not math.isfinite(self.threshold):
+            raise ConfigError("threshold must be finite")
 
-def _feature_matrix(cases: list[DownstreamCase], spec: FeatureSetSpec, rng) -> np.ndarray:
+
+def _feature_matrix(cases: list[TravelerExample], spec: FeatureSetSpec, rng) -> np.ndarray:
     blocks = []
     for case in cases:
         parts = []
@@ -195,8 +182,8 @@ def _feature_matrix(cases: list[DownstreamCase], spec: FeatureSetSpec, rng) -> n
 
 
 def downstream_eval(
-    train_cases: list[DownstreamCase],
-    test_cases: list[DownstreamCase],
+    train_cases: list[TravelerExample],
+    test_cases: list[TravelerExample],
     spec: FeatureSetSpec,
     config: DownstreamConfig = DownstreamConfig(),
 ) -> EvalReport:
@@ -332,18 +319,3 @@ def write_comparison(reports: list[EvalReport], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
             fh.write(" | ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n")
-
-
-DEFAULT_SWEEP_GRID = ({"epochs": 20}, {"epochs": 40}, {"epochs": 40, "learning_rate": 0.03})
-
-
-def sweep_downstream(
-    train_cases, test_cases, spec: FeatureSetSpec, base: DownstreamConfig = DownstreamConfig(),
-    grid=DEFAULT_SWEEP_GRID,
-) -> EvalReport:
-    """Run the downstream classifier over a small hyperparameter grid and keep
-    the best report by F-score (ties by AUC)."""
-    reports = []
-    for overrides in grid:
-        reports.append(downstream_eval(train_cases, test_cases, spec, replace(base, **overrides)))
-    return min(reports, key=lambda r: (-r.f1, -r.auc))

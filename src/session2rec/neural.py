@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ParseError
+
 ACTIVATIONS = ("relu", "sigmoid", "tanh", "linear")
 PROB_CLAMP = 1e-7  # keeps binary cross entropy finite
 
@@ -221,9 +223,23 @@ def save_model_json(path, model_kind: str, dims: dict, layers: list[DenseLayer],
 
 
 def load_model_json(path) -> dict:
+    """Read a model file with its layers built; ParseError unless it is a
+    format-1 object whose ``layers`` list holds valid layer objects."""
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format_version") != 1:
-        raise ValueError(f"unsupported model format_version {payload.get('format_version')}")
-    payload["layers"] = [layer_from_json(obj) for obj in payload["layers"]]
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: not JSON: {exc}") from None
+    version = payload.get("format_version") if isinstance(payload, dict) else None
+    if version != 1:
+        raise ParseError(f"{path}: unsupported model format_version {version!r}")
+    if not isinstance(payload.get("layers"), list):
+        raise ParseError(f"{path}: 'layers' must be a list")
+    for i, obj in enumerate(payload["layers"]):
+        try:
+            payload["layers"][i] = layer_from_json(obj)
+        except KeyError as exc:
+            raise ParseError(f"{path}: layer {i} has no {exc} field") from None
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: layer {i}: {exc}") from None
     return payload

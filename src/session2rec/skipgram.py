@@ -12,12 +12,13 @@ is single-threaded and fully deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import SessionCorpus, Vocabulary
+from .corpus import SessionCorpus, Vocabulary, subsample_keep_probability
 from .errors import ConfigError, ParseError
 from .neural import sigmoid
 
@@ -72,68 +73,16 @@ class SkipgramConfig:
             raise ConfigError("negatives must be >= 1")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
-        if not self.learning_rate_initial >= self.learning_rate_final > 0:
-            raise ConfigError("learning rates must satisfy initial >= final > 0")
+        hi, lo = self.learning_rate_initial, self.learning_rate_final
+        if not (math.isfinite(hi) and hi >= lo > 0):
+            raise ConfigError("learning rates must be finite and satisfy initial >= final > 0")
+        if not hi + (lo - hi) > 0:  # the last step of train_embeddings' linear decay
+            raise ConfigError(
+                f"learning_rate_initial {hi!r} swamps learning_rate_final {lo!r}: "
+                "the linear decay reaches 0"
+            )
         if self.subsample_threshold <= 0:
             raise ConfigError("subsample_threshold must be > 0")
-
-
-def generate_training_pairs(indices, window: int):
-    """Enumerate (center, context) pairs within a symmetric window.
-
-    ``indices`` is one session already mapped to vocabulary indices with
-    out-of-vocabulary views removed.  Pairs come out in deterministic order:
-    increasing center position, then increasing offset.
-    """
-    n = len(indices)
-    pairs = []
-    for i in range(n):
-        lo = max(0, i - window)
-        hi = min(n, i + window + 1)
-        for j in range(lo, hi):
-            if j != i:
-                pairs.append((indices[i], indices[j]))
-    return pairs
-
-
-def negative_sample(vocab_size: int, k: int, rng, positive_context: int) -> np.ndarray:
-    """Draw k uniform negatives, re-drawing collisions with the context.
-
-    After 16 attempts a colliding draw is kept, matching the behaviour of the
-    bulk sampler used inside training.
-    """
-    if vocab_size <= 1:
-        raise ValueError("cannot negative-sample a single-listing vocabulary")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    draws = rng.integers(0, vocab_size, size=k)
-    for _ in range(16):
-        mask = draws == positive_context
-        if not mask.any():
-            break
-        draws[mask] = rng.integers(0, vocab_size, size=int(mask.sum()))
-    return draws
-
-
-def sgns_loss_and_grads(center_vec, pos_vec, neg_vecs):
-    """Loss and exact gradients of one positive/negative classification step.
-
-    loss = -log sigmoid(pos . center) - sum_neg log sigmoid(-(neg . center))
-
-    Returns (loss, d_center, d_pos, d_negs).  Dot products are clipped to
-    +-LOGIT_CLAMP before exponentiation; the clip never binds for the vector
-    scales used in training or checking.
-    """
-    s_pos = np.clip(center_vec @ pos_vec, -LOGIT_CLAMP, LOGIT_CLAMP)
-    s_neg = np.clip(neg_vecs @ center_vec, -LOGIT_CLAMP, LOGIT_CLAMP)
-    loss = -float(np.log(sigmoid(s_pos)) + np.log(sigmoid(-s_neg)).sum())
-
-    g_pos = sigmoid(s_pos) - 1.0  # d loss / d s_pos
-    g_neg = sigmoid(s_neg)  # d loss / d s_neg, one per negative
-    d_center = g_pos * pos_vec + neg_vecs.T @ g_neg
-    d_pos = g_pos * center_vec
-    d_negs = g_neg[:, None] * center_vec[None, :]
-    return loss, d_center, d_pos, d_negs
 
 
 def _scatter_subtract(table: np.ndarray, rows: np.ndarray, updates: np.ndarray) -> None:
@@ -211,9 +160,9 @@ def _window_pairs(indices: np.ndarray, session_ids: np.ndarray, window: int) -> 
     """(center, context) pairs of every session at once.
 
     ``indices`` holds the views of consecutive sessions, ``session_ids`` the
-    non-decreasing session of each view.  The pairs equal
-    ``generate_training_pairs`` applied to each session in turn, concatenated
-    in session order.
+    non-decreasing session of each view.  Within a session, pairs come out by
+    increasing center position, then increasing context position; sessions
+    follow one another in order.
     """
     n = len(indices)
     center_pos, context_pos = [], []
@@ -227,8 +176,16 @@ def _window_pairs(indices: np.ndarray, session_ids: np.ndarray, window: int) -> 
     return np.stack([indices[center_pos[order]], indices[context_pos[order]]], axis=1)
 
 
-def _bulk_negatives(contexts: np.ndarray, vocab_size: int, k: int, rng, weights=None) -> np.ndarray:
-    """Sample negatives for every pair at once; redraw context collisions."""
+def negative_sample(contexts: np.ndarray, vocab_size: int, k: int, rng, weights=None) -> np.ndarray:
+    """Draw k negatives for each of the (n,) contexts; returns (n, k).
+
+    Draws are uniform, or follow ``weights`` when given.  A draw equal to
+    its row's context is redrawn; after 16 rounds a colliding draw is kept.
+    """
+    if vocab_size <= 1:
+        raise ValueError("cannot negative-sample a single-listing vocabulary")
+    if k < 1:
+        raise ValueError("k must be >= 1")
     n = len(contexts)
     if weights is None:
         draws = rng.integers(0, vocab_size, size=(n, k))
@@ -269,8 +226,8 @@ def train_embeddings(
     table = EmbeddingTable(inp, np.zeros((v, config.dim)))
 
     views, session_ids = _session_views(corpus, vocabulary)
-    keep_prob = np.minimum(
-        1.0, np.sqrt(config.subsample_threshold * vocabulary.total_views / vocabulary.counts)
+    keep_prob = subsample_keep_probability(
+        vocabulary.counts, vocabulary.total_views, config.subsample_threshold
     )
     weights = None
     if config.smoothed_negatives:
@@ -297,7 +254,7 @@ def train_embeddings(
             continue
         order = rng.permutation(len(pairs))
         pairs = pairs[order]
-        negs = _bulk_negatives(pairs[:, 1], v, config.negatives, rng, weights)
+        negs = negative_sample(pairs[:, 1], v, config.negatives, rng, weights)
         epoch_loss = 0.0
         for lo in range(0, len(pairs), SGNS_BATCH):
             hi = min(lo + SGNS_BATCH, len(pairs))

@@ -46,17 +46,21 @@ ALL_KINDS = ("random",) + TRAINABLE_KINDS
 
 @dataclass(frozen=True)
 class TravelerExample:
-    """One supervised case: viewed listing embeddings and a booking label."""
+    """One supervised case: a labeled view prefix and the embedding rows of
+    its in-vocabulary views."""
 
-    traveler_key: str
+    prefix: LabeledPrefix
     viewed: np.ndarray  # (t, d)
-    label: int
 
     def __post_init__(self):
         if self.viewed.ndim != 2 or self.viewed.shape[0] < 1:
             raise ValueError("viewed must be a non-empty (t, d) matrix")
         if self.label not in (0, 1):
             raise ValueError("label must be 0 or 1")
+
+    @property
+    def label(self) -> int:
+        return self.prefix.label
 
 
 @dataclass
@@ -86,19 +90,26 @@ class TravelerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        check_training_fields(self)
         if not self.hidden_expand > self.input_dim >= self.hidden_contract > self.embedding_dim:
             raise ConfigError("dims must satisfy expand > input >= contract > embedding")
         if self.lstm_hidden < 1:
             raise ConfigError("lstm_hidden must be >= 1")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError("learning_rate must be finite and > 0")
-        weight = self.positive_class_weight
-        if weight is not None and not (math.isfinite(weight) and weight > 0):
-            raise ConfigError("positive_class_weight must be finite and > 0")
+
+
+def check_training_fields(config) -> None:
+    """ConfigError unless a trainer config's ``epochs`` and ``batch_size``
+    are >= 1, its ``learning_rate`` is finite and > 0, and its
+    ``positive_class_weight`` is None or finite and > 0."""
+    if config.epochs < 1:
+        raise ConfigError("epochs must be >= 1")
+    if config.batch_size < 1:
+        raise ConfigError("batch_size must be >= 1")
+    if not (math.isfinite(config.learning_rate) and config.learning_rate > 0):
+        raise ConfigError("learning_rate must be finite and > 0")
+    weight = config.positive_class_weight
+    if weight is not None and not (math.isfinite(weight) and weight > 0):
+        raise ConfigError("positive_class_weight must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -128,20 +139,14 @@ def build_examples(
     """Map labeled view prefixes to embedding-row sequences.
 
     Out-of-vocabulary views are dropped; prefixes left without any view are
-    skipped because there is nothing to embed.
+    skipped because there is nothing to embed.  Each example keeps its
+    prefix, so the downstream evaluation reads both from one list.
     """
     examples = []
     for case in prefixes:
-        rows = [
-            key_to_index[it.listing_key]
-            for it in case.views
-            if it.listing_key in key_to_index
-        ]
-        if not rows:
-            continue
-        examples.append(
-            TravelerExample(case.traveler_key, table.input_vectors[rows], case.label)
-        )
+        rows = [key_to_index[it.listing_key] for it in case.views if it.listing_key in key_to_index]
+        if rows:
+            examples.append(TravelerExample(case, table.input_vectors[rows]))
     return examples
 
 

@@ -154,6 +154,15 @@ class TestTrainEmbeddings:
         assert "diverged in epoch" in capsys.readouterr().err
         assert not (tmp_path / "embeddings.txt").exists()
 
+    @pytest.mark.parametrize("initial, final", [(1e13, 1e-4), (float("inf"), 1e-4)])
+    def test_non_finite_or_cancelling_rates_exit_two(self, initial, final, tmp_path, capsys):
+        rates = {"learning_rate_initial": initial, "learning_rate_final": final}
+        path = write_config(tmp_path, {"skipgram": rates})
+        cli.main(["--config", str(path), "generate"])
+        assert cli.main(["--config", str(path), "train-embeddings"]) == 2
+        assert "learning" in capsys.readouterr().err
+        assert not (tmp_path / "embeddings.txt").exists()
+
     def test_input_log_not_mutated(self, tmp_path):
         path = write_config(tmp_path)
         cli.main(["--config", str(path), "generate"])
@@ -210,6 +219,18 @@ class TestColdstart:
         )
         expected = extrapolate_cold(belief, dest)
         assert np.array_equal(vectors[-1], expected)
+
+    def test_rerun_replaces_the_cold_block(self, tmp_path):
+        config_path, _ = self.prepare(tmp_path)
+        warm = (tmp_path / "embeddings.txt").read_bytes()
+        assert cli.main(["--config", str(config_path), "coldstart"]) == 0
+        first = (tmp_path / "embeddings.txt").read_bytes()
+        # the first run appends one block after the warm rows, as always
+        assert first.startswith(warm)
+        block = first[len(warm):].decode().splitlines()
+        assert block[0] == "#coldstart" and len(block) == 2 and block[1].startswith("COLD1 ")
+        assert cli.main(["--config", str(config_path), "coldstart"]) == 0
+        assert (tmp_path / "embeddings.txt").read_bytes() == first
 
     def test_no_cold_listings_leaves_file_unchanged(self, tmp_path):
         config_path, _ = self.prepare(tmp_path, with_cold=False)
@@ -290,6 +311,15 @@ class TestEvaluate:
         first = file_hash(tmp_path / "reports" / "dan.json")
         cli.main(["--config", str(path), "evaluate", "--settings", "handcrafted,dan"])
         assert file_hash(tmp_path / "reports" / "dan.json") == first
+
+    def test_negative_learning_rate_exits_two(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"eval": {"settings": ["handcrafted"], "learning_rate": -0.01}})
+        cli.main(["--config", str(path), "generate"])
+        cli.main(["--config", str(path), "train-embeddings"])
+        (tmp_path / "reports").mkdir()
+        assert cli.main(["--config", str(path), "evaluate", "--settings", "handcrafted"]) == 2
+        assert "learning_rate" in capsys.readouterr().err
+        assert not (tmp_path / "reports" / "handcrafted.json").exists()
 
     def test_embedding_only_setting(self, tmp_path):
         path = self.prepare(tmp_path, ["average_only"])

@@ -13,7 +13,6 @@ from session2rec.corpus import (
     labeled_prefixes,
     load_ground_truth,
     load_sessions,
-    same_cluster_coview_rate,
     save_ground_truth,
     save_sessions,
     split_by_user,
@@ -22,6 +21,21 @@ from session2rec.corpus import (
 from session2rec.errors import ConfigError, ParseError
 
 from conftest import make_corpus
+
+
+def same_cluster_coview_rate(config: SyntheticConfig) -> float:
+    """Oracle of the generator: closed-form probability that two views in
+    one session share a cluster.
+
+    Each view lands in the home cluster with probability ``1 - eps`` and in
+    each of the other K - 1 clusters with probability ``eps / (K - 1)``;
+    views are independent given the session.  Exact when ``n_listings`` is a
+    multiple of ``n_clusters``.
+    """
+    eps, k = config.epsilon, config.n_clusters
+    if k == 1:
+        return 1.0
+    return (1.0 - eps) ** 2 + eps**2 / (k - 1)
 
 
 class TestDataModel:

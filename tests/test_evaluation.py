@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from session2rec.corpus import LabeledPrefix
 from session2rec.errors import ConfigError
 from session2rec.evaluation import (
-    DownstreamCase,
     DownstreamConfig,
     EvalReport,
     FeatureSetSpec,
@@ -21,12 +21,11 @@ from session2rec.evaluation import (
     load_report,
     precision_recall_f1,
     save_report,
-    sweep_downstream,
     write_comparison,
 )
 from session2rec.neural import DenseLayer
 from session2rec.skipgram import EmbeddingTable
-from session2rec.traveler import TravelerModel
+from session2rec.traveler import TravelerExample, TravelerModel
 
 from conftest import view
 
@@ -169,7 +168,7 @@ def synthetic_cases(rng, n=120, d=4, signal=True):
             tuple(view(f"L{int(r)}", 1000 * j) for j, r in enumerate(rows)),
             label,
         )
-        cases.append(DownstreamCase(prefix, viewed, label))
+        cases.append(TravelerExample(prefix, viewed))
     return cases
 
 
@@ -194,7 +193,7 @@ class TestDownstreamEval:
             for i in range(n):
                 label = int(rng.integers(2))
                 prefix = LabeledPrefix(f"u{i}", (view("L0", 0),), label)
-                out.append(DownstreamCase(prefix, np.array([[float(label)]]), label))
+                out.append(TravelerExample(prefix, np.array([[float(label)]])))
             return out
 
         spec = FeatureSetSpec("pure-leak", False, average_model(1, rng))
@@ -211,7 +210,8 @@ class TestDownstreamEval:
 
     def test_degenerate_labels_rejected(self, rng):
         train = [
-            DownstreamCase(case.prefix, case.viewed, 1) for case in synthetic_cases(rng, n=30)
+            TravelerExample(replace(case.prefix, label=1), case.viewed)
+            for case in synthetic_cases(rng, n=30)
         ]
         test = synthetic_cases(rng, n=30)
         with pytest.raises(ValueError, match="degenerate"):
@@ -235,6 +235,29 @@ class TestDownstreamEval:
         report = downstream_eval(train, test, FeatureSetSpec("hc", True, None), DownstreamConfig())
         assert report.positives + report.negatives == 40
         assert report.positives == sum(c.label for c in test)
+
+
+class TestDownstreamConfigRanges:
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("epochs", 0),
+            ("batch_size", 0),
+            ("learning_rate", -0.01),
+            ("learning_rate", 0.0),
+            ("learning_rate", math.inf),
+            ("learning_rate", math.nan),
+            ("threshold", math.inf),
+            ("threshold", math.nan),
+            ("positive_class_weight", 0.0),
+            ("positive_class_weight", -2.0),
+            ("positive_class_weight", math.inf),
+            ("positive_class_weight", math.nan),
+        ],
+    )
+    def test_out_of_range_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            DownstreamConfig(**{name: value})
 
 
 class TestCompareSettings:
@@ -275,18 +298,6 @@ class TestCompareSettings:
         assert lines[0].split("|")[0].strip() == "Algorithm"
         assert lines[1].startswith("dan")
         assert "AUC" in lines[0] and "F-Score" in lines[0]
-
-
-class TestSweep:
-    def test_returns_best_by_f_score(self, rng):
-        train = synthetic_cases(rng, n=100)
-        test = synthetic_cases(rng, n=60)
-        spec = FeatureSetSpec("leak", False, average_model(4, rng))
-        grid = ({"epochs": 1}, {"epochs": 60})
-        best = sweep_downstream(train, test, spec, DownstreamConfig(seed=0), grid)
-        shallow = downstream_eval(train, test, spec, DownstreamConfig(seed=0, epochs=1))
-        deep = downstream_eval(train, test, spec, DownstreamConfig(seed=0, epochs=60))
-        assert best.f1 == max(shallow.f1, deep.f1)
 
 
 class TestBuildDownstreamCases:

@@ -11,17 +11,52 @@ from session2rec.skipgram import (
     EmbeddingTable,
     SkipgramConfig,
     embedding_cluster_quality,
-    generate_training_pairs,
     load_embeddings_binary,
     load_embeddings_text,
     negative_sample,
     nearest_neighbors,
     save_embeddings_binary,
     save_embeddings_text,
-    sgns_loss_and_grads,
     sgns_step,
     train_embeddings,
 )
+
+
+def generate_training_pairs(indices, window: int):
+    """Oracle of ``skipgram._window_pairs`` for one session: (center, context)
+    pairs within a symmetric window, by increasing center position, then
+    increasing offset."""
+    n = len(indices)
+    pairs = []
+    for i in range(n):
+        lo = max(0, i - window)
+        hi = min(n, i + window + 1)
+        for j in range(lo, hi):
+            if j != i:
+                pairs.append((indices[i], indices[j]))
+    return pairs
+
+
+def sgns_loss_and_grads(center_vec, pos_vec, neg_vecs):
+    """Per-pair oracle of ``sgns_step``: loss and exact gradients of one
+    positive/negative classification step.
+
+    loss = -log sigmoid(pos . center) - sum_neg log sigmoid(-(neg . center))
+
+    Returns (loss, d_center, d_pos, d_negs); dot products are clipped to
+    +-LOGIT_CLAMP as in the kernel.
+    """
+    s_pos = np.clip(center_vec @ pos_vec, -skipgram.LOGIT_CLAMP, skipgram.LOGIT_CLAMP)
+    s_neg = np.clip(neg_vecs @ center_vec, -skipgram.LOGIT_CLAMP, skipgram.LOGIT_CLAMP)
+    loss = -float(np.log(neural.sigmoid(s_pos)) + np.log(neural.sigmoid(-s_neg)).sum())
+
+    g_pos = neural.sigmoid(s_pos) - 1.0  # d loss / d s_pos
+    g_neg = neural.sigmoid(s_neg)  # d loss / d s_neg, one per negative
+    d_center = g_pos * pos_vec + neg_vecs.T @ g_neg
+    d_pos = g_pos * center_vec
+    d_negs = g_neg[:, None] * center_vec[None, :]
+    return loss, d_center, d_pos, d_negs
+
 
 class TestTrainingPairs:
     def test_window_one_enumeration(self):
@@ -62,25 +97,29 @@ class TestTrainingPairs:
 class TestNegativeSampling:
     def test_two_listing_vocabulary_forces_the_other(self, rng):
         for _ in range(50):
-            draws = negative_sample(2, 4, rng, positive_context=0)
+            draws = negative_sample(np.array([0]), 2, 4, rng)
             assert (draws == 1).all()
 
     def test_uniformity_histogram(self):
         rng = np.random.default_rng(0)
         v, n = 1000, 10**6
         draws = rng.integers(0, v, size=n)  # context collisions negligible here
-        counts = np.bincount(negative_sample(v, n, rng, positive_context=v + 1), minlength=v)
+        counts = np.bincount(negative_sample(np.array([v + 1]), v, n, rng)[0], minlength=v)
         del draws
         expected = n / v
         sigma = math.sqrt(n * (1 / v) * (1 - 1 / v))
         assert np.all(np.abs(counts - expected) <= 3.3 * sigma)
 
     def test_cardinality(self, rng):
-        assert len(negative_sample(100, 3, rng, positive_context=5)) == 3
+        assert len(negative_sample(np.array([5]), 100, 3, rng)[0]) == 3
 
     def test_single_listing_vocabulary_is_an_error(self, rng):
         with pytest.raises(ValueError, match="single-listing"):
-            negative_sample(1, 2, rng, positive_context=0)
+            negative_sample(np.array([0]), 1, 2, rng)
+
+    def test_zero_negatives_is_an_error(self, rng):
+        with pytest.raises(ValueError, match="k must be"):
+            negative_sample(np.array([0]), 5, 0, rng)
 
 
 class TestSgnsStep:
@@ -211,7 +250,7 @@ def per_pair_train_embeddings(corpus, vocabulary, config):
     losses, step = [], 0
     for pairs in epoch_pairs:
         pairs = pairs[rng.permutation(len(pairs))]
-        negs = skipgram._bulk_negatives(pairs[:, 1], v, config.negatives, rng, weights)
+        negs = negative_sample(pairs[:, 1], v, config.negatives, rng, weights)
         epoch_loss = 0.0
         for row in range(len(pairs)):
             lr = lr_hi + (lr_lo - lr_hi) * (step / denom)
@@ -227,6 +266,19 @@ class TestTrainEmbeddings:
             SkipgramConfig(epochs=0)
         with pytest.raises(ConfigError, match="learning rates"):
             SkipgramConfig(learning_rate_initial=0.001, learning_rate_final=0.01)
+
+    @pytest.mark.parametrize(
+        "initial, final",
+        [(math.inf, 1e-4), (math.inf, math.inf), (1e13, 1e-4), (1e300, 1e-300)],
+    )
+    def test_rejects_non_finite_or_cancelling_rates(self, initial, final):
+        with pytest.raises(ConfigError, match="learning.rate"):
+            SkipgramConfig(learning_rate_initial=initial, learning_rate_final=final)
+
+    def test_accepts_a_wide_pair_whose_decay_stays_positive(self):
+        # 1e12 + (1e-4 - 1e12) rounds to 1.2e-4, not 0
+        config = SkipgramConfig(learning_rate_initial=1e12, learning_rate_final=1e-4)
+        assert config.learning_rate_initial == 1e12
 
     def test_deterministic(self):
         corpus, _, vocab = small_synthetic()

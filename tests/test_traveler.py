@@ -54,6 +54,12 @@ def zero_lstm(d=3, d_h=2):
     return params
 
 
+def example(key, viewed, label):
+    """A TravelerExample whose prefix holds one placeholder view per row."""
+    views = tuple(view(f"L{j}", j) for j in range(len(viewed)))
+    return TravelerExample(LabeledPrefix(key, views, label), viewed)
+
+
 def random_case(kind, rng, t=None):
     d = int(rng.integers(3, 7))
     config = TravelerConfig(
@@ -248,7 +254,7 @@ def separable_examples(rng, d=8, n=60):
         center = np.zeros(d)
         center[0] = 1.0 if label else -1.0
         t = int(rng.integers(1, 6))
-        examples.append(TravelerExample(f"u{i}", center + 0.05 * rng.normal(size=(t, d)), label))
+        examples.append(example(f"u{i}", center + 0.05 * rng.normal(size=(t, d)), label))
     return examples
 
 
@@ -295,7 +301,7 @@ class TestTraining:
 
     def test_degenerate_labels_rejected(self, rng):
         examples = [
-            TravelerExample("u", rng.normal(size=(2, 4)), 1) for _ in range(5)
+            example("u", rng.normal(size=(2, 4)), 1) for _ in range(5)
         ]
         config = TravelerConfig(input_dim=4, hidden_expand=6, hidden_contract=3, embedding_dim=2)
         with pytest.raises(ValueError, match="degenerate labels"):
@@ -475,6 +481,35 @@ class TestModelFileValidation:
         mutate(payload)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError):
+            load_traveler_model(path)
+
+
+BAD_LAYER_FIELDS = [
+    pytest.param(lambda p: p.pop("format_version"), id="missing-format-version"),
+    pytest.param(lambda p: p.update(format_version=2), id="format-version-2"),
+    pytest.param(lambda p: p.pop("layers"), id="missing-layers"),
+    pytest.param(lambda p: p.update(layers={"head": p["layers"][3]}), id="layers-not-a-list"),
+    pytest.param(lambda p: p["layers"].__setitem__(0, "relu"), id="layer-not-an-object"),
+    pytest.param(lambda p: p["layers"][0].pop("weights"), id="missing-weights"),
+    pytest.param(lambda p: p["layers"][0].update(weights="0.5"), id="string-weights"),
+    pytest.param(lambda p: p["layers"][3].update(weights=[[0.1], [0.1, 0.2]]), id="ragged-weights"),
+    pytest.param(lambda p: p["layers"][1].pop("bias"), id="missing-bias"),
+    pytest.param(lambda p: p["layers"][1].update(bias={"b": 1}), id="object-bias"),
+    pytest.param(lambda p: p["layers"][2].pop("activation"), id="missing-activation"),
+    pytest.param(lambda p: p["layers"][2].update(activation=1), id="numeric-activation"),
+]
+
+
+class TestModelJsonBoundary:
+    @pytest.mark.parametrize("mutate", BAD_LAYER_FIELDS)
+    def test_bad_field_is_parse_error(self, mutate, tmp_path):
+        payload = json.loads((DATA / "traveler_dan.json").read_text())
+        mutate(payload)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError):
+            neural.load_model_json(path)
         with pytest.raises(ParseError):
             load_traveler_model(path)
 
