@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,6 +69,36 @@ _SECTION_DEFAULTS = {
     "eval": _EVAL_DEFAULTS,
 }
 _TOP_KEYS = {"seed"} | set(_SECTION_DEFAULTS)
+# keys whose value must be an int; every other key takes its default's type
+_COUNT_KEYS = {
+    "n_listings", "n_clusters", "n_travelers", "sessions_per_traveler", "dim", "window",
+    "negatives", "epochs", "batch_size", "min_count", "max_prefix_views", "hidden_expand",
+    "hidden_contract", "embedding_dim", "lstm_hidden", "nearest_destinations",
+}
+
+
+def _check_value_type(section: str, key: str, value, default) -> None:
+    """ConfigError naming ``section.key`` unless the value has the key's type:
+    an int for counts, else the type of its default (a bool, a string, a
+    list of strings, or a finite int or float).  Where the default is null,
+    null is accepted too, and a ``*_file`` key takes a string."""
+    if key in _COUNT_KEYS:
+        ok, expected = type(value) is int, "an integer"
+    elif isinstance(default, bool):
+        ok, expected = type(value) is bool, "true or false"
+    elif isinstance(default, str) or key.endswith("_file"):
+        ok = isinstance(value, str) or (value is None and default is None)
+        expected = "a string" if default is not None else "a string or null"
+    elif isinstance(default, list):
+        ok = isinstance(value, list) and all(isinstance(item, str) for item in value)
+        expected = "a list of strings"
+    else:
+        ok = (value is None and default is None) or type(value) is int or (
+            type(value) is float and math.isfinite(value)
+        )
+        expected = "a finite number" if default is not None else "a finite number or null"
+    if not ok:
+        raise ConfigError(f"{section}.{key} must be {expected}, got {value!r}")
 
 
 @dataclass
@@ -103,6 +134,8 @@ def load_config(path, seed_override=None, out_override=None) -> PipelineConfig:
         unknown = set(section) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown keys in section {name!r}: {sorted(unknown)}")
+        for key, value in section.items():
+            _check_value_type(name, key, value, defaults[key])
         sections[name] = {**defaults, **section}
     seed = seed_override if seed_override is not None else raw.get("seed", 0)
     if not isinstance(seed, int):
@@ -358,7 +391,7 @@ def run_gradcheck(seed: int = 0, corrupt_kind: str | None = None, rounds: int = 
             if kind == "dan" and traveler_mod.dan_relu_margin(params, viewed) < 1e-3:
                 continue  # resample away from the relu kink
             fn = traveler_mod.loss_fn_for_gradcheck(kind, params, viewed, label, 1.0 + rng.random())
-            return fn, [a.copy() for a in traveler_mod.params_list(kind, params)]
+            return fn, [a.copy() for a in traveler_mod.params_list(params)]
 
     def sgns_case():
         d = int(rng.integers(3, 9))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -69,19 +69,9 @@ def auc(scored: ScoredSet) -> float:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both classes present")
-    order = np.argsort(scored.scores, kind="mergesort")
-    ranks = np.empty(len(labels), dtype=np.float64)
-    sorted_scores = scored.scores[order]
-    i = 0
-    rank = 1
-    while i < len(sorted_scores):
-        j = i
-        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        # average rank across the tie block
-        ranks[order[i : j + 1]] = 0.5 * (rank + rank + (j - i))
-        rank += j - i + 1
-        i = j + 1
+    # a tie block of c scores ending at 1-based rank r shares rank r - (c - 1) / 2
+    _, block, counts = np.unique(scored.scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[block]
     pos_rank_sum = float(ranks[labels == 1].sum())
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -171,14 +161,11 @@ class DownstreamConfig:
 
 def _feature_matrix(cases: list[TravelerExample], spec: FeatureSetSpec, rng) -> np.ndarray:
     blocks = []
-    for case in cases:
-        parts = []
-        if spec.use_handcrafted:
-            parts.append(handcrafted_features(case.prefix.views))
-        if spec.model is not None:
-            parts.append(traveler_mod.traveler_embedding(spec.model, case.viewed, rng=rng))
-        blocks.append(np.concatenate(parts))
-    return np.vstack(blocks)
+    if spec.use_handcrafted:
+        blocks.append([handcrafted_features(case.prefix.views) for case in cases])
+    if spec.model is not None:
+        blocks.append([traveler_mod.traveler_embedding(spec.model, case.viewed, rng=rng) for case in cases])
+    return np.hstack(blocks)
 
 
 def downstream_eval(
@@ -191,7 +178,8 @@ def downstream_eval(
 
     Features are standardised with train-side statistics only.  Any embedding
     model must carry the provenance tag named in the config, which guards
-    against evaluating a model that saw test travelers.
+    against evaluating a model that saw test travelers.  Raises ValueError
+    naming the setting and the epoch if the classifier's training diverges.
     """
     if not train_cases or not test_cases:
         raise ValueError("need non-empty train and test case lists")
@@ -210,8 +198,7 @@ def downstream_eval(
         raise ValueError("train/test feature dimensions disagree")
     y_train = np.array([c.label for c in train_cases])
     y_test = np.array([c.label for c in test_cases])
-    if y_train.min() == y_train.max():
-        raise ValueError("degenerate labels: need both classes in the train set")
+    w_pos = traveler_mod.positive_class_weight(y_train, config.positive_class_weight)
 
     mean = x_train.mean(axis=0)
     std = x_train.std(axis=0)
@@ -219,37 +206,17 @@ def downstream_eval(
     x_train = (x_train - mean) / std
     x_test = (x_test - mean) / std
 
-    n_pos = int(y_train.sum())
-    w_pos = (
-        config.positive_class_weight
-        if config.positive_class_weight is not None
-        else (len(y_train) - n_pos) / n_pos
+    def batch_loss_and_grads(arrays, batch):
+        head = [neural.DenseLayer(*arrays, "sigmoid")]
+        return neural.stack_loss_and_grads(head, x_train[batch], y_train[batch], w_pos)
+
+    zero_head = [np.zeros((1, x_train.shape[1])), np.zeros(1)]
+    arrays, _ = neural.train_minibatch(
+        zero_head, batch_loss_and_grads, len(x_train), config, rng,
+        f"downstream classifier for setting {spec.name!r}",
     )
-
-    dim = x_train.shape[1]
-    head = neural.DenseLayer(np.zeros((1, dim)), np.zeros(1), "sigmoid")
-    arrays = [head.weights.copy(), head.bias.copy()]
-    state = neural.init_optimizer(arrays, step_size=config.learning_rate)
-    n = len(x_train)
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        for lo in range(0, n, config.batch_size):
-            batch = order[lo : lo + config.batch_size]
-            layer = neural.DenseLayer(arrays[0], arrays[1], "sigmoid")
-            gw = np.zeros_like(arrays[0])
-            gb = np.zeros_like(arrays[1])
-            for i in batch:
-                out, cache = neural.dense_forward(layer, x_train[i])
-                _, d_prob = neural.weighted_bce(float(out[0]), int(y_train[i]), w_pos)
-                _, dw, db = neural.dense_backward(layer, cache, np.array([d_prob]))
-                gw += dw
-                gb += db
-            scale = 1.0 / len(batch)
-            arrays, state = neural.adam_step(arrays, [gw * scale, gb * scale], state)
-
-    layer = neural.DenseLayer(arrays[0], arrays[1], "sigmoid")
-    scores = np.array([float(neural.dense_forward(layer, x)[0][0]) for x in x_test])
-    scored = ScoredSet(scores, y_test)
+    scores, _ = neural.stack_forward([neural.DenseLayer(*arrays, "sigmoid")], x_test)
+    scored = ScoredSet(scores[:, 0], y_test)
     precision, recall, f1 = precision_recall_f1(scored, config.threshold)
     return EvalReport(
         feature_set=spec.name,
@@ -281,24 +248,9 @@ def compare_settings(reports: list[EvalReport]) -> list[EvalReport]:
     return sorted(reports, key=lambda r: (-r.f1, -r.auc))
 
 
-def report_to_json(report: EvalReport) -> dict:
-    return {
-        "feature_set": report.feature_set,
-        "auc": report.auc,
-        "precision": report.precision,
-        "recall": report.recall,
-        "f1": report.f1,
-        "threshold": report.threshold,
-        "positives": report.positives,
-        "negatives": report.negatives,
-        "seed": report.seed,
-        "provenance": report.provenance,
-    }
-
-
 def save_report(report: EvalReport, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_to_json(report), fh, indent=1)
+        json.dump(asdict(report), fh, indent=1)
         fh.write("\n")
 
 

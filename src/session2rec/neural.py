@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,41 +65,74 @@ def _activate_grad(z, kind):
 
 
 def dense_forward(layer: DenseLayer, x: np.ndarray):
-    """Returns (output, cache); the cache feeds dense_backward."""
-    if x.shape != (layer.weights.shape[1],):
+    """Returns (output, cache) for one input row (in,) or a batch (B, in);
+    the cache feeds dense_backward."""
+    if x.ndim not in (1, 2) or x.shape[-1] != layer.weights.shape[1]:
         raise ValueError(
             f"input shape {x.shape} does not match layer in-dim {layer.weights.shape[1]}"
         )
-    z = layer.weights @ x + layer.bias
+    z = x @ layer.weights.T + layer.bias
     return _activate(z, layer.activation), (x, z)
 
 
 def dense_backward(layer: DenseLayer, cache, upstream: np.ndarray):
     """Exact chain-rule gradients for one dense layer.
 
-    Returns (d_input, d_weights, d_bias) given d loss / d output.
+    Returns (d_input, d_weights, d_bias) given d loss / d output; over a
+    batch the parameter gradients are summed across rows.
     """
     x, z = cache
     if upstream.shape != z.shape:
         raise ValueError(f"upstream shape {upstream.shape} does not match output {z.shape}")
     dz = upstream * _activate_grad(z, layer.activation)
-    return layer.weights.T @ dz, np.outer(dz, x), dz.copy()
+    rows = dz.reshape(-1, dz.shape[-1])
+    return dz @ layer.weights, rows.T @ x.reshape(-1, x.shape[-1]), rows.sum(axis=0)
 
 
-def weighted_bce(probability: float, label: int, positive_weight: float = 1.0):
-    """Class-weighted binary cross entropy and its derivative in p.
+def stack_forward(layers: list[DenseLayer], x: np.ndarray):
+    """Run (B, in) rows through the layers in order; returns (output, caches)
+    with one dense_forward cache per layer."""
+    caches = []
+    for layer in layers:
+        x, cache = dense_forward(layer, x)
+        caches.append(cache)
+    return x, caches
+
+
+def stack_loss_and_grads(layers: list[DenseLayer], x: np.ndarray, labels, positive_weight: float):
+    """Summed weighted BCE of a dense stack that ends in one sigmoid unit,
+    over (B, in) rows, and its gradients summed over the rows: each layer's
+    weights then bias, in layer order."""
+    out, caches = stack_forward(layers, x)
+    loss, d_prob = weighted_bce(out[:, 0], labels, positive_weight)
+    upstream, grads = d_prob[:, None], []
+    for layer, cache in zip(reversed(layers), reversed(caches)):
+        upstream, dw, db = dense_backward(layer, cache, upstream)
+        grads[:0] = [dw, db]
+    return float(loss.sum()), grads
+
+
+def weighted_bce(probability, label, positive_weight: float = 1.0):
+    """Class-weighted binary cross entropy and its derivative in p, for one
+    probability or elementwise over an array of them.
 
     loss = -w+ * y * ln(p) - (1 - y) * ln(1 - p), with p clamped to
     [1e-7, 1 - 1e-7].  With w+ = 1 this is exactly the unweighted loss.
     """
-    if label not in (0, 1):
+    label = np.asarray(label)
+    positive = label == 1
+    if not (positive | (label == 0)).all():
         raise ValueError("label must be 0 or 1")
     if not math.isfinite(positive_weight) or positive_weight <= 0:
         raise ValueError("positive_weight must be finite and > 0")
-    p = min(max(float(probability), PROB_CLAMP), 1.0 - PROB_CLAMP)
-    if label == 1:
-        return -positive_weight * math.log(p), -positive_weight / p
-    return -math.log1p(-p), 1.0 / (1.0 - p)
+    p = np.minimum(np.maximum(np.asarray(probability, dtype=np.float64), PROB_CLAMP), 1.0 - PROB_CLAMP)
+    loss = np.where(positive, -positive_weight * np.log(p), -np.log1p(-p))
+    grad = np.where(positive, -positive_weight / p, 1.0 / (1.0 - p))
+    return loss[()], grad[()]
+
+
+# adaptive-moment decay rates and denominator guard
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -109,9 +143,6 @@ class OptimizerState:
     second_moment: list[np.ndarray]
     step_count: int = 0
     step_size: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
 
 def init_optimizer(params, step_size: float = 1e-3) -> OptimizerState:
@@ -137,17 +168,54 @@ def adam_step(params, grads, state: OptimizerState):
     t = state.step_count + 1
     new_m, new_v, new_params = [], [], []
     for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        new_params.append(p - state.step_size * m_hat / (np.sqrt(v_hat) + state.epsilon))
+        m = BETA1 * m + (1.0 - BETA1) * g
+        v = BETA2 * v + (1.0 - BETA2) * g * g
+        m_hat = m / (1.0 - BETA1**t)
+        v_hat = v / (1.0 - BETA2**t)
+        new_params.append(p - state.step_size * m_hat / (np.sqrt(v_hat) + EPSILON))
         new_m.append(m)
         new_v.append(v)
-    new_state = OptimizerState(
-        new_m, new_v, t, state.step_size, state.beta1, state.beta2, state.epsilon
-    )
-    return new_params, new_state
+    return new_params, OptimizerState(new_m, new_v, t, state.step_size)
+
+
+@dataclass(frozen=True)
+class TraceEntry:
+    epoch: int
+    mean_loss: float
+    wall_ms: float
+
+
+def train_minibatch(arrays, batch_loss_and_grads, n: int, config, rng, name: str):
+    """Minimise a summed loss over n examples with the adaptive optimizer;
+    ``config`` supplies ``epochs``, ``batch_size`` and ``learning_rate``.
+
+    Each epoch walks one ``rng`` permutation of the examples in batches;
+    ``batch_loss_and_grads(arrays, indices)`` returns a batch's summed loss
+    and gradients, and one step is taken on their mean.  The trace holds the
+    mean pre-update loss per epoch.  Raises ValueError naming ``name`` and
+    the epoch as soon as the loss or a parameter turns non-finite.  Returns
+    (arrays, trace).
+    """
+    state = init_optimizer(arrays, step_size=config.learning_rate)
+    trace: list[TraceEntry] = []
+    for epoch in range(config.epochs):
+        started = time.perf_counter()
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for lo in range(0, n, config.batch_size):
+            batch = order[lo : lo + config.batch_size]
+            loss, grads = batch_loss_and_grads(arrays, batch)
+            epoch_loss += loss
+            scale = 1.0 / len(batch)
+            arrays, state = adam_step(arrays, [g * scale for g in grads], state)
+            # checked per step: the next batch could not rebuild its layers
+            if not (math.isfinite(epoch_loss) and all(np.isfinite(a).all() for a in arrays)):
+                raise ValueError(
+                    f"{name} training diverged in epoch {epoch + 1} of {config.epochs}: "
+                    "non-finite loss or parameters"
+                )
+        trace.append(TraceEntry(epoch, epoch_loss / n, (time.perf_counter() - started) * 1000.0))
+    return arrays, trace
 
 
 GRAD_RESOLUTION = 1e-6  # entries smaller than this on both sides are below

@@ -335,26 +335,45 @@ def load_embeddings_text(path) -> tuple[list[str], np.ndarray]:
     """Read the text format; returns (keys, vectors).
 
     Lines starting with ``#`` are skipped, and rows appended after the header
-    count (cold-start extrapolations) are accepted.
+    count (cold-start extrapolations) are accepted.  ParseError names the
+    line of a header that is not two positive integers, a row of the wrong
+    width, a value that is not a finite number, and a key seen before.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) != 2:
-            raise ParseError("embedding file: bad header, expected 'V d'")
-        dim = int(header[1])
-        keys, rows = [], []
+        try:
+            count, dim = (int(x) for x in header)
+        except ValueError:
+            count = dim = 0
+        if count < 1 or dim < 1:
+            raise ParseError(
+                f"{path}: line 1: bad header {' '.join(header)!r}, expected positive integers 'V d'"
+            )
+        first_line, rows = {}, []
         for lineno, raw in enumerate(fh, start=2):
             line = raw.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
             parts = line.split(" ")
             if len(parts) != dim + 1:
-                raise ParseError(f"line {lineno}: expected key plus {dim} values")
-            keys.append(parts[0])
-            rows.append([float(x) for x in parts[1:]])
-    if not keys:
-        raise ParseError("embedding file: no rows")
-    return keys, np.asarray(rows, dtype=np.float64)
+                raise ParseError(f"{path}: line {lineno}: expected key plus {dim} values")
+            key = parts[0]
+            if key in first_line:
+                raise ParseError(
+                    f"{path}: line {lineno}: duplicate key {key!r}, first on line {first_line[key]}"
+                )
+            first_line[key] = lineno
+            try:
+                rows.append([float(x) for x in parts[1:]])
+            except ValueError as exc:
+                raise ParseError(f"{path}: line {lineno}: {exc}") from None
+    if not rows:
+        raise ParseError(f"{path}: no rows")
+    keys, vectors = list(first_line), np.asarray(rows, dtype=np.float64)
+    finite = np.isfinite(vectors).all(axis=1)
+    if not finite.all():
+        raise ParseError(f"{path}: line {first_line[keys[np.argmin(finite)]]}: non-finite value")
+    return keys, vectors
 
 
 def save_embeddings_binary(table: EmbeddingTable, path) -> None:

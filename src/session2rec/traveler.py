@@ -15,15 +15,17 @@ entries computed from its ``dims`` (see ``KINDS``); parameters are a
 and the on-disk layer order.
 
 All trainable kinds minimise class-weighted binary cross entropy on booking
-labels with the adaptive optimizer from :mod:`.neural`; every gradient is
-hand-derived and checked against finite differences.
+labels with the mini-batch loop from :mod:`.neural`; every gradient is
+hand-derived and checked against finite differences.  Average and DAN run a
+batch as one pass of the dense-stack kernel over the segment means of its
+view prefixes; the LSTM kinds run one example at a time.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -31,7 +33,7 @@ import numpy as np
 from . import neural
 from .corpus import LabeledPrefix
 from .errors import ConfigError, ParseError
-from .neural import DenseLayer, dense_backward, dense_forward, sigmoid
+from .neural import DenseLayer, TraceEntry, dense_backward, dense_forward, sigmoid
 from .skipgram import EmbeddingTable
 
 LayerSpec = tuple[str, int, int, str]  # (name, out, in, activation)
@@ -112,18 +114,22 @@ def check_training_fields(config) -> None:
         raise ConfigError("positive_class_weight must be finite and > 0")
 
 
-@dataclass(frozen=True)
-class TraceEntry:
-    epoch: int
-    mean_loss: float
-    wall_ms: float
+def positive_class_weight(labels: np.ndarray, configured: float | None) -> float:
+    """The configured positive-class weight, else negatives / positives;
+    ValueError unless both classes occur."""
+    n_pos = int(labels.sum())
+    if n_pos == 0 or n_pos == len(labels):
+        raise ValueError("degenerate labels: need at least one example of each class")
+    return configured if configured is not None else (len(labels) - n_pos) / n_pos
 
 
-def pool_average(viewed: np.ndarray) -> np.ndarray:
-    """Coordinate-wise mean of the viewed embeddings."""
-    if len(viewed) == 0:
+def pool_average(viewed_list: list[np.ndarray]) -> np.ndarray:
+    """Segment means: row b is the coordinate-wise mean of ``viewed_list[b]``."""
+    lengths = np.array([len(viewed) for viewed in viewed_list])
+    if len(lengths) == 0 or lengths.min() == 0:
         raise ValueError("cannot pool an empty sequence")
-    return viewed.mean(axis=0)
+    starts = np.concatenate(([0], np.cumsum(lengths[:-1])))
+    return np.add.reduceat(np.concatenate(viewed_list), starts, axis=0) / lengths[:, None]
 
 
 def baseline_random(viewed: np.ndarray, rng) -> np.ndarray:
@@ -151,26 +157,32 @@ def build_examples(
 
 
 # ---------------------------------------------------------------------------
-# forward / backward per kind
+# kernels per kind
 
 
-def dan_forward(params: Params, viewed: np.ndarray):
-    """Pooled pipeline; returns (probability, traveler embedding, cache)."""
-    pooled = pool_average(viewed)
-    h2, c1 = dense_forward(params["pool_proj"], pooled)
-    h1, c2 = dense_forward(params["hidden"], h2)
-    f, c3 = dense_forward(params["embed"], h1)
-    out, c4 = dense_forward(params["head"], f)
-    return float(out[0]), f, (c1, c2, c3, c4)
+def _pooled_forward(params: Params, viewed: np.ndarray):
+    """Average and DAN: the dense stack over the pooled views.  The traveler
+    embedding is what the head reads: the pooled vector, or DAN's last
+    hidden layer."""
+    out, caches = neural.stack_forward(list(params.values()), pool_average([viewed]))
+    return float(out[0, 0]), caches[-1][0][0], caches
 
 
-def _dan_backward(params: Params, cache, d_prob: float):
-    c1, c2, c3, c4 = cache
-    df, dw_head, db_head = dense_backward(params["head"], c4, np.array([d_prob]))
-    dh1, dw_embed, db_embed = dense_backward(params["embed"], c3, df)
-    dh2, dw_hidden, db_hidden = dense_backward(params["hidden"], c2, dh1)
-    _, dw_pool, db_pool = dense_backward(params["pool_proj"], c1, dh2)
-    return [dw_pool, db_pool, dw_hidden, db_hidden, dw_embed, db_embed, dw_head, db_head]
+def _pooled_loss_and_grads(params: Params, viewed_list, labels, positive_weight: float):
+    return neural.stack_loss_and_grads(
+        list(params.values()), pool_average(viewed_list), labels, positive_weight
+    )
+
+
+def _summed_per_example(forward, backward, params: Params, viewed_list, labels, positive_weight: float):
+    """Batch loss over a per-example forward and backward (the LSTM kinds);
+    the gradients are summed in example order."""
+    probs, _, caches = zip(*(forward(params, viewed) for viewed in viewed_list))
+    loss, d_probs = neural.weighted_bce(np.array(probs), labels, positive_weight)
+    summed = [np.zeros_like(a) for a in params_list(params)]
+    for cache, d_prob in zip(caches, d_probs):
+        summed = [acc + g for acc, g in zip(summed, backward(params, cache, d_prob))]
+    return float(loss.sum()), summed
 
 
 def _gate_arrays(params: Params) -> list[np.ndarray]:
@@ -304,17 +316,6 @@ def _lstm_attention_backward(params: Params, cache, d_prob: float):
     return gate_grads + [d_score_vec[None, :], np.zeros(1), dw_head, db_head]
 
 
-def average_forward(params: Params, viewed: np.ndarray):
-    pooled = pool_average(viewed)
-    out, cache = dense_forward(params["head"], pooled)
-    return float(out[0]), pooled, cache
-
-
-def _average_backward(params: Params, cache, d_prob: float):
-    _, dw_head, db_head = dense_backward(params["head"], cache, np.array([d_prob]))
-    return [dw_head, db_head]
-
-
 # ---------------------------------------------------------------------------
 # one spec per kind
 
@@ -358,18 +359,22 @@ class KindSpec(NamedTuple):
     dims: dict[str, str]  # dims key besides input_dim -> layer whose out-dim it is
     layers: Callable[[dict], list[LayerSpec]]
     forward: Callable | None = None  # (params, viewed) -> (probability, embedding, cache)
-    backward: Callable | None = None  # (params, cache, d_prob) -> gradients
+    loss_and_grads: Callable | None = None  # (params, viewed_list, labels, w+) -> (loss, grads)
 
 
 _DAN_DIMS = {"hidden_expand": "pool_proj", "hidden_contract": "hidden", "embedding_dim": "embed"}
 _LSTM_DIMS = {"lstm_hidden": "forget"}
 KINDS = {
     "random": KindSpec({}, lambda dims: []),
-    "average": KindSpec({}, _average_spec, average_forward, _average_backward),
-    "dan": KindSpec(_DAN_DIMS, _dan_spec, dan_forward, _dan_backward),
-    "lstm": KindSpec(_LSTM_DIMS, _lstm_spec, lstm_forward, _lstm_backward),
+    "average": KindSpec({}, _average_spec, _pooled_forward, _pooled_loss_and_grads),
+    "dan": KindSpec(_DAN_DIMS, _dan_spec, _pooled_forward, _pooled_loss_and_grads),
+    "lstm": KindSpec(
+        _LSTM_DIMS, _lstm_spec, lstm_forward,
+        partial(_summed_per_example, lstm_forward, _lstm_backward),
+    ),
     "lstm_attention": KindSpec(
-        _LSTM_DIMS, _lstm_attention_spec, lstm_attention_forward, _lstm_attention_backward
+        _LSTM_DIMS, _lstm_attention_spec, lstm_attention_forward,
+        partial(_summed_per_example, lstm_attention_forward, _lstm_attention_backward),
     ),
 }
 
@@ -399,13 +404,13 @@ def init_params(kind: str, config: TravelerConfig, rng) -> Params:
     return {name: drawn[name] for name, *_ in spec}
 
 
-def params_list(kind: str, params: Params) -> list[np.ndarray]:
+def params_list(params: Params) -> list[np.ndarray]:
     """Canonical flat parameter order: each layer's weights then bias, in
     spec order (matches gradient order)."""
     return [a for layer in params.values() for a in (layer.weights, layer.bias)]
 
 
-def with_params(kind: str, params: Params, arrays: list[np.ndarray]) -> Params:
+def with_params(params: Params, arrays: list[np.ndarray]) -> Params:
     """Rebuild a parameter bundle from a flat array list (non-mutating)."""
     return {
         name: DenseLayer(arrays[2 * i], arrays[2 * i + 1], layer.activation)
@@ -413,21 +418,18 @@ def with_params(kind: str, params: Params, arrays: list[np.ndarray]) -> Params:
     }
 
 
-def example_loss_and_grads(kind: str, params, viewed, label: int, positive_weight: float):
-    """Weighted BCE loss and gradients for one example (used by training and
-    by the finite-difference checker)."""
-    prob, _, cache = KINDS[kind].forward(params, viewed)
-    loss, d_prob = neural.weighted_bce(prob, label, positive_weight)
-    grads = KINDS[kind].backward(params, cache, d_prob)
-    return float(loss), grads
+def example_loss_and_grads(kind: str, params, viewed_list, labels, positive_weight: float):
+    """Weighted BCE loss and gradients of a batch of examples, each summed
+    over the batch (used by training and by the finite-difference checker)."""
+    return KINDS[kind].loss_and_grads(params, viewed_list, labels, positive_weight)
 
 
 def loss_fn_for_gradcheck(kind: str, template, viewed, label: int, positive_weight: float = 1.0):
     """Close over an example so grad_check can perturb raw arrays."""
 
     def fn(arrays):
-        params = with_params(kind, template, arrays)
-        return example_loss_and_grads(kind, params, viewed, label, positive_weight)
+        params = with_params(template, arrays)
+        return example_loss_and_grads(kind, params, [viewed], [label], positive_weight)
 
     return fn
 
@@ -440,14 +442,14 @@ def dan_relu_margin(params: Params, viewed) -> float:
     subgradient convention.  Case generators resample until this margin
     comfortably exceeds the perturbation's reach.
     """
-    _, _, (c1, c2, c3, _) = dan_forward(params, viewed)
-    return float(min(np.abs(cache[1]).min() for cache in (c1, c2, c3)))
+    *relu_caches, _ = _pooled_forward(params, viewed)[2]
+    return float(min(np.abs(z).min() for _, z in relu_caches))
 
 
 def train_traveler_model(
     examples: list[TravelerExample], kind: str, config: TravelerConfig, provenance: dict | None = None
 ) -> tuple[TravelerModel, list[TraceEntry]]:
-    """Minimise mean class-weighted BCE with the adaptive optimizer.
+    """Minimise mean class-weighted BCE with ``neural.train_minibatch``.
 
     Gradients are averaged over shuffled mini-batches; one optimizer step per
     batch.  The recorded per-epoch loss is the mean pre-update loss over the
@@ -457,51 +459,26 @@ def train_traveler_model(
     """
     if kind not in TRAINABLE_KINDS:
         raise ConfigError(f"unknown model kind {kind!r}; valid: {', '.join(TRAINABLE_KINDS)}")
-    labels = [ex.label for ex in examples]
-    n_pos = sum(labels)
-    n_neg = len(labels) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("degenerate labels: need at least one example of each class")
+    labels = np.array([ex.label for ex in examples])
+    w_pos = positive_class_weight(labels, config.positive_class_weight)
     for ex in examples:
         if ex.viewed.shape[1] != config.input_dim:
             raise ValueError(
                 f"example dim {ex.viewed.shape[1]} does not match config input_dim {config.input_dim}"
             )
-    w_pos = config.positive_class_weight if config.positive_class_weight is not None else n_neg / n_pos
 
     rng = np.random.default_rng(config.seed)
     params = init_params(kind, config, rng)
-    arrays = [a.copy() for a in params_list(kind, params)]
-    state = neural.init_optimizer(arrays, step_size=config.learning_rate)
+    viewed = [ex.viewed for ex in examples]
 
-    n = len(examples)
-    trace: list[TraceEntry] = []
-    for epoch in range(config.epochs):
-        started = time.perf_counter()
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for lo in range(0, n, config.batch_size):
-            batch = order[lo : lo + config.batch_size]
-            params = with_params(kind, params, arrays)
-            batch_grads = [np.zeros_like(a) for a in arrays]
-            for i in batch:
-                ex = examples[i]
-                loss, grads = example_loss_and_grads(kind, params, ex.viewed, ex.label, w_pos)
-                epoch_loss += loss
-                for acc, g in zip(batch_grads, grads):
-                    acc += g
-            scale = 1.0 / len(batch)
-            arrays, state = neural.adam_step(arrays, [g * scale for g in batch_grads], state)
-            # checked per step: the next batch could not rebuild its layers
-            if not (math.isfinite(epoch_loss) and all(np.isfinite(a).all() for a in arrays)):
-                raise ValueError(
-                    f"{kind} training diverged in epoch {epoch + 1} of {config.epochs}: "
-                    "non-finite loss or parameters"
-                )
-        wall_ms = (time.perf_counter() - started) * 1000.0
-        trace.append(TraceEntry(epoch, epoch_loss / n, wall_ms))
+    def batch_loss_and_grads(arrays, batch):
+        batch_params = with_params(params, arrays)
+        return example_loss_and_grads(kind, batch_params, [viewed[i] for i in batch], labels[batch], w_pos)
 
-    params = with_params(kind, params, arrays)
+    arrays, trace = neural.train_minibatch(
+        params_list(params), batch_loss_and_grads, len(examples), config, rng, kind
+    )
+    params = with_params(params, arrays)
     model = TravelerModel(kind, params, config.input_dim, config.seed, dict(provenance or {}))
     return model, trace
 

@@ -13,6 +13,7 @@ from session2rec.coldstart import (
     load_centroids_csv,
     GeoPoint,
 )
+from session2rec.errors import ConfigError
 from session2rec.skipgram import EmbeddingTable, load_embeddings_text
 
 TINY = {
@@ -84,6 +85,60 @@ class TestConfigValidation:
     def test_command_requires_config(self, capsys):
         assert cli.main(["generate"]) == 2
         assert "--config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("skipgram", "dim", "8"),
+            ("corpus", "n_listings", True),
+            ("skipgram", "window", 2.0),
+            ("traveler", "hidden_expand", None),
+            ("corpus", "booking_slope", "2"),
+            ("eval", "learning_rate", None),
+            ("skipgram", "learning_rate_initial", False),
+            ("skipgram", "smoothed_negatives", 1),
+            ("traveler", "kind", 3),
+            ("skipgram", "embeddings_file", None),
+            ("coldstart", "demand_file", 5),
+            ("eval", "reports_dir", ["reports"]),
+            ("eval", "settings", "dan"),
+            ("eval", "settings", ["dan", 1]),
+            ("traveler", "positive_class_weight", "2"),
+        ],
+    )
+    def test_wrong_value_type_names_key(self, section, key, value, tmp_path):
+        path = write_config(tmp_path, {section: {key: value}})
+        with pytest.raises(ConfigError, match=rf"{section}\.{key}"):
+            cli.load_config(path)
+
+    def test_non_finite_number_names_key(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"corpus": {"epsilon": NaN}}')
+        with pytest.raises(ConfigError, match=r"corpus\.epsilon"):
+            cli.load_config(path)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("coldstart", "demand_file", None),
+            ("coldstart", "demand_file", "demand.csv"),
+            ("traveler", "positive_class_weight", None),
+            ("eval", "positive_class_weight", 2),
+            ("corpus", "mean_session_len", 7.5),
+            ("skipgram", "subsample_threshold", 1),
+            ("skipgram", "smoothed_negatives", True),
+        ],
+    )
+    def test_value_of_the_right_type_loads(self, section, key, value, tmp_path):
+        path = write_config(tmp_path, {section: {key: value}})
+        assert cli.load_config(path).__dict__[section][key] == value
+
+    def test_string_dim_exits_two(self, tmp_path, capsys):
+        cli.main(["--config", str(write_config(tmp_path)), "generate"])
+        path = write_config(tmp_path, {"skipgram": {"dim": "8"}}, name="bad.json")
+        assert cli.main(["--config", str(path), "train-embeddings"]) == 2
+        assert "skipgram.dim" in capsys.readouterr().err
+        assert not (tmp_path / "embeddings.txt").exists()
 
 
 class TestGenerate:
@@ -265,6 +320,25 @@ class TestTrainTraveler:
         cli.main(["--config", str(path), "train-embeddings"])
         assert cli.main(["--config", str(path), "train-traveler", "--kind", "dan"]) == 2
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "traveler_dan.json").exists()
+
+    @pytest.mark.parametrize("case", ["duplicate-key", "nan", "inf", "non-numeric", "header"])
+    def test_bad_embedding_file_exits_two(self, case, tmp_path, capsys):
+        path = write_config(tmp_path)
+        cli.main(["--config", str(path), "generate"])
+        cli.main(["--config", str(path), "train-embeddings"])
+        embeddings = tmp_path / "embeddings.txt"
+        header, rows = embeddings.read_text().split("\n", 1)
+        first_key, seven = rows.split(" ", 1)[0], " 0.5" * 7  # TINY rows hold 8 values
+        embeddings.write_text({
+            "duplicate-key": f"{header}\n{rows}#coldstart\n{first_key}{seven} 0.5\n",
+            "nan": f"{header}\n{rows}EXTRA{seven} nan\n",
+            "inf": f"{header}\n{rows}EXTRA{seven} -inf\n",
+            "non-numeric": f"{header}\n{rows}EXTRA{seven} 0.5x\n",
+            "header": f"x y\n{rows}",
+        }[case])
+        assert cli.main(["--config", str(path), "train-traveler", "--kind", "dan"]) == 2
+        assert "line " in capsys.readouterr().err
         assert not (tmp_path / "traveler_dan.json").exists()
 
     def test_model_file_rerun_is_byte_identical(self, tmp_path):

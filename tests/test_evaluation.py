@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,26 @@ from session2rec.skipgram import EmbeddingTable
 from session2rec.traveler import TravelerExample, TravelerModel
 
 from conftest import view
+
+
+def tie_block_auc(scores, labels):
+    """The rank-sum AUC with tie blocks walked one at a time; auc must give
+    the same bits."""
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(len(labels), dtype=np.float64)
+    sorted_scores = scores[order]
+    i = 0
+    rank = 1
+    while i < len(sorted_scores):
+        j = i
+        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (rank + rank + (j - i))
+        rank += j - i + 1
+        i = j + 1
+    n_pos = int(labels.sum())
+    n_neg = len(labels) - n_pos
+    return (float(ranks[labels == 1].sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 def pair_counting_auc(scores, labels):
@@ -58,6 +79,16 @@ class TestAuc:
                 labels[0] = 1 - labels[0]
             got = auc(ScoredSet(scores, labels))
             assert got == pytest.approx(pair_counting_auc(scores, labels), abs=1e-9)
+
+    def test_equals_tie_block_ranks_exactly(self):
+        rng = np.random.default_rng(18)
+        for trial in range(200):
+            n = int(rng.integers(2, 400))
+            scores = rng.choice(rng.random(int(rng.integers(1, 12))), size=n) if trial % 2 else rng.random(n)
+            labels = rng.integers(0, 2, size=n)
+            if labels.min() == labels.max():
+                labels[0] = 1 - labels[0]
+            assert auc(ScoredSet(scores, labels)) == tie_block_auc(scores, labels)
 
     def test_single_class_is_an_error(self):
         with pytest.raises(ValueError, match="both classes"):
@@ -108,6 +139,11 @@ class TestEvalReport:
     def test_f1_consistency_enforced(self):
         with pytest.raises(ValueError, match="harmonic"):
             EvalReport("x", 0.9, 0.8, 0.6, 0.9, 0.5, 10, 20)
+
+    def test_file_bytes_are_pinned(self, tmp_path):
+        golden = Path(__file__).parent / "data" / "report.json"
+        save_report(load_report(golden), tmp_path / "report.json")
+        assert (tmp_path / "report.json").read_bytes() == golden.read_bytes()
 
     def test_round_trip(self, tmp_path):
         report = EvalReport("dan", 0.91, 0.8, 0.6, 2 * 0.8 * 0.6 / 1.4, 0.5, 10, 20, 3, "test_cases=30")
@@ -228,6 +264,15 @@ class TestDownstreamEval:
         r1 = downstream_eval(train, test, spec, DownstreamConfig(seed=5))
         r2 = downstream_eval(train, test, spec, DownstreamConfig(seed=5))
         assert r1 == r2
+
+    def test_divergence_names_setting_and_epoch(self, rng):
+        train = synthetic_cases(rng, n=80)
+        test = synthetic_cases(rng, n=40)
+        config = DownstreamConfig(epochs=4, learning_rate=1e308, seed=2)
+        with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match=r"setting 'hc' training diverged in epoch 2 of 4"
+        ):
+            downstream_eval(train, test, FeatureSetSpec("hc", True, None), config)
 
     def test_report_counts_describe_test_set(self, rng):
         train = synthetic_cases(rng, n=60)

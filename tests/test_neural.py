@@ -52,6 +52,47 @@ class TestDenseForward:
             DenseLayer(np.zeros((1, 1)), np.zeros(1), "softplus")
 
 
+class TestDenseBatch:
+    def test_single_row_keeps_matrix_vector_bits(self, rng):
+        # the per-example LSTM head depends on these exact bits
+        for _ in range(200):
+            out_dim, in_dim = (int(n) for n in rng.integers(1, 40, size=2))
+            layer = random_layer(rng, out_dim, in_dim, "sigmoid")
+            x, upstream = rng.normal(size=in_dim), rng.normal(size=out_dim)
+            out, cache = dense_forward(layer, x)
+            z = layer.weights @ x + layer.bias
+            assert np.array_equal(cache[1], z)
+            dz = upstream * (out * (1.0 - out))
+            dx, dw, db = dense_backward(layer, cache, upstream)
+            assert np.array_equal(dx, layer.weights.T @ dz)
+            assert np.array_equal(dw, np.outer(dz, x))
+            assert np.array_equal(db, dz)
+
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid", "tanh", "linear"])
+    def test_rows_match_per_row_calls(self, activation, rng):
+        for batch in (1, 2, 17, 64):
+            layer = random_layer(rng, 5, 3, activation)
+            x, upstream = rng.normal(size=(batch, 3)), rng.normal(size=(batch, 5))
+            out, cache = dense_forward(layer, x)
+            dx, dw, db = dense_backward(layer, cache, upstream)
+            assert out.shape == (batch, 5) and dx.shape == (batch, 3)
+            sum_dw, sum_db = np.zeros_like(dw), np.zeros_like(db)
+            for i in range(batch):
+                row_out, row_cache = dense_forward(layer, x[i])
+                row_dx, row_dw, row_db = dense_backward(layer, row_cache, upstream[i])
+                assert np.allclose(out[i], row_out, rtol=0, atol=1e-12)
+                assert np.allclose(dx[i], row_dx, rtol=0, atol=1e-12)
+                sum_dw += row_dw
+                sum_db += row_db
+            assert np.allclose(dw, sum_dw, rtol=0, atol=1e-12)
+            assert np.allclose(db, sum_db, rtol=0, atol=1e-12)
+
+    def test_batch_width_mismatch(self, rng):
+        layer = random_layer(rng, 3, 4, "relu")
+        with pytest.raises(ValueError, match="shape"):
+            dense_forward(layer, np.ones((2, 5)))
+
+
 class TestDenseBackward:
     def test_zero_upstream_gives_zero_grads(self, rng):
         layer = random_layer(rng, 3, 4, "sigmoid")
@@ -109,8 +150,22 @@ class TestWeightedBce:
             p = float(rng.uniform(0.001, 0.999))
             y = int(rng.integers(2))
             loss, grad = weighted_bce(p, y, 1.0)
-            reference = -math.log(p) if y == 1 else -math.log1p(-p)
+            reference = -np.log(p) if y == 1 else -np.log1p(-p)
             assert loss == reference
+
+    def test_array_matches_scalar_calls_row_by_row(self, rng):
+        p = np.concatenate([rng.uniform(0.0, 1.0, size=200), [0.0, 1.0, 1e-9, 1.0 - 1e-9]])
+        y = rng.integers(0, 2, size=len(p))
+        for w in (1.0, 2.5):
+            losses, grads = weighted_bce(p, y, w)
+            assert losses.shape == grads.shape == p.shape
+            for i in range(len(p)):
+                loss, grad = weighted_bce(float(p[i]), int(y[i]), w)
+                assert losses[i] == loss and grads[i] == grad
+
+    def test_invalid_label_in_array(self):
+        with pytest.raises(ValueError):
+            weighted_bce(np.array([0.5, 0.5]), np.array([1, 2]), 1.0)
 
     def test_gradient_matches_finite_differences(self, rng):
         for _ in range(100):

@@ -443,6 +443,26 @@ class TestPersistence:
         with pytest.raises(ParseError, match="line 2"):
             load_embeddings_text(path)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            pytest.param("2 2\nA 1.0 2.0\nA 3.0 4.0\n", 3, id="duplicate-key"),
+            pytest.param("1 2\nA 1.0 2.0\n#coldstart\nA 0.5 0.5\n", 4, id="cold-row-reuses-key"),
+            pytest.param("2 2\nA 1.0 2.0\nB nan 1.0\n", 3, id="nan"),
+            pytest.param("2 2\nA 1.0 inf\nB 1.0 1.0\n", 2, id="inf"),
+            pytest.param("2 2\nA 1.0 2.0\nB 1.0 one\n", 3, id="non-numeric"),
+            pytest.param("x y\nA 1.0 2.0\n", 1, id="non-integer-header"),
+            pytest.param("2 0\nA\n", 1, id="zero-dim-header"),
+            pytest.param("-1 2\nA 1.0 2.0\n", 1, id="negative-count-header"),
+            pytest.param("2 2 2\nA 1.0 2.0\n", 1, id="three-field-header"),
+        ],
+    )
+    def test_text_bad_file_names_the_line(self, text, line, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"line {line}:"):
+            load_embeddings_text(path)
+
     def test_binary_round_trip_is_exact(self, tmp_path, rng):
         table = EmbeddingTable(rng.normal(size=(6, 4)), rng.normal(size=(6, 4)))
         path = tmp_path / "emb.s2re"

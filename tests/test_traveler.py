@@ -8,24 +8,26 @@ import pytest
 from session2rec import neural
 from session2rec.corpus import LabeledPrefix
 from session2rec.errors import ConfigError, ParseError
-from session2rec.neural import DenseLayer
+from session2rec.neural import DenseLayer, dense_backward, dense_forward, weighted_bce
 from session2rec.skipgram import EmbeddingTable
 from session2rec.traveler import (
     GATES,
     TRAINABLE_KINDS,
+    _lstm_attention_backward,
+    _lstm_backward,
     TravelerConfig,
     TravelerExample,
     TravelerModel,
     attention_combine,
     baseline_random,
     build_examples,
-    dan_forward,
     dan_relu_margin,
     embedding_dim,
     example_loss_and_grads,
     init_params,
     load_traveler_model,
     loss_fn_for_gradcheck,
+    lstm_attention_forward,
     lstm_forward,
     params_list,
     pool_average,
@@ -33,6 +35,7 @@ from session2rec.traveler import (
     save_traveler_model,
     train_traveler_model,
     traveler_embedding,
+    with_params,
     write_training_log,
 )
 
@@ -60,6 +63,54 @@ def example(key, viewed, label):
     return TravelerExample(LabeledPrefix(key, views, label), viewed)
 
 
+# The per-example average and DAN kernels that training ran before the
+# pooled kinds were batched; the batched kernels must match their sums.
+
+
+def average_forward(params, viewed):
+    pooled = viewed.mean(axis=0)
+    out, cache = dense_forward(params["head"], pooled)
+    return float(out[0]), pooled, cache
+
+
+def _average_backward(params, cache, d_prob):
+    _, dw_head, db_head = dense_backward(params["head"], cache, np.array([d_prob]))
+    return [dw_head, db_head]
+
+
+def dan_forward(params, viewed):
+    pooled = viewed.mean(axis=0)
+    h2, c1 = dense_forward(params["pool_proj"], pooled)
+    h1, c2 = dense_forward(params["hidden"], h2)
+    f, c3 = dense_forward(params["embed"], h1)
+    out, c4 = dense_forward(params["head"], f)
+    return float(out[0]), f, (c1, c2, c3, c4)
+
+
+def _dan_backward(params, cache, d_prob):
+    c1, c2, c3, c4 = cache
+    df, dw_head, db_head = dense_backward(params["head"], c4, np.array([d_prob]))
+    dh1, dw_embed, db_embed = dense_backward(params["embed"], c3, df)
+    dh2, dw_hidden, db_hidden = dense_backward(params["hidden"], c2, dh1)
+    _, dw_pool, db_pool = dense_backward(params["pool_proj"], c1, dh2)
+    return [dw_pool, db_pool, dw_hidden, db_hidden, dw_embed, db_embed, dw_head, db_head]
+
+
+PER_EXAMPLE = {
+    "average": (average_forward, _average_backward),
+    "dan": (dan_forward, _dan_backward),
+    "lstm": (lstm_forward, _lstm_backward),
+    "lstm_attention": (lstm_attention_forward, _lstm_attention_backward),
+}
+
+
+def per_example_loss_and_grads(kind, params, viewed, label, positive_weight):
+    forward, backward = PER_EXAMPLE[kind]
+    prob, _, cache = forward(params, viewed)
+    loss, d_prob = weighted_bce(prob, label, positive_weight)
+    return loss, backward(params, cache, d_prob)
+
+
 def random_case(kind, rng, t=None):
     d = int(rng.integers(3, 7))
     config = TravelerConfig(
@@ -76,20 +127,31 @@ def random_case(kind, rng, t=None):
 class TestPooling:
     def test_single_vector_identity(self):
         v = np.array([[1.0, -2.0, 3.0]])
-        assert np.array_equal(pool_average(v), v[0])
+        assert np.array_equal(pool_average([v])[0], v[0])
 
     def test_opposite_vectors_cancel(self):
         v = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        assert np.array_equal(pool_average(v), np.zeros(2))
+        assert np.array_equal(pool_average([v])[0], np.zeros(2))
 
     def test_matches_brute_force_mean(self, rng):
         v = rng.normal(size=(7, 5))
         expected = np.array([sum(v[i, j] for i in range(7)) / 7 for j in range(5)])
-        assert np.allclose(pool_average(v), expected, atol=1e-12)
+        assert np.allclose(pool_average([v])[0], expected, atol=1e-12)
+
+    def test_segment_means_of_a_batch(self, rng):
+        batch = [rng.normal(size=(int(t), 4)) for t in rng.integers(1, 13, size=30)]
+        pooled = pool_average(batch)
+        assert pooled.shape == (30, 4)
+        for row, viewed in zip(pooled, batch):
+            assert np.allclose(row, viewed.mean(axis=0), rtol=0, atol=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            pool_average(np.zeros((0, 3)))
+            pool_average([np.zeros((0, 3))])
+        with pytest.raises(ValueError):
+            pool_average([np.ones((2, 3)), np.zeros((0, 3))])
+        with pytest.raises(ValueError):
+            pool_average([])
 
 
 class TestRandomBaseline:
@@ -115,15 +177,16 @@ class TestRandomBaseline:
 
 class TestDanForward:
     def test_all_zero_parameters(self):
-        params = zero_dan()
-        prob, emb, _ = dan_forward(params, np.ones((3, 4)))
+        model = TravelerModel("dan", zero_dan(), input_dim=4)
+        prob = predict_probability(model, np.ones((3, 4)))
+        emb = traveler_embedding(model, np.ones((3, 4)))
         assert prob == 0.5
         assert np.array_equal(emb, np.zeros(2))
 
     def test_probability_strictly_inside_unit_interval(self, rng):
         for _ in range(20):
             params, viewed = random_case("dan", rng)
-            prob, _, _ = dan_forward(params, viewed)
+            prob = predict_probability(TravelerModel("dan", params, viewed.shape[1]), viewed)
             assert 0.0 < prob < 1.0
 
     def test_gradients_match_finite_differences(self, rng):
@@ -134,9 +197,42 @@ class TestDanForward:
                 continue
             label = int(rng.integers(2))
             fn = loss_fn_for_gradcheck("dan", params, viewed, label, 1.5)
-            arrays = [a.copy() for a in params_list("dan", params)]
+            arrays = [a.copy() for a in params_list(params)]
             assert neural.grad_check(fn, arrays, h=1e-5) < 1e-4
             checked += 1
+
+
+class TestBatchedKernels:
+    @pytest.mark.parametrize("kind", TRAINABLE_KINDS)
+    def test_batch_equals_sum_of_per_example_results(self, kind, rng):
+        for size in (1, 2, 5, 16, 33, 64):
+            params, one = random_case(kind, rng)
+            listings = rng.normal(size=(6, one.shape[1]))  # few listings, so views repeat
+            viewed = [listings[rng.integers(0, 6, size=int(t))] for t in rng.integers(1, 13, size=size)]
+            labels = rng.integers(0, 2, size=size)
+            weight = 1.0 + 3.0 * rng.random()
+            loss, grads = example_loss_and_grads(kind, params, viewed, labels, weight)
+            expected_loss, expected = 0.0, [np.zeros_like(a) for a in params_list(params)]
+            for v, y in zip(viewed, labels):
+                one_loss, one_grads = per_example_loss_and_grads(kind, params, v, int(y), weight)
+                expected_loss += one_loss
+                for acc, g in zip(expected, one_grads):
+                    acc += g
+            assert loss == pytest.approx(expected_loss, rel=0, abs=1e-12)
+            assert len(grads) == len(expected)
+            for g, e in zip(grads, expected):
+                assert g.shape == e.shape
+                assert np.allclose(g, e, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", TRAINABLE_KINDS)
+    def test_prediction_and_embedding_match_per_example_forward(self, kind, rng):
+        forward, _ = PER_EXAMPLE[kind]
+        for _ in range(10):
+            params, viewed = random_case(kind, rng, t=int(rng.integers(1, 13)))
+            model = TravelerModel(kind, params, viewed.shape[1])
+            prob, emb, _ = forward(params, viewed)
+            assert predict_probability(model, viewed) == pytest.approx(prob, rel=0, abs=1e-12)
+            assert np.allclose(traveler_embedding(model, viewed), emb, rtol=0, atol=1e-12)
 
 
 class TestLstmForward:
@@ -174,7 +270,7 @@ class TestLstmForward:
         for _ in range(10):
             params, viewed = random_case("lstm", rng, t=5)
             fn = loss_fn_for_gradcheck("lstm", params, viewed, int(rng.integers(2)), 2.0)
-            arrays = [a.copy() for a in params_list("lstm", params)]
+            arrays = [a.copy() for a in params_list(params)]
             assert neural.grad_check(fn, arrays, h=1e-5) < 1e-4
 
 
@@ -217,7 +313,7 @@ class TestAttention:
         for _ in range(10):
             params, viewed = random_case("lstm_attention", rng)
             fn = loss_fn_for_gradcheck("lstm_attention", params, viewed, int(rng.integers(2)), 1.0)
-            arrays = [a.copy() for a in params_list("lstm_attention", params)]
+            arrays = [a.copy() for a in params_list(params)]
             assert neural.grad_check(fn, arrays, h=1e-5) < 1e-4
 
 
@@ -273,15 +369,51 @@ class TestTraining:
         assert correct / len(examples) >= 0.99
         assert len(trace) == 50
 
+    @pytest.mark.parametrize("kind", TRAINABLE_KINDS)
+    def test_matches_per_example_reference_trainer(self, kind, rng):
+        examples = separable_examples(rng, n=60)  # batches of 16, 16, 16 and 12
+        config = TravelerConfig(
+            input_dim=8, hidden_expand=12, hidden_contract=6, embedding_dim=4,
+            lstm_hidden=4, epochs=3, batch_size=16, seed=5,
+        )
+        model, trace = train_traveler_model(examples, kind, config)
+        # the per-example loop both trainers ran before they shared one
+        w_pos = 1.0  # the toy set is balanced
+        ref_rng = np.random.default_rng(config.seed)
+        params = init_params(kind, config, ref_rng)
+        arrays = params_list(params)
+        state = neural.init_optimizer(arrays, step_size=config.learning_rate)
+        for epoch in range(config.epochs):
+            order = ref_rng.permutation(len(examples))
+            epoch_loss = 0.0
+            for lo in range(0, len(examples), config.batch_size):
+                batch = order[lo : lo + config.batch_size]
+                current = with_params(params, arrays)
+                summed = [np.zeros_like(a) for a in arrays]
+                for i in batch:
+                    loss, grads = per_example_loss_and_grads(
+                        kind, current, examples[i].viewed, examples[i].label, w_pos
+                    )
+                    epoch_loss += loss
+                    for acc, g in zip(summed, grads):
+                        acc += g
+                arrays, state = neural.adam_step(arrays, [g * (1.0 / len(batch)) for g in summed], state)
+            assert trace[epoch].mean_loss == pytest.approx(epoch_loss / len(examples), rel=1e-12)
+        for got, want in zip(params_list(model.params), arrays):
+            if kind.startswith("lstm"):
+                assert np.array_equal(got, want)  # the per-example LSTM path keeps its bits
+            else:
+                assert np.allclose(got, want, rtol=0, atol=1e-12)
+
     def test_positive_weight_doubles_positive_gradients_exactly(self, rng):
         params, viewed = random_case("dan", rng)
-        _, g1 = example_loss_and_grads("dan", params, viewed, 1, 1.0)
-        _, g2 = example_loss_and_grads("dan", params, viewed, 1, 2.0)
+        _, g1 = example_loss_and_grads("dan", params, [viewed], [1], 1.0)
+        _, g2 = example_loss_and_grads("dan", params, [viewed], [1], 2.0)
         for a, b in zip(g1, g2):
             assert np.array_equal(b, 2.0 * a)
         # a negative example is untouched by the positive weight
-        _, n1 = example_loss_and_grads("dan", params, viewed, 0, 1.0)
-        _, n2 = example_loss_and_grads("dan", params, viewed, 0, 2.0)
+        _, n1 = example_loss_and_grads("dan", params, [viewed], [0], 1.0)
+        _, n2 = example_loss_and_grads("dan", params, [viewed], [0], 2.0)
         for a, b in zip(n1, n2):
             assert np.array_equal(a, b)
 
@@ -350,7 +482,7 @@ class TestTravelerEmbedding:
         params = {"head": DenseLayer(rng.normal(size=(1, 5)), rng.normal(size=1), "sigmoid")}
         model = TravelerModel("average", params, input_dim=5)
         viewed = rng.normal(size=(4, 5))
-        assert np.array_equal(traveler_embedding(model, viewed), pool_average(viewed))
+        assert np.array_equal(traveler_embedding(model, viewed), pool_average([viewed])[0])
 
     def test_dan_embedding_invariant_to_prefix_permutation(self, rng):
         params, viewed = random_case("dan", rng, t=8)
