@@ -19,11 +19,11 @@ not artifacts).
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -34,74 +34,71 @@ from . import evaluation as eval_mod
 from . import neural, skipgram, traveler as traveler_mod
 from .errors import ConfigError, ParseError
 
-_CORPUS_DEFAULTS = {
-    "n_listings": 1000, "n_clusters": 10, "n_travelers": 10000,
-    "mean_session_len": 8, "booking_base_rate": 0.3, "epsilon": 0.1,
-    "booking_slope": 2.0, "sessions_per_traveler": 1,
-    "sessions_file": "sessions.tsv", "ground_truth_file": "clusters.tsv",
+# section -> (the library dataclass it builds or None, {CLI-only key: (type, default)})
+_SECTIONS = {
+    "corpus": (corpus_mod.SyntheticConfig, {
+        "sessions_file": (str, "sessions.tsv"), "ground_truth_file": (str, "clusters.tsv"),
+    }),
+    "skipgram": (skipgram.SkipgramConfig, {
+        "min_count": (int, 5), "embeddings_file": (str, "embeddings.txt"),
+        "sidecar_file": (str, "embeddings.s2re"),
+    }),
+    "coldstart": (None, {
+        "demand_file": (str | None, None), "centroids_file": (str | None, None),
+        "cold_listings_file": (str | None, None), "nearest_destinations": (int, 5),
+    }),
+    "traveler": (traveler_mod.TravelerConfig, {
+        "kind": (str, "dan"), "max_prefix_views": (int, 50),
+        "model_file": (str | None, None), "trace_file": (str | None, None),
+    }),
+    "eval": (eval_mod.DownstreamConfig, {
+        "train_fraction": (float, 0.7), "settings": (list[str], ["handcrafted", "dan"]),
+        "eval_sessions_file": (str | None, None), "reports_dir": (str, "reports"),
+        "comparison_file": (str, "comparison.txt"),
+    }),
 }
-_SKIPGRAM_DEFAULTS = {
-    "dim": 32, "window": 3, "negatives": 5, "epochs": 5,
-    "learning_rate_initial": 0.025, "learning_rate_final": 0.0001,
-    "subsample_threshold": 1e-3, "min_count": 5, "smoothed_negatives": False,
-    "embeddings_file": "embeddings.txt", "sidecar_file": "embeddings.s2re",
+# dataclass fields no config key sets: the CLI passes the run seed and the
+# skip-gram dim itself, and keeps the library's threshold and provenance tag
+_UNEXPOSED = {"seed", "input_dim", "threshold", "required_provenance"}
+
+
+def _dataclass_keys(cls) -> dict[str, tuple[object, object]]:
+    """{field: (annotation, default)} for each field of ``cls`` a config key sets."""
+    hints = typing.get_type_hints(cls)
+    fields = [f for f in dataclasses.fields(cls) if f.name not in _UNEXPOSED]
+    return {f.name: (hints[f.name], f.default) for f in fields}
+
+
+# {section: {key: (type, default)}}: the dataclass's exposed fields, then the CLI-only keys
+_SCHEMA = {
+    name: {**(_dataclass_keys(cls) if cls else {}), **cli_keys}
+    for name, (cls, cli_keys) in _SECTIONS.items()
 }
-_COLDSTART_DEFAULTS = {
-    "demand_file": None, "centroids_file": None, "cold_listings_file": None,
-    "nearest_destinations": 5,
-}
-_TRAVELER_DEFAULTS = {
-    "kind": "dan", "epochs": 20, "batch_size": 64, "learning_rate": 2e-3,
-    "positive_class_weight": None, "max_prefix_views": 50,
-    "hidden_expand": 64, "hidden_contract": 16, "embedding_dim": 8,
-    "lstm_hidden": 16, "model_file": None, "trace_file": None,
-}
-_EVAL_DEFAULTS = {
-    "train_fraction": 0.7, "settings": ["handcrafted", "dan"],
-    "epochs": 40, "batch_size": 64, "learning_rate": 0.01,
-    "positive_class_weight": None, "eval_sessions_file": None,
-    "reports_dir": "reports", "comparison_file": "comparison.txt",
-}
-# a section accepts exactly the keys it has defaults for
-_SECTION_DEFAULTS = {
-    "corpus": _CORPUS_DEFAULTS, "skipgram": _SKIPGRAM_DEFAULTS,
-    "coldstart": _COLDSTART_DEFAULTS, "traveler": _TRAVELER_DEFAULTS,
-    "eval": _EVAL_DEFAULTS,
-}
-_TOP_KEYS = {"seed"} | set(_SECTION_DEFAULTS)
-# keys whose value must be an int; every other key takes its default's type
-_COUNT_KEYS = {
-    "n_listings", "n_clusters", "n_travelers", "sessions_per_traveler", "dim", "window",
-    "negatives", "epochs", "batch_size", "min_count", "max_prefix_views", "hidden_expand",
-    "hidden_contract", "embedding_dim", "lstm_hidden", "nearest_destinations",
+# annotation -> (what the error says, accepts the value)
+_TYPE_RULES = {
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a finite number", lambda v: type(v) is int or (type(v) is float and math.isfinite(v))),
+    bool: ("true or false", lambda v: type(v) is bool),
+    str: ("a string", lambda v: isinstance(v, str)),
+    list[str]: (
+        "a list of strings", lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)
+    ),
 }
 
 
-def _check_value_type(section: str, key: str, value, default) -> None:
-    """ConfigError naming ``section.key`` unless the value has the key's type:
-    an int for counts, else the type of its default (a bool, a string, a
-    list of strings, or a finite int or float).  Where the default is null,
-    null is accepted too, and a ``*_file`` key takes a string."""
-    if key in _COUNT_KEYS:
-        ok, expected = type(value) is int, "an integer"
-    elif isinstance(default, bool):
-        ok, expected = type(value) is bool, "true or false"
-    elif isinstance(default, str) or key.endswith("_file"):
-        ok = isinstance(value, str) or (value is None and default is None)
-        expected = "a string" if default is not None else "a string or null"
-    elif isinstance(default, list):
-        ok = isinstance(value, list) and all(isinstance(item, str) for item in value)
-        expected = "a list of strings"
-    else:
-        ok = (value is None and default is None) or type(value) is int or (
-            type(value) is float and math.isfinite(value)
-        )
-        expected = "a finite number" if default is not None else "a finite number or null"
-    if not ok:
-        raise ConfigError(f"{section}.{key} must be {expected}, got {value!r}")
+def _check_value_type(section: str, key: str, value, annotation) -> None:
+    """ConfigError naming ``section.key`` unless the value has the annotated
+    type: an int that is not a bool, a finite int or float, a bool, a string
+    or a list of strings; an ``X | None`` annotation also takes null."""
+    args = typing.get_args(annotation)
+    nullable = type(None) in args
+    expected, accepts = _TYPE_RULES[args[0] if nullable else annotation]
+    if not (accepts(value) or (nullable and value is None)):
+        null = " or null" if nullable else ""
+        raise ConfigError(f"{section}.{key} must be {expected}{null}, got {value!r}")
 
 
-@dataclass
+@dataclasses.dataclass
 class PipelineConfig:
     seed: int
     corpus: dict
@@ -123,22 +120,22 @@ def load_config(path, seed_override=None, out_override=None) -> PipelineConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(raw) - _TOP_KEYS
+    unknown = set(raw) - {"seed", *_SCHEMA}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     sections = {}
-    for name, defaults in _SECTION_DEFAULTS.items():
+    for name, schema in _SCHEMA.items():
         section = raw.get(name, {})
         if not isinstance(section, dict):
             raise ConfigError(f"section {name!r} must be a JSON object")
-        unknown = set(section) - set(defaults)
+        unknown = set(section) - set(schema)
         if unknown:
             raise ConfigError(f"unknown keys in section {name!r}: {sorted(unknown)}")
         for key, value in section.items():
-            _check_value_type(name, key, value, defaults[key])
-        sections[name] = {**defaults, **section}
+            _check_value_type(name, key, value, schema[key][0])
+        sections[name] = {key: section.get(key, default) for key, (_, default) in schema.items()}
     seed = seed_override if seed_override is not None else raw.get("seed", 0)
-    if not isinstance(seed, int):
+    if type(seed) is not int:
         raise ConfigError("seed must be an integer")
     out_dir = Path(out_override) if out_override else Path(path).resolve().parent
     return PipelineConfig(seed=seed, out_dir=out_dir, **sections)
@@ -154,17 +151,21 @@ def _require_out_dir(config: PipelineConfig):
         raise FileNotFoundError(f"output directory does not exist: {config.out_dir}")
 
 
+def _build(config: PipelineConfig, name: str, **extra):
+    """The library dataclass of section ``name`` from its exposed keys and the
+    run seed; a range error is re-raised prefixed with the section name."""
+    cls, cli_keys = _SECTIONS[name]
+    exposed = {k: v for k, v in getattr(config, name).items() if k not in cli_keys}
+    try:
+        return cls(**exposed, seed=config.seed, **extra)
+    except ConfigError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
 def cmd_generate(config: PipelineConfig) -> int:
     _require_out_dir(config)
     c = config.corpus
-    synth = corpus_mod.SyntheticConfig(
-        n_listings=c["n_listings"], n_clusters=c["n_clusters"],
-        n_travelers=c["n_travelers"], mean_session_len=c["mean_session_len"],
-        booking_base_rate=c["booking_base_rate"], seed=config.seed,
-        epsilon=c["epsilon"], booking_slope=c["booking_slope"],
-        sessions_per_traveler=c["sessions_per_traveler"],
-    )
-    corpus, truth = corpus_mod.generate_synthetic(synth)
+    corpus, truth = corpus_mod.generate_synthetic(_build(config, "corpus"))
     corpus_mod.save_sessions(corpus, _resolve(config, c["sessions_file"]))
     corpus_mod.save_ground_truth(truth, _resolve(config, c["ground_truth_file"]))
     print(f"generate: {len(corpus.sessions)} sessions -> {c['sessions_file']}")
@@ -175,22 +176,11 @@ def _load_corpus(config: PipelineConfig):
     return corpus_mod.load_sessions(_resolve(config, config.corpus["sessions_file"]))
 
 
-def _skipgram_config(config: PipelineConfig) -> skipgram.SkipgramConfig:
-    s = config.skipgram
-    return skipgram.SkipgramConfig(
-        dim=s["dim"], window=s["window"], negatives=s["negatives"], epochs=s["epochs"],
-        learning_rate_initial=s["learning_rate_initial"],
-        learning_rate_final=s["learning_rate_final"],
-        subsample_threshold=s["subsample_threshold"], seed=config.seed,
-        smoothed_negatives=s["smoothed_negatives"],
-    )
-
-
 def cmd_train_embeddings(config: PipelineConfig) -> int:
     _require_out_dir(config)
     corpus = _load_corpus(config)
     vocabulary = corpus_mod.build_vocabulary(corpus, config.skipgram["min_count"])
-    table, losses = skipgram.train_embeddings(corpus, vocabulary, _skipgram_config(config))
+    table, losses = skipgram.train_embeddings(corpus, vocabulary, _build(config, "skipgram"))
     skipgram.save_embeddings_text(
         table, vocabulary.index_to_key, _resolve(config, config.skipgram["embeddings_file"])
     )
@@ -210,41 +200,21 @@ def cmd_coldstart(config: PipelineConfig) -> int:
         return 0
     if not (cs["demand_file"] and cs["centroids_file"]):
         raise ConfigError("coldstart needs demand_file and centroids_file")
-    keys, vectors = skipgram.load_embeddings_text(embeddings_path)
-    table = skipgram.EmbeddingTable(vectors, np.zeros_like(vectors))
-    key_to_index = {k: i for i, k in enumerate(keys)}
+    table, key_to_index = _load_table_and_index(config)
+    with open(embeddings_path, "r", encoding="utf-8") as fh:
+        n_trained = int(fh.readline().split()[0])  # the loader checked it against the rows
+    trained = {key for key, i in key_to_index.items() if i < n_trained}
+    listings = cold.load_cold_listings_csv(_resolve(config, cs["cold_listings_file"]), trained)
     demand = cold.load_demand_csv(_resolve(config, cs["demand_file"]), key_to_index)
     centroids = cold.load_centroids_csv(_resolve(config, cs["centroids_file"]))
     dest_embeddings = cold.destination_embeddings(table, demand)
-
     rows = []
-    cold_path = _resolve(config, cs["cold_listings_file"])
-    with open(cold_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = {"listing_key", "latitude", "longitude"}
-        if reader.fieldnames is None or set(reader.fieldnames) != expected:
-            raise ParseError(f"cold listings file: expected header {sorted(expected)}")
-        for record in reader:
-            point = cold.GeoPoint(float(record["latitude"]), float(record["longitude"]))
-            belief = cold.demand_belief_from_location(
-                point, centroids, cs["nearest_destinations"]
-            )
-            rows.append((record["listing_key"], cold.extrapolate_cold(belief, dest_embeddings)))
+    for key, point in listings:
+        belief = cold.demand_belief_from_location(point, centroids, cs["nearest_destinations"])
+        rows.append((key, cold.extrapolate_cold(belief, dest_embeddings)))
     cold.append_cold_rows(embeddings_path, rows)
     print(f"coldstart: appended {len(rows)} rows to {config.skipgram['embeddings_file']}")
     return 0
-
-
-def _traveler_config(config: PipelineConfig) -> traveler_mod.TravelerConfig:
-    t = config.traveler
-    return traveler_mod.TravelerConfig(
-        input_dim=config.skipgram["dim"],
-        hidden_expand=t["hidden_expand"], hidden_contract=t["hidden_contract"],
-        embedding_dim=t["embedding_dim"], lstm_hidden=t["lstm_hidden"],
-        epochs=t["epochs"], batch_size=t["batch_size"],
-        learning_rate=t["learning_rate"],
-        positive_class_weight=t["positive_class_weight"], seed=config.seed,
-    )
 
 
 def _split_prefixes(config: PipelineConfig, corpus):
@@ -267,7 +237,8 @@ def _load_table_and_index(config: PipelineConfig):
 
 def _train_kind(config: PipelineConfig, kind: str, examples):
     return traveler_mod.train_traveler_model(
-        examples, kind, _traveler_config(config), provenance={"split": "train"}
+        examples, kind, _build(config, "traveler", input_dim=config.skipgram["dim"]),
+        provenance={"split": "train"},
     )
 
 
@@ -319,11 +290,7 @@ def cmd_evaluate(config: PipelineConfig, settings: list[str]) -> int:
     if not reports_dir.is_dir():
         raise FileNotFoundError(f"reports directory does not exist: {reports_dir}")
 
-    downstream_config = eval_mod.DownstreamConfig(
-        epochs=config.eval["epochs"], batch_size=config.eval["batch_size"],
-        learning_rate=config.eval["learning_rate"],
-        positive_class_weight=config.eval["positive_class_weight"], seed=config.seed,
-    )
+    downstream_config = _build(config, "eval")
     trained: dict[str, traveler_mod.TravelerModel] = {}
     reports = []
     for token in settings:

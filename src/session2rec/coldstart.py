@@ -139,6 +139,17 @@ def extrapolate_cold(belief: dict[str, float], dest_embeddings: DestinationEmbed
     return vec
 
 
+def _csv_records(path, columns):
+    """Yield (line number, record) per row of a CSV file; ParseError naming
+    the file unless its header holds exactly ``columns``."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or set(reader.fieldnames) != set(columns):
+            raise ParseError(f"{path}: expected header {sorted(columns)}")
+        for record in reader:
+            yield reader.line_num, record
+
+
 def load_demand_csv(path, key_to_index: dict[str, int]) -> DestinationDemand:
     """Read ``listing_key,destination_id,proportion`` rows.
 
@@ -146,16 +157,11 @@ def load_demand_csv(path, key_to_index: dict[str, int]) -> DestinationDemand:
     because demand must refer to listings that already have embeddings.
     """
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = {"listing_key", "destination_id", "proportion"}
-        if reader.fieldnames is None or set(reader.fieldnames) != expected:
-            raise ParseError(f"demand file: expected header {sorted(expected)}")
-        for record in reader:
-            key = record["listing_key"]
-            if key not in key_to_index:
-                raise ValueError(f"unknown listing key {key!r} in demand file")
-            rows.append((key_to_index[key], record["destination_id"], float(record["proportion"])))
+    for _, record in _csv_records(path, ("listing_key", "destination_id", "proportion")):
+        key = record["listing_key"]
+        if key not in key_to_index:
+            raise ValueError(f"unknown listing key {key!r} in demand file")
+        rows.append((key_to_index[key], record["destination_id"], float(record["proportion"])))
     if not rows:
         raise ParseError("demand file: no rows")
     return DestinationDemand(tuple(rows))
@@ -164,18 +170,35 @@ def load_demand_csv(path, key_to_index: dict[str, int]) -> DestinationDemand:
 def load_centroids_csv(path) -> dict[str, GeoPoint]:
     """Read ``destination_id,latitude,longitude`` rows."""
     centroids = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = {"destination_id", "latitude", "longitude"}
-        if reader.fieldnames is None or set(reader.fieldnames) != expected:
-            raise ParseError(f"centroid file: expected header {sorted(expected)}")
-        for record in reader:
-            centroids[record["destination_id"]] = GeoPoint(
-                float(record["latitude"]), float(record["longitude"])
-            )
+    for _, record in _csv_records(path, ("destination_id", "latitude", "longitude")):
+        point = GeoPoint(float(record["latitude"]), float(record["longitude"]))
+        centroids[record["destination_id"]] = point
     if not centroids:
         raise ParseError("centroid file: no rows")
     return centroids
+
+
+def load_cold_listings_csv(path, trained_keys=frozenset()) -> list[tuple[str, GeoPoint]]:
+    """Read ``listing_key,latitude,longitude`` rows in file order.  ParseError
+    names the file and line of a key the embedding text format cannot hold
+    (empty, with whitespace, or starting with ``#``), a repeated key, a key in
+    ``trained_keys``, and a coordinate not a number or outside ``GeoPoint``'s
+    ranges."""
+    rows, first_line = [], {}
+    for line, record in _csv_records(path, ("listing_key", "latitude", "longitude")):
+        key, where = record["listing_key"], f"{path}: line {line}"
+        if key.split() != [key] or key.startswith("#"):
+            raise ParseError(f"{where}: bad listing key {key!r}")
+        if key in first_line:
+            raise ParseError(f"{where}: duplicate key {key!r}, first on line {first_line[key]}")
+        if key in trained_keys:
+            raise ParseError(f"{where}: cold key {key!r} is a trained listing")
+        first_line[key] = line
+        try:
+            rows.append((key, GeoPoint(float(record["latitude"]), float(record["longitude"]))))
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{where}: {exc}") from None
+    return rows
 
 
 def append_cold_rows(path, rows: list[tuple[str, np.ndarray]]) -> None:

@@ -126,12 +126,12 @@ class LabeledPrefix:
 
 @dataclass(frozen=True)
 class SyntheticConfig:
-    n_listings: int
-    n_clusters: int
-    n_travelers: int
-    mean_session_len: float
-    booking_base_rate: float
-    seed: int
+    n_listings: int = 1000
+    n_clusters: int = 10
+    n_travelers: int = 10000
+    mean_session_len: float = 8
+    booking_base_rate: float = 0.3
+    seed: int = 0
     epsilon: float = 0.1
     booking_slope: float = 2.0
     sessions_per_traveler: int = 1

@@ -26,6 +26,7 @@ LOGIT_CLAMP = 30.0  # dot products are clipped here before exponentiation
 SGNS_BATCH = 128  # pairs per update; every pair of a batch reads pre-batch vectors
 SIDECAR_MAGIC = b"S2RE"
 SIDECAR_VERSION = 1
+SIDECAR_HEADER = struct.Struct("<4sBQQ")  # magic, version, V, d
 
 
 @dataclass
@@ -334,10 +335,11 @@ def save_embeddings_text(table: EmbeddingTable, keys, path) -> None:
 def load_embeddings_text(path) -> tuple[list[str], np.ndarray]:
     """Read the text format; returns (keys, vectors).
 
-    Lines starting with ``#`` are skipped, and rows appended after the header
-    count (cold-start extrapolations) are accepted.  ParseError names the
-    line of a header that is not two positive integers, a row of the wrong
-    width, a value that is not a finite number, and a key seen before.
+    Lines starting with ``#`` are skipped; rows after a ``#coldstart`` line
+    are cold-start extrapolations.  ParseError names the line of a header
+    that is not two positive integers, a row of the wrong width, a value that
+    is not a finite number, a key seen before, and (line 1) a header count
+    other than the number of rows before ``#coldstart`` (all rows without it).
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -349,9 +351,11 @@ def load_embeddings_text(path) -> tuple[list[str], np.ndarray]:
             raise ParseError(
                 f"{path}: line 1: bad header {' '.join(header)!r}, expected positive integers 'V d'"
             )
-        first_line, rows = {}, []
+        first_line, rows, n_trained = {}, [], None
         for lineno, raw in enumerate(fh, start=2):
             line = raw.rstrip("\n")
+            if line == "#coldstart" and n_trained is None:
+                n_trained = len(rows)
             if not line or line.startswith("#"):
                 continue
             parts = line.split(" ")
@@ -373,29 +377,33 @@ def load_embeddings_text(path) -> tuple[list[str], np.ndarray]:
     finite = np.isfinite(vectors).all(axis=1)
     if not finite.all():
         raise ParseError(f"{path}: line {first_line[keys[np.argmin(finite)]]}: non-finite value")
+    n_trained = len(rows) if n_trained is None else n_trained
+    if count != n_trained:
+        raise ParseError(f"{path}: line 1: header count {count}, but {n_trained} trained rows")
     return keys, vectors
 
 
 def save_embeddings_binary(table: EmbeddingTable, path) -> None:
     """Binary sidecar holding both tables bit-exactly."""
     with open(path, "wb") as fh:
-        fh.write(SIDECAR_MAGIC)
-        fh.write(struct.pack("<B", SIDECAR_VERSION))
-        fh.write(struct.pack("<QQ", table.vocab_size, table.dim))
+        fh.write(SIDECAR_HEADER.pack(SIDECAR_MAGIC, SIDECAR_VERSION, table.vocab_size, table.dim))
         fh.write(np.ascontiguousarray(table.input_vectors, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(table.output_vectors, dtype="<f8").tobytes())
 
 
 def load_embeddings_binary(path) -> EmbeddingTable:
+    """Read the sidecar.  ParseError names the file for a bad magic or
+    version, and for a size other than the header's ``V x d`` promises."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != SIDECAR_MAGIC:
-            raise ParseError(f"bad magic {magic!r}, expected {SIDECAR_MAGIC!r}")
-        (version,) = struct.unpack("<B", fh.read(1))
-        if version != SIDECAR_VERSION:
-            raise ParseError(f"unsupported sidecar version {version}")
-        v, d = struct.unpack("<QQ", fh.read(16))
-        n = v * d * 8
-        inp = np.frombuffer(fh.read(n), dtype="<f8").reshape(v, d).copy()
-        out = np.frombuffer(fh.read(n), dtype="<f8").reshape(v, d).copy()
-    return EmbeddingTable(inp, out)
+        data = fh.read()
+    header = SIDECAR_HEADER.size
+    if len(data) < header or data[:4] != SIDECAR_MAGIC:
+        raise ParseError(f"{path}: not a sidecar: bad magic {data[:4]!r} or under {header} bytes")
+    _, version, v, d = SIDECAR_HEADER.unpack_from(data)
+    if version != SIDECAR_VERSION:
+        raise ParseError(f"{path}: unsupported sidecar version {version}")
+    size = header + 2 * v * d * 8
+    if len(data) != size:
+        raise ParseError(f"{path}: {len(data)} bytes, expected {size} for V={v} d={d}")
+    tables = np.frombuffer(data, dtype="<f8", offset=header).reshape(2, v, d).copy()
+    return EmbeddingTable(tables[0], tables[1])

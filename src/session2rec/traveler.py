@@ -85,9 +85,9 @@ class TravelerConfig:
     hidden_contract: int = 16
     embedding_dim: int = 8
     lstm_hidden: int = 16
-    epochs: int = 5
+    epochs: int = 20
     batch_size: int = 64
-    learning_rate: float = 1e-3
+    learning_rate: float = 2e-3
     positive_class_weight: float | None = None  # None -> negatives/positives
     seed: int = 0
 

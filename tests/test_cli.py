@@ -45,6 +45,50 @@ TINY = {
 }
 
 
+# The CLI defaults as hand-written dicts before the library dataclasses held
+# them: the schema derived from the dataclasses must reproduce them exactly.
+OLD_DEFAULTS = {
+    "corpus": {
+        "n_listings": 1000, "n_clusters": 10, "n_travelers": 10000,
+        "mean_session_len": 8, "booking_base_rate": 0.3, "epsilon": 0.1,
+        "booking_slope": 2.0, "sessions_per_traveler": 1,
+        "sessions_file": "sessions.tsv", "ground_truth_file": "clusters.tsv",
+    },
+    "skipgram": {
+        "dim": 32, "window": 3, "negatives": 5, "epochs": 5,
+        "learning_rate_initial": 0.025, "learning_rate_final": 0.0001,
+        "subsample_threshold": 1e-3, "min_count": 5, "smoothed_negatives": False,
+        "embeddings_file": "embeddings.txt", "sidecar_file": "embeddings.s2re",
+    },
+    "coldstart": {
+        "demand_file": None, "centroids_file": None, "cold_listings_file": None,
+        "nearest_destinations": 5,
+    },
+    "traveler": {
+        "kind": "dan", "epochs": 20, "batch_size": 64, "learning_rate": 2e-3,
+        "positive_class_weight": None, "max_prefix_views": 50,
+        "hidden_expand": 64, "hidden_contract": 16, "embedding_dim": 8,
+        "lstm_hidden": 16, "model_file": None, "trace_file": None,
+    },
+    "eval": {
+        "train_fraction": 0.7, "settings": ["handcrafted", "dan"],
+        "epochs": 40, "batch_size": 64, "learning_rate": 0.01,
+        "positive_class_weight": None, "eval_sessions_file": None,
+        "reports_dir": "reports", "comparison_file": "comparison.txt",
+    },
+}
+OLD_COUNT_KEYS = {
+    "n_listings", "n_clusters", "n_travelers", "sessions_per_traveler", "dim", "window",
+    "negatives", "epochs", "batch_size", "min_count", "max_prefix_views", "hidden_expand",
+    "hidden_contract", "embedding_dim", "lstm_hidden", "nearest_destinations",
+}
+
+
+def wrong_type_value(key, default):
+    """A number for strings, bools and lists; a bool for counts and numbers."""
+    return 1 if isinstance(default, (bool, str, list)) or key.endswith("_file") else True
+
+
 def write_config(tmp_path, overrides=None, name="config.json"):
     config = json.loads(json.dumps(TINY))
     for section, values in (overrides or {}).items():
@@ -138,6 +182,50 @@ class TestConfigValidation:
         path = write_config(tmp_path, {"skipgram": {"dim": "8"}}, name="bad.json")
         assert cli.main(["--config", str(path), "train-embeddings"]) == 2
         assert "skipgram.dim" in capsys.readouterr().err
+        assert not (tmp_path / "embeddings.txt").exists()
+
+
+class TestConfigSchema:
+    def test_empty_config_yields_the_old_defaults(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("{}")
+        config = cli.load_config(path)
+        assert config.seed == 0
+        for section, defaults in OLD_DEFAULTS.items():
+            loaded = getattr(config, section)
+            assert loaded == defaults
+            types = {k: type(v) for k, v in loaded.items()}
+            assert types == {k: type(v) for k, v in defaults.items()}
+        assert sum(len(d) for d in OLD_DEFAULTS.values()) == 46
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            pytest.param(section, key, wrong_type_value(key, default), id=f"{section}.{key}")
+            for section, defaults in OLD_DEFAULTS.items()
+            for key, default in defaults.items()
+        ],
+    )
+    def test_every_key_rejects_a_wrong_type(self, section, key, value, tmp_path):
+        path = write_config(tmp_path, {section: {key: value}})
+        expected = "an integer" if key in OLD_COUNT_KEYS else ""
+        with pytest.raises(ConfigError, match=rf"{section}\.{key} must be {expected}"):
+            cli.load_config(path)
+
+    @pytest.mark.parametrize("seed", [True, 1.0])
+    def test_non_integer_seed_exits_two(self, seed, tmp_path, capsys):
+        path = write_config(tmp_path, {"seed": seed})
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            cli.load_config(path)
+        assert cli.main(["--config", str(path), "generate"]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "sessions.tsv").exists()
+
+    def test_range_error_names_the_section(self, tmp_path, capsys):
+        cli.main(["--config", str(write_config(tmp_path)), "generate"])
+        path = write_config(tmp_path, {"skipgram": {"dim": 1}}, name="bad.json")
+        assert cli.main(["--config", str(path), "train-embeddings"]) == 2
+        assert "skipgram: dim must be >= 2" in capsys.readouterr().err
         assert not (tmp_path / "embeddings.txt").exists()
 
 
@@ -286,6 +374,23 @@ class TestColdstart:
         assert block[0] == "#coldstart" and len(block) == 2 and block[1].startswith("COLD1 ")
         assert cli.main(["--config", str(config_path), "coldstart"]) == 0
         assert (tmp_path / "embeddings.txt").read_bytes() == first
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            pytest.param(lambda keys: f"{keys[0]},60.0,10.0", "is a trained listing", id="trained-key"),
+            pytest.param(lambda keys: "COLD1,north-ish,10.0", "could not convert", id="non-numeric"),
+            pytest.param(lambda keys: "COLD1,95.0,10.0", "latitude must be in", id="out-of-range"),
+        ],
+    )
+    def test_bad_cold_listing_exits_two_before_writing(self, rows, message, tmp_path, capsys):
+        config_path, keys = self.prepare(tmp_path)
+        (tmp_path / "cold.csv").write_text(f"listing_key,latitude,longitude\n{rows(keys)}\n")
+        before = (tmp_path / "embeddings.txt").read_bytes()
+        assert cli.main(["--config", str(config_path), "coldstart"]) == 2
+        err = capsys.readouterr().err
+        assert "cold.csv: line 2:" in err and message in err
+        assert (tmp_path / "embeddings.txt").read_bytes() == before
 
     def test_no_cold_listings_leaves_file_unchanged(self, tmp_path):
         config_path, _ = self.prepare(tmp_path, with_cold=False)

@@ -11,6 +11,7 @@ from session2rec.coldstart import (
     extrapolate_cold,
     great_circle_km,
     load_centroids_csv,
+    load_cold_listings_csv,
     load_demand_csv,
 )
 from session2rec.errors import ParseError
@@ -256,3 +257,41 @@ class TestColdstartFiles:
         keys, loaded = load_embeddings_text(path)
         assert keys == ["L0", "L1", "L2", "COLD"]
         assert np.array_equal(loaded[3], cold_vec)
+
+
+class TestColdListingsCsv:
+    HEADER = "listing_key,latitude,longitude\n"
+
+    def test_rows_in_file_order(self, tmp_path):
+        path = tmp_path / "cold.csv"
+        path.write_text(self.HEADER + "C2,10.5,-20.0\nC1,-90,180\n")
+        assert load_cold_listings_csv(path, {"L1"}) == [
+            ("C2", GeoPoint(10.5, -20.0)), ("C1", GeoPoint(-90.0, 180.0)),
+        ]
+
+    @pytest.mark.parametrize(
+        "rows, line",
+        [
+            pytest.param("C1,1.0,2.0\nC2,north-ish,2.0\n", 3, id="non-numeric"),
+            pytest.param("C1,1.0,2.0\nC2,95.0,2.0\n", 3, id="latitude-out-of-range"),
+            pytest.param("C1,1.0,-180.0\n", 2, id="longitude-out-of-range"),
+            pytest.param("C1,nan,2.0\n", 2, id="nan"),
+            pytest.param("C1,1.0\n", 2, id="missing-field"),
+            pytest.param("C1,1.0,2.0\nC2,1.0,2.0\nC1,3.0,4.0\n", 4, id="repeated-key"),
+            pytest.param("C1,1.0,2.0\nL1,1.0,2.0\n", 3, id="trained-key"),
+            pytest.param("C 1,1.0,2.0\n", 2, id="key-with-space"),
+            pytest.param(",1.0,2.0\n", 2, id="empty-key"),
+            pytest.param("#C1,1.0,2.0\n", 2, id="comment-key"),
+        ],
+    )
+    def test_bad_row_names_file_and_line(self, rows, line, tmp_path):
+        path = tmp_path / "cold.csv"
+        path.write_text(self.HEADER + rows)
+        with pytest.raises(ParseError, match=rf"cold\.csv: line {line}:"):
+            load_cold_listings_csv(path, {"L1"})
+
+    def test_bad_header(self, tmp_path):
+        path = tmp_path / "cold.csv"
+        path.write_text("key,lat,lon\nC1,1.0,2.0\n")
+        with pytest.raises(ParseError, match="expected header"):
+            load_cold_listings_csv(path)

@@ -432,7 +432,7 @@ class TestPersistence:
 
     def test_text_header_and_comments(self, tmp_path):
         path = tmp_path / "emb.txt"
-        path.write_text("2 3\nA 1.0 2.0 3.0\n#coldstart\nB 0.5 0.5 0.5\n")
+        path.write_text("1 3\nA 1.0 2.0 3.0\n#coldstart\nB 0.5 0.5 0.5\n")
         keys, vecs = load_embeddings_text(path)
         assert keys == ["A", "B"]
         assert vecs.shape == (2, 3)
@@ -463,6 +463,21 @@ class TestPersistence:
         with pytest.raises(ParseError, match=f"line {line}:"):
             load_embeddings_text(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("3 2\nA 1.0 2.0\nB 3.0 4.0\n", id="above"),
+            pytest.param("1 2\nA 1.0 2.0\nB 3.0 4.0\n", id="below"),
+            pytest.param("2 2\nA 1.0 2.0\n#coldstart\nB 3.0 4.0\n", id="counts-cold-rows"),
+            pytest.param("1 2\nA 1.0 2.0\n#note\nB 3.0 4.0\n", id="other-comment-is-no-marker"),
+        ],
+    )
+    def test_text_header_count_must_match_trained_rows(self, text, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="line 1: header count"):
+            load_embeddings_text(path)
+
     def test_binary_round_trip_is_exact(self, tmp_path, rng):
         table = EmbeddingTable(rng.normal(size=(6, 4)), rng.normal(size=(6, 4)))
         path = tmp_path / "emb.s2re"
@@ -475,4 +490,22 @@ class TestPersistence:
         path = tmp_path / "bad.s2re"
         path.write_bytes(b"NOPE" + bytes(40))
         with pytest.raises(ParseError, match="magic"):
+            load_embeddings_binary(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(lambda data: data[:-5], "400 bytes, expected 405", id="truncated-table"),
+            pytest.param(lambda data: data[:12], "under 21 bytes", id="truncated-header"),
+            pytest.param(
+                lambda data: data + b"\x00\x00", "407 bytes, expected 405", id="trailing-bytes"
+            ),
+        ],
+    )
+    def test_binary_size_checked(self, edit, message, tmp_path, rng):
+        path = tmp_path / "emb.s2re"
+        table = EmbeddingTable(rng.normal(size=(6, 4)), rng.normal(size=(6, 4)))
+        save_embeddings_binary(table, path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(ParseError, match=rf"emb\.s2re: .*{message}"):
             load_embeddings_binary(path)
