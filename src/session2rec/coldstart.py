@@ -150,31 +150,52 @@ def _csv_records(path, columns):
             yield reader.line_num, record
 
 
+def _geo_point(record, where: str) -> GeoPoint:
+    """The record's coordinates; ParseError naming ``where`` unless both are
+    numbers inside ``GeoPoint``'s ranges."""
+    try:
+        return GeoPoint(float(record["latitude"]), float(record["longitude"]))
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: {exc}") from None
+
+
 def load_demand_csv(path, key_to_index: dict[str, int]) -> DestinationDemand:
     """Read ``listing_key,destination_id,proportion`` rows.
 
-    Listing keys are mapped to table indices; an unknown key is an error
-    because demand must refer to listings that already have embeddings.
+    Listing keys are mapped to table indices.  ParseError names the file and
+    line of an unknown key (demand must refer to listings that already have
+    embeddings) and of a proportion that is not a number in [0, 1], and
+    names the file when a listing's proportions do not sum to 1.
     """
     rows = []
-    for _, record in _csv_records(path, ("listing_key", "destination_id", "proportion")):
-        key = record["listing_key"]
+    for line, record in _csv_records(path, ("listing_key", "destination_id", "proportion")):
+        key, where = record["listing_key"], f"{path}: line {line}"
         if key not in key_to_index:
-            raise ValueError(f"unknown listing key {key!r} in demand file")
-        rows.append((key_to_index[key], record["destination_id"], float(record["proportion"])))
+            raise ParseError(f"{where}: unknown listing key {key!r}")
+        try:
+            proportion = float(record["proportion"])
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{where}: {exc}") from None
+        if not 0.0 <= proportion <= 1.0:
+            raise ParseError(f"{where}: proportion {proportion} outside [0, 1]")
+        rows.append((key_to_index[key], record["destination_id"], proportion))
     if not rows:
-        raise ParseError("demand file: no rows")
-    return DestinationDemand(tuple(rows))
+        raise ParseError(f"{path}: no rows")
+    try:
+        return DestinationDemand(tuple(rows))
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def load_centroids_csv(path) -> dict[str, GeoPoint]:
-    """Read ``destination_id,latitude,longitude`` rows."""
+    """Read ``destination_id,latitude,longitude`` rows; ParseError names the
+    file and line of a coordinate not a number or outside ``GeoPoint``'s
+    ranges."""
     centroids = {}
-    for _, record in _csv_records(path, ("destination_id", "latitude", "longitude")):
-        point = GeoPoint(float(record["latitude"]), float(record["longitude"]))
-        centroids[record["destination_id"]] = point
+    for line, record in _csv_records(path, ("destination_id", "latitude", "longitude")):
+        centroids[record["destination_id"]] = _geo_point(record, f"{path}: line {line}")
     if not centroids:
-        raise ParseError("centroid file: no rows")
+        raise ParseError(f"{path}: no rows")
     return centroids
 
 
@@ -194,10 +215,7 @@ def load_cold_listings_csv(path, trained_keys=frozenset()) -> list[tuple[str, Ge
         if key in trained_keys:
             raise ParseError(f"{where}: cold key {key!r} is a trained listing")
         first_line[key] = line
-        try:
-            rows.append((key, GeoPoint(float(record["latitude"]), float(record["longitude"]))))
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{where}: {exc}") from None
+        rows.append((key, _geo_point(record, where)))
     return rows
 
 

@@ -164,7 +164,7 @@ def _feature_matrix(cases: list[TravelerExample], spec: FeatureSetSpec, rng) -> 
     if spec.use_handcrafted:
         blocks.append([handcrafted_features(case.prefix.views) for case in cases])
     if spec.model is not None:
-        blocks.append([traveler_mod.traveler_embedding(spec.model, case.viewed, rng=rng) for case in cases])
+        blocks.append(traveler_mod.traveler_embedding(spec.model, [case.viewed for case in cases], rng=rng))
     return np.hstack(blocks)
 
 

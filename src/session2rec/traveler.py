@@ -16,16 +16,18 @@ and the on-disk layer order.
 
 All trainable kinds minimise class-weighted binary cross entropy on booking
 labels with the mini-batch loop from :mod:`.neural`; every gradient is
-hand-derived and checked against finite differences.  Average and DAN run a
-batch as one pass of the dense-stack kernel over the segment means of its
-view prefixes; the LSTM kinds run one example at a time.
+hand-derived and checked against finite differences.  Every kind runs a
+batch of view prefixes in one pass, in training and in inference.  Average
+and DAN run the dense-stack kernel over the segment means of the prefixes.
+The LSTM kinds run one packed recurrence: the prefixes sorted by length,
+the four gates stacked into one matrix, step t over the rows still active;
+attention scores a padded step -inf, so it weighs exactly 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -157,15 +159,16 @@ def build_examples(
 
 
 # ---------------------------------------------------------------------------
-# kernels per kind
+# kernels per kind: each forward takes a list of view prefixes and returns
+# (probabilities (B,), traveler embeddings (B, k), cache) in list order
 
 
-def _pooled_forward(params: Params, viewed: np.ndarray):
+def _pooled_forward(params: Params, viewed_list):
     """Average and DAN: the dense stack over the pooled views.  The traveler
     embedding is what the head reads: the pooled vector, or DAN's last
     hidden layer."""
-    out, caches = neural.stack_forward(list(params.values()), pool_average([viewed]))
-    return float(out[0, 0]), caches[-1][0][0], caches
+    out, caches = neural.stack_forward(list(params.values()), pool_average(viewed_list))
+    return out[:, 0], caches[-1][0], caches
 
 
 def _pooled_loss_and_grads(params: Params, viewed_list, labels, positive_weight: float):
@@ -174,146 +177,133 @@ def _pooled_loss_and_grads(params: Params, viewed_list, labels, positive_weight:
     )
 
 
-def _summed_per_example(forward, backward, params: Params, viewed_list, labels, positive_weight: float):
-    """Batch loss over a per-example forward and backward (the LSTM kinds);
-    the gradients are summed in example order."""
-    probs, _, caches = zip(*(forward(params, viewed) for viewed in viewed_list))
-    loss, d_probs = neural.weighted_bce(np.array(probs), labels, positive_weight)
-    summed = [np.zeros_like(a) for a in params_list(params)]
-    for cache, d_prob in zip(caches, d_probs):
-        summed = [acc + g for acc, g in zip(summed, backward(params, cache, d_prob))]
-    return float(loss.sum()), summed
+def attention_combine(score_vector: np.ndarray, hidden_states, valid=None):
+    """Additive attention over one (T, d_h) hidden-state sequence, or over
+    step-major (T, B, d_h) sequences whose (T, B) mask ``valid`` marks the
+    real steps.
 
-
-def _gate_arrays(params: Params) -> list[np.ndarray]:
-    return [a for gate, _ in GATES for a in (params[gate].weights, params[gate].bias)]
-
-
-def _lstm_scan(params: Params, viewed: np.ndarray):
-    """Run the gated recurrence; returns hidden states and per-step caches.
-
-    x_t is the concatenation [h_{t-1}, view_t]; cell and hidden state start
-    at zero.
-    """
-    w_f, b_f, w_i, b_i, w_c, b_c, w_o, b_o = _gate_arrays(params)
-    d_h = len(b_f)
-    h = np.zeros(d_h)
-    c = np.zeros(d_h)
-    states, caches = [], []
-    for v in viewed:
-        x = np.concatenate([h, v])
-        forget = sigmoid(w_f @ x + b_f)
-        gain = sigmoid(w_i @ x + b_i)
-        cand = np.tanh(w_c @ x + b_c)
-        out = sigmoid(w_o @ x + b_o)
-        c_prev = c
-        c = forget * c_prev + gain * cand
-        h = out * np.tanh(c)
-        states.append(h)
-        caches.append((x, forget, gain, cand, out, c_prev, c))
-    return states, caches
-
-
-def _lstm_backward_through_time(params: Params, caches, dh_inject):
-    """Backprop through the recurrence given per-step external gradients.
-
-    ``dh_inject[t]`` is d loss / d h_t coming from outside the recurrence
-    (the head for the plain LSTM, the attention mix for the attended one).
-    Returns gradients in gate parameter order.
-    """
-    w_f, _, w_i, _, w_c, _, w_o, _ = _gate_arrays(params)
-    d_h = len(w_f)
-    dw_f, dw_i, dw_c, dw_o = (np.zeros_like(w) for w in (w_f, w_i, w_c, w_o))
-    db_f, db_i, db_c, db_o = (np.zeros(d_h) for _ in range(4))
-    dh_next = np.zeros(d_h)
-    dc_next = np.zeros(d_h)
-    for t in range(len(caches) - 1, -1, -1):
-        x, forget, gain, cand, out, c_prev, c = caches[t]
-        dh = dh_inject[t] + dh_next
-        tc = np.tanh(c)
-        dz_o = dh * tc * out * (1.0 - out)
-        dc = dh * out * (1.0 - tc**2) + dc_next
-        dz_f = dc * c_prev * forget * (1.0 - forget)
-        dz_i = dc * cand * gain * (1.0 - gain)
-        dz_c = dc * gain * (1.0 - cand**2)
-        dw_f += np.outer(dz_f, x)
-        dw_i += np.outer(dz_i, x)
-        dw_c += np.outer(dz_c, x)
-        dw_o += np.outer(dz_o, x)
-        db_f += dz_f
-        db_i += dz_i
-        db_c += dz_c
-        db_o += dz_o
-        dx = w_f.T @ dz_f + w_i.T @ dz_i + w_c.T @ dz_c + w_o.T @ dz_o
-        dh_next = dx[:d_h]
-        dc_next = dc * forget
-    return [dw_f, db_f, dw_i, db_i, dw_c, db_c, dw_o, db_o]
-
-
-def lstm_forward(params: Params, viewed: np.ndarray):
-    """Returns (probability, final hidden state, cache)."""
-    states, caches = _lstm_scan(params, viewed)
-    h_last = states[-1]
-    out, head_cache = dense_forward(params["head"], h_last)
-    return float(out[0]), h_last, (states, caches, head_cache)
-
-
-def _lstm_backward(params: Params, cache, d_prob: float):
-    states, caches, head_cache = cache
-    dh_last, dw_head, db_head = dense_backward(params["head"], head_cache, np.array([d_prob]))
-    dh_inject = [np.zeros_like(states[0]) for _ in states]
-    dh_inject[-1] = dh_last
-    gate_grads = _lstm_backward_through_time(params, caches, dh_inject)
-    return gate_grads + [dw_head, db_head]
-
-
-def attention_combine(score_vector: np.ndarray, hidden_states):
-    """Additive attention over the hidden-state sequence.
-
-    Scores ``e_t = score_vector . tanh(h_t)`` pass through a softmax; the
+    Scores ``e_t = score_vector . tanh(h_t)`` pass through a softmax over
+    the steps; a padded step scores -inf, so its weight is exactly 0.  The
     context vector is the weighted sum of the raw hidden states.  Returns
     (context, weights); the weights are non-negative and sum to 1, and are
     uniform whenever all states are identical.
     """
     hs = np.asarray(hidden_states)
-    if hs.ndim != 2 or len(hs) < 1:
+    if hs.ndim not in (2, 3) or len(hs) < 1:
         raise ValueError("need at least one hidden state")
     scores = np.tanh(hs) @ score_vector
-    shifted = np.exp(scores - scores.max())
-    weights = shifted / shifted.sum()
-    context = weights @ hs
+    if valid is not None:
+        scores = np.where(valid, scores, -np.inf)
+    shifted = np.exp(scores - scores.max(axis=0))
+    weights = shifted / shifted.sum(axis=0)
+    context = np.einsum("t...,t...d->...d", weights, hs)
     return context, weights
 
 
 def _attention_backward(score_vector: np.ndarray, hs, weights, d_context):
-    """Gradients of the attention mix: score vector and per-state grads."""
-    hs = np.asarray(hs)
-    d_alpha = hs @ d_context
-    d_scores = weights * (d_alpha - float(weights @ d_alpha))
+    """Gradients of the attention mix over step-major (T, B, d_h) states:
+    the score vector's, summed over the batch, and each state's."""
+    d_alpha = np.einsum("tbd,bd->tb", hs, d_context)
+    d_scores = weights * (d_alpha - np.einsum("tb,tb->b", weights, d_alpha))
     tanh_h = np.tanh(hs)
-    d_score_vec = tanh_h.T @ d_scores
-    dh = weights[:, None] * d_context[None, :] + d_scores[:, None] * (
-        score_vector[None, :] * (1.0 - tanh_h**2)
-    )
+    d_score_vec = np.einsum("tb,tbd->d", d_scores, tanh_h)
+    dh = weights[..., None] * d_context + d_scores[..., None] * (score_vector * (1.0 - tanh_h**2))
     return d_score_vec, dh
 
 
-def lstm_attention_forward(params: Params, viewed: np.ndarray):
-    """Returns (probability, context vector, cache)."""
-    states, caches = _lstm_scan(params, viewed)
-    context, weights = attention_combine(params["score"].weights[0], states)
-    out, head_cache = dense_forward(params["head"], context)
-    return float(out[0]), context, (states, caches, weights, head_cache)
+def _recurrent_forward(params: Params, viewed_list):
+    """The LSTM kinds over a batch of prefixes, packed.
+
+    Rows are sorted by descending length inside the kernel, so step t runs
+    on the first n_t rows, the ones still active, and a finished row is
+    never touched.  The four gate layers are stacked at call time into one
+    (4*d_h, d_h + d) matrix: the view part of every step is one matmul up
+    front, the recurrent part one (n_t, d_h) matmul per step.  x_t is
+    [h_{t-1}, view_t]; h and c start at zero.  The plain LSTM's embedding
+    is the final hidden state, the attended one's the context vector.
+    """
+    lengths = np.array([len(viewed) for viewed in viewed_list])
+    if len(lengths) == 0 or lengths.min() == 0:
+        raise ValueError("cannot run an empty sequence")
+    order = np.argsort(-lengths, kind="stable")
+    steps = lengths[order]
+    d = viewed_list[0].shape[1]
+    xs = np.zeros((steps[0], len(order), d))  # step-major, zero-padded
+    for row, i in enumerate(order):
+        xs[: steps[row], row] = viewed_list[i]
+    valid = np.arange(steps[0])[:, None] < steps
+    d_h = len(params["forget"].bias)
+    w = np.concatenate([params[gate].weights for gate, _ in GATES])
+    z_views = (xs.reshape(-1, d) @ w[:, d_h:].T).reshape(len(xs), len(order), -1)
+    z_views += np.concatenate([params[gate].bias for gate, _ in GATES])
+    w_states = w[:, :d_h].T
+    # states[t + 1] and cells[t + 1] hold step t; entries past a row's end stay 0
+    states = np.zeros((steps[0] + 1, len(order), d_h))
+    cells = np.zeros_like(states)
+    gates = []  # per step the (n_t, 4*d_h) activated forget, input, candidate, output
+    for t, n in enumerate(valid.sum(axis=1)):
+        z = z_views[t, :n] + states[t, :n] @ w_states
+        gate = sigmoid(z)
+        cand = gate[:, 2 * d_h : 3 * d_h] = np.tanh(z[:, 2 * d_h : 3 * d_h])
+        cell = cells[t + 1, :n] = gate[:, :d_h] * cells[t, :n] + gate[:, d_h : 2 * d_h] * cand
+        states[t + 1, :n] = gate[:, 3 * d_h :] * np.tanh(cell)
+        gates.append(gate)
+    weights = None
+    if "score" in params:
+        mask = valid if steps[-1] < steps[0] else None  # no padded step, nothing to mask
+        embedded, weights = attention_combine(params["score"].weights[0], states[1:], mask)
+    else:
+        embedded = states[steps, np.arange(len(order))]
+    emb = embedded[np.argsort(order)]  # back to list order
+    out, head_cache = dense_forward(params["head"], emb)
+    return out[:, 0], emb, (order, steps, xs, w, states, cells, gates, weights, head_cache)
 
 
-def _lstm_attention_backward(params: Params, cache, d_prob: float):
-    states, caches, weights, head_cache = cache
-    d_context, dw_head, db_head = dense_backward(params["head"], head_cache, np.array([d_prob]))
-    d_score_vec, dh_inject = _attention_backward(
-        params["score"].weights[0], states, weights, d_context
-    )
-    gate_grads = _lstm_backward_through_time(params, caches, list(dh_inject))
-    return gate_grads + [d_score_vec[None, :], np.zeros(1), dw_head, db_head]
+def _recurrent_backward(params: Params, cache, d_probs: np.ndarray) -> list[np.ndarray]:
+    """Packed BPTT: d loss / d every parameter, summed over the batch, in
+    spec order.  Per step the four gates' pre-activation gradients form one
+    (n_t, 4*d_h) block; the weight gradient is their product with the
+    stacked inputs."""
+    order, steps, xs, w, states, cells, gates, weights, head_cache = cache
+    d_emb, dw_head, db_head = dense_backward(params["head"], head_cache, d_probs[:, None])
+    d_emb = d_emb[order]
+    d_h = states.shape[2]
+    if weights is None:
+        dh_inject = np.zeros_like(states[1:])
+        dh_inject[steps - 1, np.arange(len(order))] = d_emb
+        tail = []
+    else:
+        d_score, dh_inject = _attention_backward(params["score"].weights[0], states[1:], weights, d_emb)
+        tail = [d_score[None, :], np.zeros(1)]
+    dz_all = np.zeros((len(gates), len(order), 4 * d_h))
+    dh_next = np.zeros((len(order), d_h))
+    dc_next = np.zeros_like(dh_next)
+    for t in range(len(gates) - 1, -1, -1):
+        gate = gates[t]
+        n = len(gate)
+        forget, gain = gate[:, :d_h], gate[:, d_h : 2 * d_h]
+        cand, out = gate[:, 2 * d_h : 3 * d_h], gate[:, 3 * d_h :]
+        tc = np.tanh(cells[t + 1, :n])
+        dh = dh_inject[t, :n] + dh_next[:n]
+        dc = dh * out * (1.0 - tc**2) + dc_next[:n]
+        dz = dz_all[t, :n]
+        dz[:, :d_h] = dc * cells[t, :n] * forget * (1.0 - forget)
+        dz[:, d_h : 2 * d_h] = dc * cand * gain * (1.0 - gain)
+        dz[:, 2 * d_h : 3 * d_h] = dc * gain * (1.0 - cand**2)
+        dz[:, 3 * d_h :] = dh * tc * out * (1.0 - out)
+        dh_next[:n] = dz @ w[:, :d_h]
+        dc_next[:n] = dc * forget
+    dz_rows = dz_all.reshape(-1, 4 * d_h)
+    inputs = np.concatenate([states[:-1], xs], axis=2).reshape(len(dz_rows), -1)
+    dw = np.split(dz_rows.T @ inputs, 4)
+    db = np.split(dz_rows.sum(axis=0), 4)
+    return [a for pair in zip(dw, db) for a in pair] + tail + [dw_head, db_head]
+
+
+def _recurrent_loss_and_grads(params: Params, viewed_list, labels, positive_weight: float):
+    probs, _, cache = _recurrent_forward(params, viewed_list)
+    loss, d_probs = neural.weighted_bce(probs, labels, positive_weight)
+    return float(loss.sum()), _recurrent_backward(params, cache, d_probs)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +348,7 @@ class KindSpec(NamedTuple):
 
     dims: dict[str, str]  # dims key besides input_dim -> layer whose out-dim it is
     layers: Callable[[dict], list[LayerSpec]]
-    forward: Callable | None = None  # (params, viewed) -> (probability, embedding, cache)
+    forward: Callable | None = None  # (params, viewed_list) -> (probabilities, embeddings, cache)
     loss_and_grads: Callable | None = None  # (params, viewed_list, labels, w+) -> (loss, grads)
 
 
@@ -368,13 +358,9 @@ KINDS = {
     "random": KindSpec({}, lambda dims: []),
     "average": KindSpec({}, _average_spec, _pooled_forward, _pooled_loss_and_grads),
     "dan": KindSpec(_DAN_DIMS, _dan_spec, _pooled_forward, _pooled_loss_and_grads),
-    "lstm": KindSpec(
-        _LSTM_DIMS, _lstm_spec, lstm_forward,
-        partial(_summed_per_example, lstm_forward, _lstm_backward),
-    ),
+    "lstm": KindSpec(_LSTM_DIMS, _lstm_spec, _recurrent_forward, _recurrent_loss_and_grads),
     "lstm_attention": KindSpec(
-        _LSTM_DIMS, _lstm_attention_spec, lstm_attention_forward,
-        partial(_summed_per_example, lstm_attention_forward, _lstm_attention_backward),
+        _LSTM_DIMS, _lstm_attention_spec, _recurrent_forward, _recurrent_loss_and_grads
     ),
 }
 
@@ -442,7 +428,7 @@ def dan_relu_margin(params: Params, viewed) -> float:
     subgradient convention.  Case generators resample until this margin
     comfortably exceeds the perturbation's reach.
     """
-    *relu_caches, _ = _pooled_forward(params, viewed)[2]
+    *relu_caches, _ = _pooled_forward(params, [viewed])[2]
     return float(min(np.abs(z).min() for _, z in relu_caches))
 
 
@@ -483,28 +469,60 @@ def train_traveler_model(
     return model, trace
 
 
-def predict_probability(model: TravelerModel, viewed: np.ndarray) -> float:
+def _prefix_batch(viewed) -> tuple[list[np.ndarray], bool]:
+    """(prefix list, whether ``viewed`` was one bare (t, d) prefix);
+    ValueError for no prefixes or an empty one."""
+    single = isinstance(viewed, np.ndarray)
+    batch = [viewed] if single else list(viewed)
+    if not batch:
+        raise ValueError("no prefixes")
+    if min(len(prefix) for prefix in batch) == 0:
+        raise ValueError("empty prefix")
+    return batch, single
+
+
+INFERENCE_ROWS = 128  # prefixes per inference pass; bounds its padded (T, B, .) arrays
+
+
+def _infer(model: TravelerModel, batch) -> tuple[np.ndarray, np.ndarray]:
+    """(probabilities, embeddings) of a prefix list, one batched forward
+    pass per INFERENCE_ROWS prefixes."""
+    forward = KINDS[model.kind].forward
+    if len(batch) <= INFERENCE_ROWS:
+        return forward(model.params, batch)[:2]
+    passes = [
+        forward(model.params, batch[lo : lo + INFERENCE_ROWS])[:2]
+        for lo in range(0, len(batch), INFERENCE_ROWS)
+    ]
+    return np.concatenate([p for p, _ in passes]), np.concatenate([e for _, e in passes])
+
+
+def predict_probability(model: TravelerModel, viewed):
+    """Booking probability of one (t, d) view prefix, or a (B,) array of
+    them for a list of prefixes (batched passes)."""
     if model.kind == "random":
         raise ValueError("the random baseline has no booking head")
-    prob, _, _ = KINDS[model.kind].forward(model.params, viewed)
-    return prob
+    batch, single = _prefix_batch(viewed)
+    probs, _ = _infer(model, batch)
+    return float(probs[0]) if single else probs
 
 
-def traveler_embedding(model: TravelerModel, viewed: np.ndarray, rng=None) -> np.ndarray:
-    """The model's traveler representation for a view prefix.
+def traveler_embedding(model: TravelerModel, viewed, rng=None) -> np.ndarray:
+    """The model's traveler representation for one view prefix, or a (B, k)
+    matrix of them for a list of prefixes (batched passes).
 
     DAN returns its last hidden layer, LSTM the final hidden state, attention
     the context vector, averaging the pooled vector, and the random baseline
-    one chosen view (which needs the caller's rng).
+    one chosen view per prefix, drawn from the caller's rng in list order.
     """
-    if len(viewed) == 0:
-        raise ValueError("empty prefix")
+    batch, single = _prefix_batch(viewed)
     if model.kind == "random":
         if rng is None:
             raise ValueError("the random baseline needs an rng")
-        return baseline_random(viewed, rng)
-    _, emb, _ = KINDS[model.kind].forward(model.params, viewed)
-    return emb
+        emb = np.array([baseline_random(prefix, rng) for prefix in batch])
+    else:
+        _, emb = _infer(model, batch)
+    return emb[0] if single else emb
 
 
 def embedding_dim(model: TravelerModel) -> int:

@@ -392,6 +392,36 @@ class TestColdstart:
         assert "cold.csv: line 2:" in err and message in err
         assert (tmp_path / "embeddings.txt").read_bytes() == before
 
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            pytest.param(
+                "demand.csv", lambda keys: f"listing_key,destination_id,proportion\n{keys[0]},north,lots\n",
+                "could not convert", id="non-numeric-proportion",
+            ),
+            pytest.param(
+                "demand.csv", lambda keys: "listing_key,destination_id,proportion\nNOPE,north,1.0\n",
+                "unknown listing key 'NOPE'", id="unknown-demand-key",
+            ),
+            pytest.param(
+                "centroids.csv", lambda keys: "destination_id,latitude,longitude\nnorth,north-ish,10.0\n",
+                "could not convert", id="non-numeric-coordinate",
+            ),
+            pytest.param(
+                "centroids.csv", lambda keys: "destination_id,latitude,longitude\nnorth,60.0,190.0\n",
+                "longitude must be in", id="coordinate-out-of-range",
+            ),
+        ],
+    )
+    def test_bad_demand_or_centroid_row_exits_two(self, name, text, message, tmp_path, capsys):
+        config_path, keys = self.prepare(tmp_path)
+        (tmp_path / name).write_text(text(keys))
+        before = (tmp_path / "embeddings.txt").read_bytes()
+        assert cli.main(["--config", str(config_path), "coldstart"]) == 2
+        err = capsys.readouterr().err
+        assert f"{name}: line 2:" in err and message in err
+        assert (tmp_path / "embeddings.txt").read_bytes() == before
+
     def test_no_cold_listings_leaves_file_unchanged(self, tmp_path):
         config_path, _ = self.prepare(tmp_path, with_cold=False)
         before = file_hash(tmp_path / "embeddings.txt")

@@ -235,6 +235,43 @@ class TestColdstartFiles:
         with pytest.raises(ParseError, match="header"):
             load_demand_csv(path, {"L0": 0})
 
+    @pytest.mark.parametrize(
+        "rows, line",
+        [
+            pytest.param("L0,A,0.5\nL0,B,lots\n", 3, id="non-numeric-proportion"),
+            pytest.param("L0,A,1.0\nL9,A,1.0\n", 3, id="unknown-key"),
+            pytest.param("L0,A,1.5\n", 2, id="proportion-out-of-range"),
+            pytest.param("L0,A,nan\n", 2, id="nan-proportion"),
+            pytest.param("L0,A\n", 2, id="missing-field"),
+        ],
+    )
+    def test_demand_csv_bad_row_names_file_and_line(self, rows, line, tmp_path):
+        path = tmp_path / "demand.csv"
+        path.write_text("listing_key,destination_id,proportion\n" + rows)
+        with pytest.raises(ParseError, match=rf"demand\.csv: line {line}:"):
+            load_demand_csv(path, {"L0": 0})
+
+    def test_demand_csv_bad_sum_names_file(self, tmp_path):
+        path = tmp_path / "demand.csv"
+        path.write_text("listing_key,destination_id,proportion\nL0,A,0.5\n")
+        with pytest.raises(ParseError, match=r"demand\.csv: listing 0: proportions sum to 0\.5"):
+            load_demand_csv(path, {"L0": 0})
+
+    @pytest.mark.parametrize(
+        "rows, line",
+        [
+            pytest.param("A,10.0,1.0\nB,north-ish,1.0\n", 3, id="non-numeric-coordinate"),
+            pytest.param("A,95.0,1.0\n", 2, id="latitude-out-of-range"),
+            pytest.param("A,1.0,-180.0\n", 2, id="longitude-out-of-range"),
+            pytest.param("A,1.0,nan\n", 2, id="nan-coordinate"),
+        ],
+    )
+    def test_centroids_csv_bad_row_names_file_and_line(self, rows, line, tmp_path):
+        path = tmp_path / "centroids.csv"
+        path.write_text("destination_id,latitude,longitude\n" + rows)
+        with pytest.raises(ParseError, match=rf"centroids\.csv: line {line}:"):
+            load_centroids_csv(path)
+
     def test_centroids_csv(self, tmp_path):
         path = tmp_path / "centroids.csv"
         path.write_text("destination_id,latitude,longitude\nA,10.5,-3.25\n")

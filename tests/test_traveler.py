@@ -5,16 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from session2rec import neural
+from session2rec import neural, traveler
 from session2rec.corpus import LabeledPrefix
 from session2rec.errors import ConfigError, ParseError
-from session2rec.neural import DenseLayer, dense_backward, dense_forward, weighted_bce
+from session2rec.neural import DenseLayer, dense_backward, dense_forward, sigmoid, weighted_bce
 from session2rec.skipgram import EmbeddingTable
 from session2rec.traveler import (
     GATES,
     TRAINABLE_KINDS,
-    _lstm_attention_backward,
-    _lstm_backward,
     TravelerConfig,
     TravelerExample,
     TravelerModel,
@@ -27,8 +25,6 @@ from session2rec.traveler import (
     init_params,
     load_traveler_model,
     loss_fn_for_gradcheck,
-    lstm_attention_forward,
-    lstm_forward,
     params_list,
     pool_average,
     predict_probability,
@@ -63,8 +59,8 @@ def example(key, viewed, label):
     return TravelerExample(LabeledPrefix(key, views, label), viewed)
 
 
-# The per-example average and DAN kernels that training ran before the
-# pooled kinds were batched; the batched kernels must match their sums.
+# The per-example kernels that training ran before each kind was batched;
+# the batched kernels must match their sums.
 
 
 def average_forward(params, viewed):
@@ -96,6 +92,112 @@ def _dan_backward(params, cache, d_prob):
     return [dw_pool, db_pool, dw_hidden, db_hidden, dw_embed, db_embed, dw_head, db_head]
 
 
+def _gate_arrays(params):
+    return [a for gate, _ in GATES for a in (params[gate].weights, params[gate].bias)]
+
+
+def _lstm_scan(params, viewed):
+    """Run the gated recurrence one view at a time; returns hidden states
+    and per-step caches.  x_t is [h_{t-1}, view_t]; h and c start at zero."""
+    w_f, b_f, w_i, b_i, w_c, b_c, w_o, b_o = _gate_arrays(params)
+    d_h = len(b_f)
+    h = np.zeros(d_h)
+    c = np.zeros(d_h)
+    states, caches = [], []
+    for v in viewed:
+        x = np.concatenate([h, v])
+        forget = sigmoid(w_f @ x + b_f)
+        gain = sigmoid(w_i @ x + b_i)
+        cand = np.tanh(w_c @ x + b_c)
+        out = sigmoid(w_o @ x + b_o)
+        c_prev = c
+        c = forget * c_prev + gain * cand
+        h = out * np.tanh(c)
+        states.append(h)
+        caches.append((x, forget, gain, cand, out, c_prev, c))
+    return states, caches
+
+
+def _lstm_backward_through_time(params, caches, dh_inject):
+    """Backprop through one example's recurrence given d loss / d h_t from
+    outside it; returns gradients in gate parameter order."""
+    w_f, _, w_i, _, w_c, _, w_o, _ = _gate_arrays(params)
+    d_h = len(w_f)
+    dw_f, dw_i, dw_c, dw_o = (np.zeros_like(w) for w in (w_f, w_i, w_c, w_o))
+    db_f, db_i, db_c, db_o = (np.zeros(d_h) for _ in range(4))
+    dh_next = np.zeros(d_h)
+    dc_next = np.zeros(d_h)
+    for t in range(len(caches) - 1, -1, -1):
+        x, forget, gain, cand, out, c_prev, c = caches[t]
+        dh = dh_inject[t] + dh_next
+        tc = np.tanh(c)
+        dz_o = dh * tc * out * (1.0 - out)
+        dc = dh * out * (1.0 - tc**2) + dc_next
+        dz_f = dc * c_prev * forget * (1.0 - forget)
+        dz_i = dc * cand * gain * (1.0 - gain)
+        dz_c = dc * gain * (1.0 - cand**2)
+        dw_f += np.outer(dz_f, x)
+        dw_i += np.outer(dz_i, x)
+        dw_c += np.outer(dz_c, x)
+        dw_o += np.outer(dz_o, x)
+        db_f += dz_f
+        db_i += dz_i
+        db_c += dz_c
+        db_o += dz_o
+        dx = w_f.T @ dz_f + w_i.T @ dz_i + w_c.T @ dz_c + w_o.T @ dz_o
+        dh_next = dx[:d_h]
+        dc_next = dc * forget
+    return [dw_f, db_f, dw_i, db_i, dw_c, db_c, dw_o, db_o]
+
+
+def lstm_forward(params, viewed):
+    """Returns (probability, final hidden state, cache)."""
+    states, caches = _lstm_scan(params, viewed)
+    h_last = states[-1]
+    out, head_cache = dense_forward(params["head"], h_last)
+    return float(out[0]), h_last, (states, caches, head_cache)
+
+
+def _lstm_backward(params, cache, d_prob):
+    states, caches, head_cache = cache
+    dh_last, dw_head, db_head = dense_backward(params["head"], head_cache, np.array([d_prob]))
+    dh_inject = [np.zeros_like(states[0]) for _ in states]
+    dh_inject[-1] = dh_last
+    gate_grads = _lstm_backward_through_time(params, caches, dh_inject)
+    return gate_grads + [dw_head, db_head]
+
+
+def _attention_backward(score_vector, hs, weights, d_context):
+    """Gradients of one sequence's attention mix: score vector and per-state."""
+    hs = np.asarray(hs)
+    d_alpha = hs @ d_context
+    d_scores = weights * (d_alpha - float(weights @ d_alpha))
+    tanh_h = np.tanh(hs)
+    d_score_vec = tanh_h.T @ d_scores
+    dh = weights[:, None] * d_context[None, :] + d_scores[:, None] * (
+        score_vector[None, :] * (1.0 - tanh_h**2)
+    )
+    return d_score_vec, dh
+
+
+def lstm_attention_forward(params, viewed):
+    """Returns (probability, context vector, cache)."""
+    states, caches = _lstm_scan(params, viewed)
+    context, weights = attention_combine(params["score"].weights[0], states)
+    out, head_cache = dense_forward(params["head"], context)
+    return float(out[0]), context, (states, caches, weights, head_cache)
+
+
+def _lstm_attention_backward(params, cache, d_prob):
+    states, caches, weights, head_cache = cache
+    d_context, dw_head, db_head = dense_backward(params["head"], head_cache, np.array([d_prob]))
+    d_score_vec, dh_inject = _attention_backward(
+        params["score"].weights[0], states, weights, d_context
+    )
+    gate_grads = _lstm_backward_through_time(params, caches, list(dh_inject))
+    return gate_grads + [d_score_vec[None, :], np.zeros(1), dw_head, db_head]
+
+
 PER_EXAMPLE = {
     "average": (average_forward, _average_backward),
     "dan": (dan_forward, _dan_backward),
@@ -109,6 +211,28 @@ def per_example_loss_and_grads(kind, params, viewed, label, positive_weight):
     prob, _, cache = forward(params, viewed)
     loss, d_prob = weighted_bce(prob, label, positive_weight)
     return loss, backward(params, cache, d_prob)
+
+
+def _summed_per_example(kind, params, viewed_list, labels, positive_weight):
+    """Batch loss over the per-example forward and backward; the gradients
+    are summed in example order."""
+    forward, backward = PER_EXAMPLE[kind]
+    probs, _, caches = zip(*(forward(params, viewed) for viewed in viewed_list))
+    loss, d_probs = weighted_bce(np.array(probs), labels, positive_weight)
+    summed = [np.zeros_like(a) for a in params_list(params)]
+    for cache, d_prob in zip(caches, d_probs):
+        summed = [acc + g for acc, g in zip(summed, backward(params, cache, d_prob))]
+    return float(loss.sum()), summed
+
+
+def assert_matches_summed_oracle(kind, params, viewed, labels, weight):
+    loss, grads = example_loss_and_grads(kind, params, viewed, labels, weight)
+    expected_loss, expected = _summed_per_example(kind, params, viewed, labels, weight)
+    assert loss == pytest.approx(expected_loss, rel=0, abs=1e-12)
+    assert len(grads) == len(expected)
+    for g, e in zip(grads, expected):
+        assert g.shape == e.shape
+        assert np.allclose(g, e, rtol=0, atol=1e-12)
 
 
 def random_case(kind, rng, t=None):
@@ -211,18 +335,37 @@ class TestBatchedKernels:
             viewed = [listings[rng.integers(0, 6, size=int(t))] for t in rng.integers(1, 13, size=size)]
             labels = rng.integers(0, 2, size=size)
             weight = 1.0 + 3.0 * rng.random()
-            loss, grads = example_loss_and_grads(kind, params, viewed, labels, weight)
-            expected_loss, expected = 0.0, [np.zeros_like(a) for a in params_list(params)]
-            for v, y in zip(viewed, labels):
-                one_loss, one_grads = per_example_loss_and_grads(kind, params, v, int(y), weight)
-                expected_loss += one_loss
-                for acc, g in zip(expected, one_grads):
-                    acc += g
-            assert loss == pytest.approx(expected_loss, rel=0, abs=1e-12)
-            assert len(grads) == len(expected)
-            for g, e in zip(grads, expected):
-                assert g.shape == e.shape
-                assert np.allclose(g, e, rtol=0, atol=1e-12)
+            assert_matches_summed_oracle(kind, params, viewed, labels, weight)
+
+    @pytest.mark.parametrize("mix", ("mixed-1-50", "all-length-1", "all-equal", "repeated-prefixes"))
+    @pytest.mark.parametrize("kind", ("lstm", "lstm_attention"))
+    def test_packed_recurrence_equals_sum_of_per_example_results(self, kind, mix, rng):
+        for size in (1, 2, 3, 17, 64):
+            params, one = random_case(kind, rng)
+            listings = rng.normal(size=(6, one.shape[1]))  # few listings, so views repeat
+            if mix == "all-length-1":
+                lengths = np.ones(size, dtype=int)
+            elif mix == "all-equal":
+                lengths = np.full(size, int(rng.integers(2, 20)))
+            else:
+                lengths = rng.integers(1, 51, size=size)
+                lengths[0], lengths[-1] = 50, 1
+            viewed = [listings[rng.integers(0, 6, size=int(t))] for t in lengths]
+            if mix == "repeated-prefixes":  # equal lengths tie in the packing sort
+                viewed = [viewed[int(i)] for i in rng.integers(0, (size + 1) // 2, size=size)]
+            labels = rng.integers(0, 2, size=size)
+            assert_matches_summed_oracle(kind, params, viewed, labels, 1.0 + 3.0 * rng.random())
+
+    @pytest.mark.parametrize("kind", ("lstm", "lstm_attention"))
+    def test_packed_gradients_match_finite_differences(self, kind, rng):
+        for _ in range(3):
+            params, one = random_case(kind, rng)
+            viewed = [rng.normal(size=(t, one.shape[1])) for t in (1, 4, 2)]
+
+            def fn(arrays):
+                return example_loss_and_grads(kind, with_params(params, arrays), viewed, [1, 0, 1], 1.5)
+
+            assert neural.grad_check(fn, [a.copy() for a in params_list(params)], h=1e-5) < 1e-4
 
     @pytest.mark.parametrize("kind", TRAINABLE_KINDS)
     def test_prediction_and_embedding_match_per_example_forward(self, kind, rng):
@@ -234,6 +377,21 @@ class TestBatchedKernels:
             assert predict_probability(model, viewed) == pytest.approx(prob, rel=0, abs=1e-12)
             assert np.allclose(traveler_embedding(model, viewed), emb, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("kind", TRAINABLE_KINDS)
+    def test_prefix_list_matches_per_example_forward(self, kind, rng, monkeypatch):
+        monkeypatch.setattr(traveler, "INFERENCE_ROWS", 8)  # 20 prefixes take three passes
+        forward, _ = PER_EXAMPLE[kind]
+        params, one = random_case(kind, rng)
+        viewed = [rng.normal(size=(int(t), one.shape[1])) for t in rng.integers(1, 30, size=20)]
+        model = TravelerModel(kind, params, one.shape[1])
+        probs, embs = predict_probability(model, viewed), traveler_embedding(model, viewed)
+        assert probs.shape == (20,)
+        assert embs.shape == (20, embedding_dim(model))
+        for v, prob, emb in zip(viewed, probs, embs):
+            expected_prob, expected_emb, _ = forward(params, v)
+            assert prob == pytest.approx(expected_prob, rel=0, abs=1e-12)
+            assert np.allclose(emb, expected_emb, rtol=0, atol=1e-12)
+
 
 class TestLstmForward:
     def test_all_zero_parameters(self):
@@ -241,6 +399,9 @@ class TestLstmForward:
         prob, h_last, _ = lstm_forward(params, np.ones((4, 3)))
         assert prob == 0.5
         assert np.array_equal(h_last, np.zeros(2))
+        model = TravelerModel("lstm", params, input_dim=3)
+        assert predict_probability(model, np.ones((4, 3))) == 0.5
+        assert np.array_equal(traveler_embedding(model, np.ones((4, 3))), np.zeros(2))
 
     def test_single_step_matches_hand_computation(self):
         # d = 1 input, d_h = 2 hidden, hand-evaluated gates for one step
@@ -265,6 +426,9 @@ class TestLstmForward:
         prob, h_last, _ = lstm_forward(params, np.array([[x_val]]))
         assert np.allclose(h_last, h, atol=1e-15)
         assert prob == pytest.approx(expected_p, abs=1e-15)
+        model = TravelerModel("lstm", params, input_dim=1)
+        assert np.allclose(traveler_embedding(model, np.array([[x_val]])), h, atol=1e-15)
+        assert predict_probability(model, np.array([[x_val]])) == pytest.approx(expected_p, abs=1e-15)
 
     def test_gradients_through_five_steps(self, rng):
         for _ in range(10):
@@ -308,6 +472,20 @@ class TestAttention:
             _, weights = attention_combine(score, h)
             assert np.all(weights >= 0)
             assert abs(weights.sum() - 1.0) < 1e-12
+
+    def test_padded_steps_get_exactly_zero_weight(self, rng):
+        score = rng.normal(size=4)
+        sequences = [rng.normal(size=(t, 4)) for t in (5, 1, 3)]
+        valid = np.arange(5)[:, None] < np.array([5, 1, 3])
+        hs = rng.normal(size=(5, 3, 4))  # padding that must not leak into any row
+        for b, seq in enumerate(sequences):
+            hs[: len(seq), b] = seq
+        context, weights = attention_combine(score, hs, valid)
+        assert np.all(weights[~valid] == 0.0)
+        for b, seq in enumerate(sequences):
+            one_context, one_weights = attention_combine(score, seq)
+            assert np.allclose(context[b], one_context, rtol=0, atol=1e-12)
+            assert np.allclose(weights[: len(seq), b], one_weights, rtol=0, atol=1e-12)
 
     def test_gradients_match_finite_differences(self, rng):
         for _ in range(10):
@@ -400,10 +578,7 @@ class TestTraining:
                 arrays, state = neural.adam_step(arrays, [g * (1.0 / len(batch)) for g in summed], state)
             assert trace[epoch].mean_loss == pytest.approx(epoch_loss / len(examples), rel=1e-12)
         for got, want in zip(params_list(model.params), arrays):
-            if kind.startswith("lstm"):
-                assert np.array_equal(got, want)  # the per-example LSTM path keeps its bits
-            else:
-                assert np.allclose(got, want, rtol=0, atol=1e-12)
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
 
     def test_positive_weight_doubles_positive_gradients_exactly(self, rng):
         params, viewed = random_case("dan", rng)
@@ -504,6 +679,21 @@ class TestTravelerEmbedding:
         model = TravelerModel("dan", zero_dan(), input_dim=4)
         with pytest.raises(ValueError, match="empty"):
             traveler_embedding(model, np.zeros((0, 4)))
+
+    @pytest.mark.parametrize("kind", ("dan", "lstm"))
+    def test_empty_prefix_list_and_empty_member_rejected(self, kind):
+        model = TravelerModel(kind, zero_dan(d=3) if kind == "dan" else zero_lstm(), input_dim=3)
+        with pytest.raises(ValueError, match="no prefixes"):
+            predict_probability(model, [])
+        with pytest.raises(ValueError, match="empty prefix"):
+            traveler_embedding(model, [np.ones((2, 3)), np.zeros((0, 3))])
+
+    def test_random_kind_draws_once_per_prefix_in_list_order(self, rng):
+        model = TravelerModel("random", None, input_dim=3)
+        viewed = [rng.normal(size=(int(t), 3)) for t in rng.integers(1, 9, size=30)]
+        picked = traveler_embedding(model, viewed, rng=np.random.default_rng(5))
+        reference = np.random.default_rng(5)
+        assert np.array_equal(picked, [baseline_random(v, reference) for v in viewed])
 
     def test_embedding_dims_per_kind(self, rng):
         config = TravelerConfig(
