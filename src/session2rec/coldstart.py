@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,9 @@ from .skipgram import EmbeddingTable
 
 EARTH_RADIUS_KM = 6371.0088
 SUM_TOLERANCE = 1e-6
+SHORTLIST_SLACK = 1e-9  # relative margin over the m-th nearest haversine term
+SHORTLIST_MIN_CUT = 10  # the numpy pass costs about as much as 10 scalar distances
+DEMAND_BLOCK = 4096  # demand rows per scatter-add: the temporary stays DEMAND_BLOCK x d
 
 
 @dataclass(frozen=True)
@@ -73,24 +77,32 @@ def destination_embeddings(table: EmbeddingTable, demand: DestinationDemand) -> 
     ``vec_d = sum_l p_ld * emb_l / sum_l p_ld``.  Normalising by the total
     incoming proportion makes the result a weighted mean, i.e. an expectation
     of the listing representation under the demand it drives.  Destinations
-    whose proportions sum to 0 are omitted.
+    whose proportions sum to 0 are omitted; the rest keep the order of their
+    first row.  Scatter-adds over blocks of ``DEMAND_BLOCK`` rows, taken in
+    row order, sum every destination's rows in row order.
     """
-    acc: dict[str, np.ndarray] = {}
-    norm: dict[str, float] = {}
-    support: dict[str, int] = {}
-    for listing, dest, p in demand.rows:
-        if not 0 <= listing < table.vocab_size:
-            raise ValueError(f"unknown listing index {listing}")
-        if dest not in acc:
-            acc[dest] = np.zeros(table.dim)
-            norm[dest] = 0.0
-            support[dest] = 0
-        acc[dest] += p * table.input_vectors[listing]
-        norm[dest] += p
-        if p > 0:
-            support[dest] += 1
-    vectors = {d: acc[d] / norm[d] for d in acc if norm[d] > 0}
-    return DestinationEmbedding(vectors, {d: support[d] for d in vectors})
+    n = len(demand.rows)
+    listings = np.fromiter((row[0] for row in demand.rows), dtype=np.int64, count=n)
+    proportions = np.fromiter((row[2] for row in demand.rows), dtype=np.float64, count=n)
+    unknown = (listings < 0) | (listings >= table.vocab_size)
+    if unknown.any():
+        raise ValueError(f"unknown listing index {listings[np.argmax(unknown)]}")
+    slot_of: dict[str, int] = {}  # destination -> slot, by first appearance
+    slots = np.fromiter(
+        (slot_of.setdefault(row[1], len(slot_of)) for row in demand.rows), dtype=np.int64, count=n
+    )
+    sums = np.zeros((len(slot_of), table.dim))
+    for lo in range(0, n, DEMAND_BLOCK):  # blocks in row order keep each sum's order
+        block = slice(lo, lo + DEMAND_BLOCK)
+        terms = table.input_vectors[listings[block]]
+        terms *= proportions[block, None]
+        np.add.at(sums, slots[block], terms)
+    mass = np.bincount(slots, weights=proportions, minlength=len(slot_of))
+    support = np.bincount(slots[proportions > 0], minlength=len(slot_of))
+    kept = {d: s for d, s in slot_of.items() if mass[s] > 0}
+    return DestinationEmbedding(
+        {d: sums[s] / mass[s] for d, s in kept.items()}, {d: int(support[s]) for d, s in kept.items()}
+    )
 
 
 def great_circle_km(a: GeoPoint, b: GeoPoint) -> float:
@@ -103,22 +115,66 @@ def great_circle_km(a: GeoPoint, b: GeoPoint) -> float:
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(s)))
 
 
+class Centroids(Mapping[str, GeoPoint]):
+    """Immutable destination id -> ``GeoPoint`` mapping that also holds the
+    ids and the radian latitudes, longitudes and latitude cosines as arrays,
+    built once for ``demand_belief_from_location``."""
+
+    def __init__(self, points: Mapping[str, GeoPoint]):
+        self._points = dict(points)
+        self.ids = tuple(self._points)
+        self.latitudes = np.radians([p.latitude for p in self._points.values()])
+        self.longitudes = np.radians([p.longitude for p in self._points.values()])
+        self.cos_latitudes = np.cos(self.latitudes)
+
+    def __getitem__(self, destination: str) -> GeoPoint:
+        return self._points[destination]
+
+    def __iter__(self):
+        return iter(self._points)
+
+    def __len__(self) -> int:
+        return len(self._points)
+
+
 def demand_belief_from_location(
-    point: GeoPoint, destination_centroids: dict[str, GeoPoint], m_nearest: int = 5
+    point: GeoPoint, destination_centroids: Mapping[str, GeoPoint], m_nearest: int = 5
 ) -> dict[str, float]:
     """Belief over destinations for a listing known only by its coordinates.
 
     The m nearest centroids by great-circle distance get weight
     ``1 / (distance_km + 1)``, normalised to sum to 1.  Distance ties break
     by destination id so the selection is deterministic.
+
+    With more than ``m_nearest + SHORTLIST_MIN_CUT`` centroids, one numpy
+    pass first computes the haversine term of every centroid and keeps
+    those within a relative ``SHORTLIST_SLACK`` of the m-th smallest; the
+    vector and scalar terms differ by a few ulps, far inside it.  A plain
+    mapping gets its ``Centroids`` arrays built on the call.  The centroids
+    left are ranked with ``great_circle_km`` itself.
     """
     if m_nearest < 1:
         raise ValueError("m_nearest must be >= 1")
     if not destination_centroids:
         raise ValueError("no destination centroids")
+    shortlist = destination_centroids  # its ids
+    if len(destination_centroids) > m_nearest + SHORTLIST_MIN_CUT:
+        centroids = (
+            destination_centroids
+            if isinstance(destination_centroids, Centroids)
+            else Centroids(destination_centroids)
+        )
+        # the slack is taken on the haversine term, not on the distance: asin
+        # turns a few ulps of the term into far more near the antipode
+        lat, lon = math.radians(point.latitude), math.radians(point.longitude)
+        term = (
+            np.sin((centroids.latitudes - lat) / 2) ** 2
+            + math.cos(lat) * centroids.cos_latitudes * np.sin((centroids.longitudes - lon) / 2) ** 2
+        )
+        bound = np.partition(term, m_nearest - 1)[m_nearest - 1] * (1.0 + SHORTLIST_SLACK)
+        shortlist = [centroids.ids[i] for i in np.flatnonzero(term <= bound)]
     ranked = sorted(
-        ((great_circle_km(point, c), dest) for dest, c in destination_centroids.items()),
-        key=lambda pair: (pair[0], pair[1]),
+        (great_circle_km(point, destination_centroids[dest]), dest) for dest in shortlist
     )[:m_nearest]
     weights = {dest: 1.0 / (dist + 1.0) for dist, dest in ranked}
     total = sum(weights.values())
@@ -187,16 +243,20 @@ def load_demand_csv(path, key_to_index: dict[str, int]) -> DestinationDemand:
         raise ParseError(f"{path}: {exc}") from None
 
 
-def load_centroids_csv(path) -> dict[str, GeoPoint]:
+def load_centroids_csv(path) -> Centroids:
     """Read ``destination_id,latitude,longitude`` rows; ParseError names the
-    file and line of a coordinate not a number or outside ``GeoPoint``'s
-    ranges."""
-    centroids = {}
+    file and line of a repeated destination id and of a coordinate not a
+    number or outside ``GeoPoint``'s ranges."""
+    centroids, first_line = {}, {}
     for line, record in _csv_records(path, ("destination_id", "latitude", "longitude")):
-        centroids[record["destination_id"]] = _geo_point(record, f"{path}: line {line}")
+        dest, where = record["destination_id"], f"{path}: line {line}"
+        if dest in first_line:
+            raise ParseError(f"{where}: duplicate destination {dest!r}, first on line {first_line[dest]}")
+        first_line[dest] = line
+        centroids[dest] = _geo_point(record, where)
     if not centroids:
         raise ParseError(f"{path}: no rows")
-    return centroids
+    return Centroids(centroids)
 
 
 def load_cold_listings_csv(path, trained_keys=frozenset()) -> list[tuple[str, GeoPoint]]:

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,10 +32,17 @@ SIDECAR_HEADER = struct.Struct("<4sBQQ")  # magic, version, V, d
 
 @dataclass
 class EmbeddingTable:
-    """Input/output vector pair for every vocabulary index."""
+    """Input/output vector pair for every vocabulary index.
+
+    The first neighbour query computes the norms of the input vectors and
+    caches them for the next queries.  ``sgns_step``, the one library
+    function that writes the table in place, drops the cache; a caller that
+    writes ``input_vectors`` itself builds a new table.
+    """
 
     input_vectors: np.ndarray
     output_vectors: np.ndarray
+    _row_norms: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.input_vectors.shape != self.output_vectors.shape:
@@ -51,6 +59,12 @@ class EmbeddingTable:
     @property
     def dim(self) -> int:
         return self.input_vectors.shape[1]
+
+    def row_norms(self) -> np.ndarray:
+        """Euclidean norm of every input vector, computed once and cached."""
+        if self._row_norms is None:
+            self._row_norms = np.linalg.norm(self.input_vectors, axis=1)
+        return self._row_norms
 
 
 @dataclass(frozen=True)
@@ -133,6 +147,7 @@ def sgns_step(centers, contexts, negatives, table: EmbeddingTable, learning_rate
         np.concatenate([contexts, negatives.ravel()]),
         np.concatenate([d_pos, d_negs.reshape(-1, out.shape[1])]),
     )
+    table._row_norms = None  # the input vectors moved
     return loss
 
 
@@ -278,7 +293,8 @@ def nearest_neighbors(table: EmbeddingTable, listing_index: int, top_k: int):
     """Top-k most similar listings by cosine over the input vectors.
 
     The query row is excluded; ties resolve to the lower index.  Zero-norm
-    rows get cosine 0.
+    rows get cosine 0.  Row norms come from the table's cache, and only the
+    rows at or above the k-th largest cosine are sorted.
     """
     v = table.vocab_size
     if not 0 <= listing_index < v:
@@ -288,12 +304,13 @@ def nearest_neighbors(table: EmbeddingTable, listing_index: int, top_k: int):
     vecs = table.input_vectors
     query = vecs[listing_index]
     qn = np.linalg.norm(query)
-    norms = np.linalg.norm(vecs, axis=1)
-    denom = norms * qn
+    denom = table.row_norms() * qn
     with np.errstate(invalid="ignore", divide="ignore"):
         cos = np.where(denom > 0, vecs @ query / denom, 0.0)
     cos[listing_index] = -np.inf
-    ranked = np.argsort(-cos, kind="stable")[:top_k]
+    kth = np.partition(cos, v - top_k)[v - top_k]
+    candidates = np.flatnonzero(cos >= kth)  # every tie at the boundary stays in
+    ranked = candidates[np.lexsort((candidates, -cos[candidates]))[:top_k]]
     return [(int(i), float(cos[i])) for i in ranked]
 
 
@@ -351,11 +368,11 @@ def load_embeddings_text(path) -> tuple[list[str], np.ndarray]:
             raise ParseError(
                 f"{path}: line 1: bad header {' '.join(header)!r}, expected positive integers 'V d'"
             )
-        first_line, rows, n_trained = {}, [], None
+        first_line, values, n_trained = {}, array("d"), None
         for lineno, raw in enumerate(fh, start=2):
             line = raw.rstrip("\n")
             if line == "#coldstart" and n_trained is None:
-                n_trained = len(rows)
+                n_trained = len(first_line)
             if not line or line.startswith("#"):
                 continue
             parts = line.split(" ")
@@ -368,16 +385,17 @@ def load_embeddings_text(path) -> tuple[list[str], np.ndarray]:
                 )
             first_line[key] = lineno
             try:
-                rows.append([float(x) for x in parts[1:]])
+                values.fromlist([float(x) for x in parts[1:]])
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from None
-    if not rows:
+    if not first_line:
         raise ParseError(f"{path}: no rows")
-    keys, vectors = list(first_line), np.asarray(rows, dtype=np.float64)
+    # one flat buffer of doubles, viewed as V x d without a copy
+    keys, vectors = list(first_line), np.frombuffer(values, dtype=np.float64).reshape(-1, dim)
     finite = np.isfinite(vectors).all(axis=1)
     if not finite.all():
         raise ParseError(f"{path}: line {first_line[keys[np.argmin(finite)]]}: non-finite value")
-    n_trained = len(rows) if n_trained is None else n_trained
+    n_trained = len(keys) if n_trained is None else n_trained
     if count != n_trained:
         raise ParseError(f"{path}: line 1: header count {count}, but {n_trained} trained rows")
     return keys, vectors

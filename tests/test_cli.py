@@ -422,6 +422,17 @@ class TestColdstart:
         assert f"{name}: line 2:" in err and message in err
         assert (tmp_path / "embeddings.txt").read_bytes() == before
 
+    def test_duplicate_centroid_exits_two_before_writing(self, tmp_path, capsys):
+        config_path, _ = self.prepare(tmp_path)
+        (tmp_path / "centroids.csv").write_text(
+            "destination_id,latitude,longitude\nnorth,60.0,10.0\nnorth,-60.0,10.0\nsouth,-60.0,10.0\n"
+        )
+        before = (tmp_path / "embeddings.txt").read_bytes()
+        assert cli.main(["--config", str(config_path), "coldstart"]) == 2
+        err = capsys.readouterr().err
+        assert "centroids.csv: line 3: duplicate destination 'north', first on line 2" in err
+        assert (tmp_path / "embeddings.txt").read_bytes() == before
+
     def test_no_cold_listings_leaves_file_unchanged(self, tmp_path):
         config_path, _ = self.prepare(tmp_path, with_cold=False)
         before = file_hash(tmp_path / "embeddings.txt")

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from session2rec import coldstart
 from session2rec.coldstart import (
+    Centroids,
     DestinationDemand,
     DestinationEmbedding,
     GeoPoint,
@@ -21,6 +23,52 @@ from session2rec.skipgram import EmbeddingTable, load_embeddings_text, save_embe
 def table_from(vectors):
     vectors = np.asarray(vectors, dtype=np.float64)
     return EmbeddingTable(vectors, np.zeros_like(vectors))
+
+
+def destination_embeddings_oracle(table, demand):
+    """Oracle of ``destination_embeddings``: one dict entry per destination,
+    summed row by row."""
+    acc, norm, support = {}, {}, {}
+    for listing, dest, p in demand.rows:
+        if not 0 <= listing < table.vocab_size:
+            raise ValueError(f"unknown listing index {listing}")
+        if dest not in acc:
+            acc[dest] = np.zeros(table.dim)
+            norm[dest] = 0.0
+            support[dest] = 0
+        acc[dest] += p * table.input_vectors[listing]
+        norm[dest] += p
+        if p > 0:
+            support[dest] += 1
+    vectors = {d: acc[d] / norm[d] for d in acc if norm[d] > 0}
+    return DestinationEmbedding(vectors, {d: support[d] for d in vectors})
+
+
+def assert_destinations_match_oracle(table, demand):
+    got, want = destination_embeddings(table, demand), destination_embeddings_oracle(table, demand)
+    assert list(got.vectors) == list(want.vectors)
+    assert [v.tobytes() for v in got.vectors.values()] == [v.tobytes() for v in want.vectors.values()]
+    assert list(got.support.items()) == list(want.support.items())
+    assert all(type(n) is int for n in got.support.values())
+
+
+def demand_belief_oracle(point, destination_centroids, m_nearest):
+    """Oracle of ``demand_belief_from_location``: the scalar distance to every
+    centroid, sorted by (distance, id)."""
+    ranked = sorted(
+        ((great_circle_km(point, c), dest) for dest, c in destination_centroids.items()),
+        key=lambda pair: (pair[0], pair[1]),
+    )[:m_nearest]
+    weights = {dest: 1.0 / (dist + 1.0) for dist, dest in ranked}
+    total = sum(weights.values())
+    return {dest: w / total for dest, w in weights.items()}
+
+
+def assert_belief_matches_oracle(point, centroids, m_nearest):
+    got = demand_belief_from_location(point, centroids, m_nearest)
+    want = demand_belief_oracle(point, centroids, m_nearest)
+    assert list(got.items()) == list(want.items())
+    assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
 
 
 class TestGeoPoint:
@@ -93,6 +141,41 @@ class TestDestinationEmbeddings:
         result = destination_embeddings(table, demand)
         assert "B" not in result.vectors
 
+    @pytest.mark.parametrize("block", [1, 7, coldstart.DEMAND_BLOCK])
+    def test_matches_oracle_bit_for_bit(self, block, rng, monkeypatch):
+        monkeypatch.setattr(coldstart, "DEMAND_BLOCK", block)
+        n, d = 300, 7
+        table = table_from(rng.normal(size=(n, d)))
+        rows = []
+        for listing in rng.permutation(n):
+            dests = rng.choice(40, size=3, replace=False)
+            w = rng.random(3)
+            w[rng.random(3) < 0.2] = 0.0  # some rows carry no demand
+            w = w / w.sum() if w.sum() > 0 else np.array([1.0, 0.0, 0.0])
+            rows.extend((int(listing), f"D{j:02d}", float(p)) for j, p in zip(dests, w))
+        assert_destinations_match_oracle(table, DestinationDemand(tuple(rows)))
+
+    def test_first_appearance_order_and_zero_rows_match_oracle(self):
+        table = table_from([[1.0, 2.0], [3.0, -1.0], [0.5, 0.25]])
+        demand = DestinationDemand((
+            (2, "zulu", 0.0), (2, "alpha", 0.5), (2, "mike", 0.5),
+            (0, "alpha", 0.0), (0, "zulu", 1.0), (1, "none", 0.0), (1, "mike", 1.0),
+        ))
+        result = destination_embeddings(table, demand)
+        assert list(result.vectors) == ["zulu", "alpha", "mike"]
+        assert result.support == {"zulu": 1, "alpha": 1, "mike": 2}
+        assert_destinations_match_oracle(table, demand)
+
+    @pytest.mark.parametrize("listing", [7, -1])
+    def test_unknown_listing_index_message_matches_oracle(self, listing):
+        table = table_from([[1.0, 0.0], [0.0, 1.0]])
+        demand = DestinationDemand(((0, "A", 1.0), (listing, "B", 1.0), (9, "C", 1.0)))
+        with pytest.raises(ValueError) as got:
+            destination_embeddings(table, demand)
+        with pytest.raises(ValueError) as want:
+            destination_embeddings_oracle(table, demand)
+        assert str(got.value) == str(want.value) == f"unknown listing index {listing}"
+
 
 class TestDemandBelief:
     def test_coincident_centroid_dominates(self):
@@ -138,6 +221,67 @@ class TestDemandBelief:
     def test_empty_centroids_is_an_error(self):
         with pytest.raises(ValueError, match="centroid"):
             demand_belief_from_location(GeoPoint(0, 0), {}, m_nearest=1)
+        with pytest.raises(ValueError, match="centroid"):
+            demand_belief_from_location(GeoPoint(0, 0), Centroids({}), m_nearest=1)
+
+    @pytest.mark.parametrize("fillers", [1, 20], ids=["scalar-only", "numpy-shortlist"])
+    def test_equal_distances_break_by_id_as_the_oracle(self, fillers):
+        centroids = {
+            "d": GeoPoint(0.0, 1.0), "b": GeoPoint(0.0, -1.0), "c": GeoPoint(1.0, 0.0), "a": GeoPoint(-1.0, 0.0),
+        }
+        centroids |= {f"far{i}": GeoPoint(30.0, 30.0 + i) for i in range(fillers)}
+        for mapping in (centroids, Centroids(centroids)):
+            assert list(demand_belief_from_location(GeoPoint(0.0, 0.0), mapping, 2)) == ["a", "b"]
+            for m in range(1, len(centroids) + 2):
+                assert_belief_matches_oracle(GeoPoint(0.0, 0.0), mapping, m)
+
+    def test_m_at_or_above_the_centroid_count_keeps_all(self):
+        centroids = {"x": GeoPoint(10.0, 20.0), "y": GeoPoint(-5.0, 100.0), "z": GeoPoint(60.0, -70.0)}
+        for m in (3, 4, 50):
+            assert set(demand_belief_from_location(GeoPoint(0.0, 0.0), centroids, m)) == {"x", "y", "z"}
+            assert_belief_matches_oracle(GeoPoint(0.0, 0.0), Centroids(centroids), m)
+
+    @pytest.mark.parametrize(
+        "point", [GeoPoint(10.0, 20.0), GeoPoint(-10.0, -160.0)], ids=["on-centroid", "antipode"]
+    )
+    def test_point_on_a_centroid_and_its_antipode_match_oracle(self, point, rng):
+        centroids = {"home": GeoPoint(10.0, 20.0), "twin": GeoPoint(10.0, 20.0)}
+        centroids |= {
+            f"D{i}": GeoPoint(float(rng.uniform(-80, 80)), float(rng.uniform(-179, 180))) for i in range(30)
+        }
+        centroids["opposite"] = GeoPoint(-10.0, -160.0)
+        for m in (1, 2, 3, 5, 33):
+            assert_belief_matches_oracle(point, Centroids(centroids), m)
+        # the m-th nearest term sits at 0 or next to 1, where asin is steepest
+        close = {"home": GeoPoint(10.0, 20.0), "twin": GeoPoint(10.0, 20.0)}
+        close |= {f"shifted{i}": GeoPoint(10.0 + i * 1e-7, 20.0 - i * 1e-7) for i in range(1, 20)}
+        for m in (1, 2, 3, 5, 8):
+            assert_belief_matches_oracle(point, Centroids(close), m)
+
+    def test_random_points_match_oracle(self, rng):
+        lat, lon = rng.uniform(-60, 70, size=200), rng.uniform(-170, 170, size=200)
+        centroids = {f"D{j:03d}": GeoPoint(float(lat[j]), float(lon[j])) for j in range(200)}
+        centroids |= {f"E{j:03d}": centroids[f"D{j:03d}"] for j in range(0, 200, 7)}  # exact ties
+        index = Centroids(centroids)
+        for _ in range(200):
+            j = int(rng.integers(200))
+            point = GeoPoint(
+                float(np.clip(lat[j] + rng.uniform(-0.5, 0.5), -90, 90)), float(lon[j] + rng.uniform(-0.5, 0.5))
+            )
+            assert_belief_matches_oracle(point, index, int(rng.integers(1, 8)))
+
+    def test_plain_dict_and_loaded_mapping_agree(self, tmp_path, rng):
+        path = tmp_path / "centroids.csv"
+        rows = [f"D{j},{rng.uniform(-80, 80)!r},{rng.uniform(-179, 180)!r}" for j in range(25)]
+        path.write_text("destination_id,latitude,longitude\n" + "\n".join(rows) + "\n")
+        loaded = load_centroids_csv(path)
+        plain = dict(loaded)
+        assert isinstance(loaded, Centroids) and loaded == plain and list(loaded) == list(plain)
+        for _ in range(20):
+            point = GeoPoint(float(rng.uniform(-80, 80)), float(rng.uniform(-179, 180)))
+            got = demand_belief_from_location(point, loaded, 4)
+            assert list(got.items()) == list(demand_belief_from_location(point, plain, 4).items())
+            assert_belief_matches_oracle(point, plain, 4)
 
 
 class TestExtrapolateCold:
@@ -270,6 +414,14 @@ class TestColdstartFiles:
         path = tmp_path / "centroids.csv"
         path.write_text("destination_id,latitude,longitude\n" + rows)
         with pytest.raises(ParseError, match=rf"centroids\.csv: line {line}:"):
+            load_centroids_csv(path)
+
+    def test_centroids_csv_duplicate_destination_names_both_lines(self, tmp_path):
+        path = tmp_path / "centroids.csv"
+        path.write_text("destination_id,latitude,longitude\nnorth,60.0,10.0\nsouth,-60.0,10.0\nnorth,-60.0,10.0\n")
+        with pytest.raises(
+            ParseError, match=r"centroids\.csv: line 4: duplicate destination 'north', first on line 2"
+        ):
             load_centroids_csv(path)
 
     def test_centroids_csv(self, tmp_path):

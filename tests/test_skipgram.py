@@ -37,6 +37,28 @@ def generate_training_pairs(indices, window: int):
     return pairs
 
 
+def nearest_neighbors_oracle(table: EmbeddingTable, listing_index: int, top_k: int):
+    """Oracle of ``nearest_neighbors``: every row's norm computed on the call
+    and a stable sort of all cosines."""
+    vecs = table.input_vectors
+    query = vecs[listing_index]
+    qn = np.linalg.norm(query)
+    norms = np.linalg.norm(vecs, axis=1)
+    denom = norms * qn
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cos = np.where(denom > 0, vecs @ query / denom, 0.0)
+    cos[listing_index] = -np.inf
+    ranked = np.argsort(-cos, kind="stable")[:top_k]
+    return [(int(i), float(cos[i])) for i in ranked]
+
+
+def assert_neighbors_match_oracle(table, listing_index, top_k):
+    got = nearest_neighbors(table, listing_index, top_k)
+    want = nearest_neighbors_oracle(table, listing_index, top_k)
+    assert got == want
+    assert np.array([c for _, c in got]).tobytes() == np.array([c for _, c in want]).tobytes()
+
+
 def sgns_loss_and_grads(center_vec, pos_vec, neg_vecs):
     """Per-pair oracle of ``sgns_step``: loss and exact gradients of one
     positive/negative classification step.
@@ -418,6 +440,49 @@ class TestNearestNeighbors:
         with pytest.raises(ValueError):
             nearest_neighbors(table, 0, 3)
 
+    def test_duplicate_zero_and_scaled_rows_match_oracle_at_every_k(self, rng):
+        a, b = rng.normal(size=4), rng.normal(size=4)
+        vecs = np.array([a, a, 2.0 * a, np.zeros(4), b, -a, 0.5 * a, b, np.zeros(4), 3.0 * b, a])
+        table = EmbeddingTable(vecs, np.zeros_like(vecs))
+        for query in range(len(vecs)):
+            for top_k in range(1, len(vecs)):
+                assert_neighbors_match_oracle(table, query, top_k)
+
+    def test_boundary_inside_a_run_of_ties_keeps_the_lower_indices(self):
+        # rows 1-4 all have cosine 0.6 to row 0; k = 2 cuts the run in two
+        vecs = np.array([[1.0, 0.0], [0.6, 0.8], [0.6, -0.8], [0.6, 0.8], [0.6, -0.8], [0.0, 1.0]])
+        table = EmbeddingTable(vecs, np.zeros_like(vecs))
+        assert [i for i, _ in nearest_neighbors(table, 0, 2)] == [1, 2]
+        for top_k in range(1, 6):
+            assert_neighbors_match_oracle(table, 0, top_k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 9).flatmap(
+            lambda v: st.tuples(
+                st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3), min_size=v, max_size=v),
+                st.lists(st.integers(0, v - 1), min_size=v, max_size=v),
+                st.integers(1, v - 1),
+            )
+        )
+    )
+    def test_small_tables_with_forced_duplicates_match_oracle(self, case):
+        rows, copy_from, top_k = case
+        vecs = np.array(rows, dtype=np.float64)
+        vecs = np.concatenate([vecs, vecs[copy_from]])  # every row appears at least twice
+        table = EmbeddingTable(vecs, np.zeros_like(vecs))
+        for query in range(len(vecs)):
+            assert_neighbors_match_oracle(table, query, top_k)
+
+    def test_sgns_step_drops_the_cached_norms(self, rng):
+        vecs = rng.normal(size=(12, 4))
+        table = EmbeddingTable(vecs.copy(), rng.normal(size=(12, 4)))
+        assert_neighbors_match_oracle(table, 0, 5)
+        sgns_step([1, 2, 3], [4, 5, 6], [[7, 8], [9, 10], [11, 0]], table, 1.0)
+        assert not np.array_equal(table.input_vectors, vecs)
+        assert_neighbors_match_oracle(table, 0, 5)
+        assert_neighbors_match_oracle(table, 1, 11)
+
 
 class TestPersistence:
     def test_text_round_trip_is_exact(self, tmp_path, rng):
@@ -429,6 +494,13 @@ class TestPersistence:
         loaded_keys, loaded = load_embeddings_text(path)
         assert loaded_keys == keys
         assert np.array_equal(loaded, vecs)
+
+    def test_text_loads_a_writable_contiguous_table(self, tmp_path, rng):
+        path = tmp_path / "emb.txt"
+        save_embeddings_text(EmbeddingTable(rng.normal(size=(4, 3)), np.zeros((4, 3))), list("ABCD"), path)
+        _, loaded = load_embeddings_text(path)
+        assert loaded.dtype == np.float64 and loaded.shape == (4, 3)
+        assert loaded.flags.c_contiguous and loaded.flags.writeable
 
     def test_text_header_and_comments(self, tmp_path):
         path = tmp_path / "emb.txt"
