@@ -469,7 +469,7 @@ class TestNearestNeighbors:
     def test_small_tables_with_forced_duplicates_match_oracle(self, case):
         rows, copy_from, top_k = case
         vecs = np.array(rows, dtype=np.float64)
-        vecs = np.concatenate([vecs, vecs[copy_from]])  # every row appears at least twice
+        vecs = np.concatenate([vecs, vecs[copy_from]])  # V more rows, each a copy of a drawn one
         table = EmbeddingTable(vecs, np.zeros_like(vecs))
         for query in range(len(vecs)):
             assert_neighbors_match_oracle(table, query, top_k)
