@@ -327,20 +327,27 @@ def run_gradcheck(seed: int = 0, corrupt_kind: str | None = None, rounds: int = 
     rng = np.random.default_rng(seed)
     results: dict[str, float] = {}
 
-    def check(kind_name, fn_builder):
+    def corrupted(bind):
+        def bind_corrupted(views):
+            loss_and_grads = bind(views)
+
+            def fn():
+                loss, grads = loss_and_grads()
+                grads = [g.copy() for g in grads]
+                grads[0].reshape(-1)[0] += 0.5
+                return loss, grads
+
+            return fn
+
+        return bind_corrupted
+
+    def check(kind_name, case):
         worst = 0.0
         for _ in range(rounds):
-            fn, arrays = fn_builder()
+            bind, arrays = case()
             if corrupt_kind == kind_name:
-                inner = fn
-
-                def fn(params, _inner=inner):
-                    loss, grads = _inner(params)
-                    grads = [g.copy() for g in grads]
-                    grads[0].reshape(-1)[0] += 0.5
-                    return loss, grads
-
-            worst = max(worst, neural.grad_check(fn, arrays, h=1e-5))
+                bind = corrupted(bind)
+            worst = max(worst, neural.grad_check(bind, arrays, h=1e-5))
         results[kind_name] = worst
 
     def traveler_case(kind):
@@ -357,26 +364,30 @@ def run_gradcheck(seed: int = 0, corrupt_kind: str | None = None, rounds: int = 
             label = int(rng.integers(2))
             if kind == "dan" and traveler_mod.dan_relu_margin(params, viewed) < 1e-3:
                 continue  # resample away from the relu kink
-            fn = traveler_mod.loss_fn_for_gradcheck(kind, params, viewed, label, 1.0 + rng.random())
-            return fn, [a.copy() for a in traveler_mod.params_list(params)]
+            bind = traveler_mod.loss_fn_for_gradcheck(kind, params, viewed, label, 1.0 + rng.random())
+            return bind, traveler_mod.params_list(params)
 
     def sgns_case():
         d = int(rng.integers(3, 9))
         k = int(rng.integers(1, 6))
         arrays = [rng.normal(size=d), rng.normal(size=d), rng.normal(size=(k, d))]
 
-        def fn(params):
-            # one sgns_step at rate 1 on distinct rows (center 0, context 1,
-            # negatives 2..k+1): each row moves by exactly minus its gradient
+        def bind(params):
             center, context, negatives = params
-            before = np.zeros((2, k + 2, d))
-            before[0, 0], before[1, 1], before[1, 2:] = center, context, negatives
-            table = skipgram.EmbeddingTable(before[0].copy(), before[1].copy())
-            loss = skipgram.sgns_step(0, 1, np.arange(2, k + 2), table, 1.0)
-            grad = before - np.stack([table.input_vectors, table.output_vectors])
-            return loss, [grad[0, 0], grad[1, 1], grad[1, 2:]]
 
-        return fn, arrays
+            def fn():
+                # one sgns_step at rate 1 on distinct rows (center 0, context 1,
+                # negatives 2..k+1): each row moves by exactly minus its gradient
+                before = np.zeros((2, k + 2, d))
+                before[0, 0], before[1, 1], before[1, 2:] = center, context, negatives
+                table = skipgram.EmbeddingTable(before[0].copy(), before[1].copy())
+                loss = skipgram.sgns_step(0, 1, np.arange(2, k + 2), table, 1.0)
+                grad = before - np.stack([table.input_vectors, table.output_vectors])
+                return loss, [grad[0, 0], grad[1, 1], grad[1, 2:]]
+
+            return fn
+
+        return bind, arrays
 
     for kind in ("dan", "lstm", "lstm_attention"):
         check(kind, lambda kind=kind: traveler_case(kind))

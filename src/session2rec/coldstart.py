@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,21 +40,34 @@ class GeoPoint:
 @dataclass(frozen=True)
 class DestinationDemand:
     """Rows (listing_index, destination_id, proportion); proportions of one
-    listing's demand over destinations, summing to 1 per listing."""
+    listing's demand over destinations, summing to 1 per listing.
+
+    The listing and proportion columns are kept as arrays.  The first row
+    outside [0, 1] is reported, else the first listing, by first row, whose
+    sum is off; each listing's sum adds its rows in row order.
+    """
 
     rows: tuple[tuple[int, str, float], ...]
+    listings: np.ndarray = field(init=False, repr=False, compare=False)
+    proportions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sums: dict[int, float] = {}
-        for listing, _, p in self.rows:
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"proportion {p} for listing {listing} outside [0, 1]")
-            sums[listing] = sums.get(listing, 0.0) + p
-        for listing, total in sums.items():
-            if abs(total - 1.0) > SUM_TOLERANCE:
-                raise ValueError(
-                    f"listing {listing}: proportions sum to {total}, expected 1"
-                )
+        n = len(self.rows)
+        listings = np.fromiter((row[0] for row in self.rows), dtype=np.int64, count=n)
+        proportions = np.fromiter((row[2] for row in self.rows), dtype=np.float64, count=n)
+        outside = ~((proportions >= 0.0) & (proportions <= 1.0))  # nan is outside
+        if outside.any():
+            listing, _, p = self.rows[np.argmax(outside)]
+            raise ValueError(f"proportion {p} for listing {listing} outside [0, 1]")
+        _, first, slot = np.unique(listings, return_index=True, return_inverse=True)
+        sums = np.bincount(slot, weights=proportions, minlength=len(first))
+        off = np.flatnonzero(np.abs(sums - 1.0) > SUM_TOLERANCE)
+        if len(off):
+            worst = off[np.argmin(first[off])]
+            listing = self.rows[first[worst]][0]
+            raise ValueError(f"listing {listing}: proportions sum to {float(sums[worst])}, expected 1")
+        object.__setattr__(self, "listings", listings)
+        object.__setattr__(self, "proportions", proportions)
 
 
 @dataclass(frozen=True)
@@ -81,9 +94,7 @@ def destination_embeddings(table: EmbeddingTable, demand: DestinationDemand) -> 
     first row.  Scatter-adds over blocks of ``DEMAND_BLOCK`` rows, taken in
     row order, sum every destination's rows in row order.
     """
-    n = len(demand.rows)
-    listings = np.fromiter((row[0] for row in demand.rows), dtype=np.int64, count=n)
-    proportions = np.fromiter((row[2] for row in demand.rows), dtype=np.float64, count=n)
+    n, listings, proportions = len(demand.rows), demand.listings, demand.proportions
     unknown = (listings < 0) | (listings >= table.vocab_size)
     if unknown.any():
         raise ValueError(f"unknown listing index {listings[np.argmax(unknown)]}")

@@ -178,8 +178,10 @@ def downstream_eval(
 
     Features are standardised with train-side statistics only.  Any embedding
     model must carry the provenance tag named in the config, which guards
-    against evaluating a model that saw test travelers.  Raises ValueError
-    naming the setting and the epoch if the classifier's training diverges.
+    against evaluating a model that saw test travelers.  The head is built
+    once over the trainer's parameter views, whose arrays change in place;
+    the trainer's finite check keeps them valid.  Raises ValueError naming
+    the setting and the epoch if the classifier's training diverges.
     """
     if not train_cases or not test_cases:
         raise ValueError("need non-empty train and test case lists")
@@ -206,13 +208,13 @@ def downstream_eval(
     x_train = (x_train - mean) / std
     x_test = (x_test - mean) / std
 
-    def batch_loss_and_grads(arrays, batch):
-        head = [neural.DenseLayer(*arrays, "sigmoid")]
-        return neural.stack_loss_and_grads(head, x_train[batch], y_train[batch], w_pos)
+    def bind(views):
+        head = [neural.DenseLayer(*views, "sigmoid")]
+        return lambda batch: neural.stack_loss_and_grads(head, x_train[batch], y_train[batch], w_pos)
 
     zero_head = [np.zeros((1, x_train.shape[1])), np.zeros(1)]
     arrays, _ = neural.train_minibatch(
-        zero_head, batch_loss_and_grads, len(x_train), config, rng,
+        zero_head, bind, len(x_train), config, rng,
         f"downstream classifier for setting {spec.name!r}",
     )
     scores, _ = neural.stack_forward([neural.DenseLayer(*arrays, "sigmoid")], x_test)

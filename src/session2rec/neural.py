@@ -185,18 +185,28 @@ class TraceEntry:
     wall_ms: float
 
 
-def train_minibatch(arrays, batch_loss_and_grads, n: int, config, rng, name: str):
+def train_minibatch(arrays, bind, n: int, config, rng, name: str):
     """Minimise a summed loss over n examples with the adaptive optimizer;
     ``config`` supplies ``epochs``, ``batch_size`` and ``learning_rate``.
 
-    Each epoch walks one ``rng`` permutation of the examples in batches;
-    ``batch_loss_and_grads(arrays, indices)`` returns a batch's summed loss
-    and gradients, and one step is taken on their mean.  The trace holds the
-    mean pre-update loss per epoch.  Raises ValueError naming ``name`` and
-    the epoch as soon as the loss or a parameter turns non-finite.  Returns
-    (arrays, trace).
+    The trainer copies ``arrays`` into one flat float64 parameter vector and
+    calls ``bind(views)`` once, with one view per array reshaped onto that
+    vector; it returns ``batch_loss_and_grads(indices)``, a batch's summed
+    loss and its gradients in array order.  The views change in place after
+    every step, so layers built over them once stay current.  Each epoch
+    walks one ``rng`` permutation of the examples in batches, and one step
+    is taken on the mean gradient.  The trace holds the mean pre-update loss
+    per epoch.  Raises ValueError naming ``name`` and the epoch as soon as
+    the loss or a parameter turns non-finite, so the views stay finite.
+    Returns (arrays, trace); the arrays are copies, and the caller's are
+    never written.
     """
-    state = init_optimizer(arrays, step_size=config.learning_rate)
+    shapes = [a.shape for a in arrays]
+    theta = np.concatenate([a.ravel() for a in arrays]).astype(np.float64, copy=False)
+    bounds = np.cumsum([0] + [a.size for a in arrays])
+    views = [theta[lo:hi].reshape(shape) for lo, hi, shape in zip(bounds, bounds[1:], shapes)]
+    batch_loss_and_grads = bind(views)
+    state = init_optimizer([theta], step_size=config.learning_rate)
     trace: list[TraceEntry] = []
     for epoch in range(config.epochs):
         started = time.perf_counter()
@@ -204,18 +214,22 @@ def train_minibatch(arrays, batch_loss_and_grads, n: int, config, rng, name: str
         epoch_loss = 0.0
         for lo in range(0, n, config.batch_size):
             batch = order[lo : lo + config.batch_size]
-            loss, grads = batch_loss_and_grads(arrays, batch)
+            loss, grads = batch_loss_and_grads(batch)
             epoch_loss += loss
-            scale = 1.0 / len(batch)
-            arrays, state = adam_step(arrays, [g * scale for g in grads], state)
-            # checked per step: the next batch could not rebuild its layers
-            if not (math.isfinite(epoch_loss) and all(np.isfinite(a).all() for a in arrays)):
+            grad_shapes = [g.shape for g in grads]
+            if grad_shapes != shapes:
+                raise ValueError(f"gradient shapes {grad_shapes} do not match the parameters' {shapes}")
+            grad = np.concatenate([g.ravel() for g in grads])
+            grad *= 1.0 / len(batch)
+            (stepped,), state = adam_step([theta], [grad], state)
+            theta[:] = stepped
+            if not (math.isfinite(epoch_loss) and np.isfinite(theta).all()):
                 raise ValueError(
                     f"{name} training diverged in epoch {epoch + 1} of {config.epochs}: "
                     "non-finite loss or parameters"
                 )
         trace.append(TraceEntry(epoch, epoch_loss / n, (time.perf_counter() - started) * 1000.0))
-    return arrays, trace
+    return [view.copy() for view in views], trace
 
 
 GRAD_RESOLUTION = 1e-6  # entries smaller than this on both sides are below
@@ -224,32 +238,36 @@ GRAD_RESOLUTION = 1e-6  # entries smaller than this on both sides are below
 # ~1e-11 absolute at h = 1e-5, which swamps the relative comparison there.
 
 
-def grad_check(loss_and_grads, params, h: float = 1e-5) -> float:
+def grad_check(bind, params, h: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    ``loss_and_grads(params) -> (loss, grads)`` must be a pure function of the
-    parameter list.  Every entry is perturbed by +-h; the relative error uses
-    max(|analytic|, |numeric|, 1e-8) as denominator.  Entries where both the
-    analytic and the numeric value fall below GRAD_RESOLUTION are not scored;
-    a wrong gradient still surfaces because either side being large keeps the
-    entry in the comparison.
+    ``params`` is copied once into a working list, and ``bind(working)``
+    returns ``loss_and_grads() -> (loss, grads)``, which must depend on the
+    parameters only through those arrays, so it may build its layers over
+    them once.  Each entry in turn is bumped by +-h in place and restored.
+    The relative error uses max(|analytic|, |numeric|, 1e-8) as denominator.
+    Entries where both the analytic and the numeric value fall below
+    GRAD_RESOLUTION are not scored; a wrong gradient still surfaces because
+    either side being large keeps the entry in the comparison.
     """
     if not 1e-7 <= h <= 1e-3:
         raise ValueError("h must be in [1e-7, 1e-3]")
-    loss, grads = loss_and_grads(params)
+    working = [np.array(p, dtype=np.float64) for p in params]
+    loss_and_grads = bind(working)
+    loss, grads = loss_and_grads()
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite loss")
     worst = 0.0
-    for k, p in enumerate(params):
-        flat = p.reshape(-1)
-        analytic = np.asarray(grads[k]).reshape(-1)
+    for k, p in enumerate(working):
+        flat = p.reshape(-1)  # a view: the working copies are contiguous
+        analytic = np.array(grads[k], dtype=np.float64).reshape(-1)
         for i in range(flat.size):
             saved = flat[i]
-            bumped = [q.copy() for q in params]
-            bumped[k].reshape(-1)[i] = saved + h
-            up, _ = loss_and_grads(bumped)
-            bumped[k].reshape(-1)[i] = saved - h
-            down, _ = loss_and_grads(bumped)
+            flat[i] = saved + h
+            up, _ = loss_and_grads()
+            flat[i] = saved - h
+            down, _ = loss_and_grads()
+            flat[i] = saved
             numeric = (up - down) / (2.0 * h)
             if max(abs(analytic[i]), abs(numeric)) < GRAD_RESOLUTION:
                 continue

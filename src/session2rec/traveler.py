@@ -18,7 +18,8 @@ All trainable kinds minimise class-weighted binary cross entropy on booking
 labels with the mini-batch loop from :mod:`.neural`; every gradient is
 hand-derived and checked against finite differences.  Every kind runs a
 batch of view prefixes in one pass, in training and in inference.  Average
-and DAN run the dense-stack kernel over the segment means of the prefixes.
+and DAN run the dense-stack kernel over the segment means of the prefixes;
+training computes each example's mean once.
 The LSTM kinds run one packed recurrence: the prefixes sorted by length,
 the four gates stacked into one matrix, step t over the rows still active;
 attention scores a padded step -inf, so it weighs exactly 0.
@@ -163,18 +164,22 @@ def build_examples(
 # (probabilities (B,), traveler embeddings (B, k), cache) in list order
 
 
-def _pooled_forward(params: Params, viewed_list):
+def _pooled_rows(viewed) -> np.ndarray:
+    """The pooled kinds' kernel input: a prefix list, pooled here, or the
+    (B, d) rows ``pool_average`` already made of one."""
+    return viewed if isinstance(viewed, np.ndarray) else pool_average(viewed)
+
+
+def _pooled_forward(params: Params, viewed):
     """Average and DAN: the dense stack over the pooled views.  The traveler
     embedding is what the head reads: the pooled vector, or DAN's last
     hidden layer."""
-    out, caches = neural.stack_forward(list(params.values()), pool_average(viewed_list))
+    out, caches = neural.stack_forward(list(params.values()), _pooled_rows(viewed))
     return out[:, 0], caches[-1][0], caches
 
 
-def _pooled_loss_and_grads(params: Params, viewed_list, labels, positive_weight: float):
-    return neural.stack_loss_and_grads(
-        list(params.values()), pool_average(viewed_list), labels, positive_weight
-    )
+def _pooled_loss_and_grads(params: Params, viewed, labels, positive_weight: float):
+    return neural.stack_loss_and_grads(list(params.values()), _pooled_rows(viewed), labels, positive_weight)
 
 
 def attention_combine(score_vector: np.ndarray, hidden_states, valid=None):
@@ -350,14 +355,15 @@ class KindSpec(NamedTuple):
     layers: Callable[[dict], list[LayerSpec]]
     forward: Callable | None = None  # (params, viewed_list) -> (probabilities, embeddings, cache)
     loss_and_grads: Callable | None = None  # (params, viewed_list, labels, w+) -> (loss, grads)
+    pooled: bool = False  # the kernels also take pool_average rows in place of the prefixes
 
 
 _DAN_DIMS = {"hidden_expand": "pool_proj", "hidden_contract": "hidden", "embedding_dim": "embed"}
 _LSTM_DIMS = {"lstm_hidden": "forget"}
 KINDS = {
     "random": KindSpec({}, lambda dims: []),
-    "average": KindSpec({}, _average_spec, _pooled_forward, _pooled_loss_and_grads),
-    "dan": KindSpec(_DAN_DIMS, _dan_spec, _pooled_forward, _pooled_loss_and_grads),
+    "average": KindSpec({}, _average_spec, _pooled_forward, _pooled_loss_and_grads, pooled=True),
+    "dan": KindSpec(_DAN_DIMS, _dan_spec, _pooled_forward, _pooled_loss_and_grads, pooled=True),
     "lstm": KindSpec(_LSTM_DIMS, _lstm_spec, _recurrent_forward, _recurrent_loss_and_grads),
     "lstm_attention": KindSpec(
         _LSTM_DIMS, _lstm_attention_spec, _recurrent_forward, _recurrent_loss_and_grads
@@ -406,18 +412,21 @@ def with_params(params: Params, arrays: list[np.ndarray]) -> Params:
 
 def example_loss_and_grads(kind: str, params, viewed_list, labels, positive_weight: float):
     """Weighted BCE loss and gradients of a batch of examples, each summed
-    over the batch (used by training and by the finite-difference checker)."""
+    over the batch (used by training and by the finite-difference checker).
+    A pooled kind also takes the batch's ``pool_average`` rows in place of
+    its prefix list."""
     return KINDS[kind].loss_and_grads(params, viewed_list, labels, positive_weight)
 
 
 def loss_fn_for_gradcheck(kind: str, template, viewed, label: int, positive_weight: float = 1.0):
-    """Close over an example so grad_check can perturb raw arrays."""
+    """Bind an example for ``neural.grad_check``: the layers are built once
+    over the checker's working arrays, which it bumps in place."""
 
-    def fn(arrays):
+    def bind(arrays):
         params = with_params(template, arrays)
-        return example_loss_and_grads(kind, params, [viewed], [label], positive_weight)
+        return lambda: example_loss_and_grads(kind, params, [viewed], [label], positive_weight)
 
-    return fn
+    return bind
 
 
 def dan_relu_margin(params: Params, viewed) -> float:
@@ -438,9 +447,12 @@ def train_traveler_model(
     """Minimise mean class-weighted BCE with ``neural.train_minibatch``.
 
     Gradients are averaged over shuffled mini-batches; one optimizer step per
-    batch.  The recorded per-epoch loss is the mean pre-update loss over the
-    epoch's examples.  Deterministic for a fixed config and seed.  Raises
-    ValueError naming the kind and the epoch as soon as the loss or a
+    batch.  The layers are built once over the trainer's parameter views,
+    whose arrays change in place at every step; the trainer's finite check
+    keeps them valid.  Average and DAN pool each example once, before the
+    first epoch.  The recorded per-epoch loss is the mean pre-update loss
+    over the epoch's examples.  Deterministic for a fixed config and seed.
+    Raises ValueError naming the kind and the epoch as soon as the loss or a
     parameter turns non-finite.
     """
     if kind not in TRAINABLE_KINDS:
@@ -456,14 +468,19 @@ def train_traveler_model(
     rng = np.random.default_rng(config.seed)
     params = init_params(kind, config, rng)
     viewed = [ex.viewed for ex in examples]
+    # a segment mean reads only its own rows, so pooling once keeps its bits
+    pooled = pool_average(viewed) if KINDS[kind].pooled else None
 
-    def batch_loss_and_grads(arrays, batch):
-        batch_params = with_params(params, arrays)
-        return example_loss_and_grads(kind, batch_params, [viewed[i] for i in batch], labels[batch], w_pos)
+    def bind(views):
+        layers = with_params(params, views)
 
-    arrays, trace = neural.train_minibatch(
-        params_list(params), batch_loss_and_grads, len(examples), config, rng, kind
-    )
+        def batch_loss_and_grads(batch):
+            inputs = [viewed[i] for i in batch] if pooled is None else pooled[batch]
+            return example_loss_and_grads(kind, layers, inputs, labels[batch], w_pos)
+
+        return batch_loss_and_grads
+
+    arrays, trace = neural.train_minibatch(params_list(params), bind, len(examples), config, rng, kind)
     params = with_params(params, arrays)
     model = TravelerModel(kind, params, config.input_dim, config.seed, dict(provenance or {}))
     return model, trace

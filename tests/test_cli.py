@@ -560,6 +560,23 @@ class TestGradcheckCommand:
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
 
+    # run_gradcheck(seed=7, rounds=3) as the checker that copied every array
+    # for each bumped entry and rebuilt the layers per evaluation returned it
+    CLEAN = {
+        "dan": "0x1.cfd0571376676p-26", "lstm": "0x1.dfe41f5edb44dp-19",
+        "lstm_attention": "0x1.28d1f92eb82f9p-18", "sgns": "0x1.cbd194cfb96cdp-32",
+    }
+    CORRUPTED = {
+        "dan": "0x1.0000000000000p+0", "lstm_attention": "0x1.00118e14c388bp+0",
+        "sgns": "0x1.2483a37df894fp+0",
+    }
+
+    @pytest.mark.parametrize("corrupt", [None, "dan", "lstm_attention", "sgns"])
+    def test_results_keep_their_bits(self, corrupt):
+        results = cli.run_gradcheck(seed=7, corrupt_kind=corrupt, rounds=3)
+        want = dict(self.CLEAN, **({corrupt: self.CORRUPTED[corrupt]} if corrupt else {}))
+        assert {kind: err.hex() for kind, err in results.items()} == want
+
 
 class TestPipeline:
     def test_end_to_end(self, tmp_path, capsys):

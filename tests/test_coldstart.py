@@ -52,6 +52,31 @@ def assert_destinations_match_oracle(table, demand):
     assert all(type(n) is int for n in got.support.values())
 
 
+def demand_check_oracle(rows):
+    """Oracle of ``DestinationDemand``'s check: every row's range, then
+    each listing's sum in a dict, in first-appearance order."""
+    sums = {}
+    for listing, _, p in rows:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"proportion {p} for listing {listing} outside [0, 1]")
+        sums[listing] = sums.get(listing, 0.0) + p
+    for listing, total in sums.items():
+        if abs(total - 1.0) > coldstart.SUM_TOLERANCE:
+            raise ValueError(f"listing {listing}: proportions sum to {total}, expected 1")
+
+
+def assert_demand_check_matches_oracle(rows):
+    messages = []
+    for check in (demand_check_oracle, DestinationDemand):
+        try:
+            check(tuple(rows))
+            messages.append(None)
+        except ValueError as exc:
+            messages.append(str(exc))
+    assert messages[0] == messages[1]
+    return messages[0]
+
+
 def demand_belief_oracle(point, destination_centroids, m_nearest):
     """Oracle of ``demand_belief_from_location``: the scalar distance to every
     centroid, sorted by (distance, id)."""
@@ -94,6 +119,45 @@ class TestDestinationDemand:
     def test_proportions_in_unit_interval(self):
         with pytest.raises(ValueError, match="outside"):
             DestinationDemand(((0, "A", 1.5), (0, "B", -0.5)))
+
+
+    @staticmethod
+    def random_rows(rng, n_listings=300):
+        """Rows of listings -5..n-6 in a shuffled order, 1-5 rows each, with
+        proportions normalised to sum to 1 up to rounding."""
+        rows = []
+        for listing in rng.permutation(n_listings) - 5:
+            w = rng.random(int(rng.integers(1, 6)))
+            rows.extend((int(listing), f"D{j}", float(p)) for j, p in enumerate(w / w.sum()))
+        order = rng.permutation(len(rows))
+        return [rows[i] for i in order]
+
+    def test_valid_rows_match_oracle_and_keep_their_columns(self, rng):
+        for _ in range(20):
+            rows = self.random_rows(rng)
+            assert assert_demand_check_matches_oracle(rows) is None
+            demand = DestinationDemand(tuple(rows))
+            assert demand.listings.tolist() == [row[0] for row in rows]
+            assert demand.proportions.tolist() == [row[2] for row in rows]
+
+    def test_first_bad_listing_and_its_sum_match_oracle(self, rng):
+        for _ in range(30):
+            rows = self.random_rows(rng)
+            for i in rng.choice(len(rows), size=int(rng.integers(1, 4)), replace=False):
+                listing, dest, p = rows[i]
+                rows[i] = (listing, dest, p * 0.5)  # that listing's sum falls below 1
+            assert "proportions sum to" in assert_demand_check_matches_oracle(rows)
+
+    def test_first_row_out_of_range_is_reported_before_any_sum(self, rng):
+        for bad in (1.5, -0.25, float("nan"), float("inf")):
+            rows = self.random_rows(rng, 40)
+            rows[3] = (rows[3][0], rows[3][1], rows[3][2] * 0.5)  # an earlier bad sum
+            rows[-2] = (rows[-2][0], rows[-2][1], bad)
+            rows[-1] = (rows[-1][0], rows[-1][1], 2.0)
+            assert "outside [0, 1]" in assert_demand_check_matches_oracle(rows)
+
+    def test_empty_rows(self):
+        assert assert_demand_check_matches_oracle([]) is None
 
 
 class TestDestinationEmbeddings:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from session2rec import neural
 from session2rec.corpus import LabeledPrefix
 from session2rec.errors import ConfigError
 from session2rec.evaluation import (
@@ -28,7 +29,7 @@ from session2rec.neural import DenseLayer
 from session2rec.skipgram import EmbeddingTable
 from session2rec.traveler import TravelerExample, TravelerModel
 
-from conftest import view
+from conftest import train_minibatch_oracle, view
 
 
 def tie_block_auc(scores, labels):
@@ -273,6 +274,33 @@ class TestDownstreamEval:
             ValueError, match=r"setting 'hc' training diverged in epoch 2 of 4"
         ):
             downstream_eval(train, test, FeatureSetSpec("hc", True, None), config)
+
+    @pytest.mark.parametrize("with_model", [False, True])
+    def test_head_matches_per_array_oracle_bit_for_bit(self, with_model, rng, monkeypatch):
+        train = synthetic_cases(rng, n=83)  # batches of 64 and 19
+        test = synthetic_cases(rng, n=40)
+        spec = FeatureSetSpec("hc", True, average_model(4, rng) if with_model else None)
+        config = DownstreamConfig(epochs=6, seed=3)
+        trained, train_minibatch = {}, neural.train_minibatch
+
+        def flat(arrays, bind, *rest):
+            trained["flat"] = train_minibatch(arrays, bind, *rest)
+            return trained["flat"]
+
+        def oracle(arrays, bind, *rest):
+            # the old loop: a fresh head over the current arrays at every batch
+            trained["oracle"] = train_minibatch_oracle(arrays, lambda a, batch: bind(a)(batch), *rest)
+            return trained["oracle"]
+
+        reports = []
+        for trainer in (flat, oracle):
+            with monkeypatch.context() as patch:
+                patch.setattr(neural, "train_minibatch", trainer)
+                reports.append(downstream_eval(train, test, spec, config))
+        (got, trace), (want, losses) = trained["flat"], trained["oracle"]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert [entry.mean_loss for entry in trace] == losses
+        assert reports[0] == reports[1]
 
     def test_report_counts_describe_test_set(self, rng):
         train = synthetic_cases(rng, n=60)

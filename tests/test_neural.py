@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,8 +15,17 @@ from session2rec.neural import (
     layer_to_json,
     load_model_json,
     save_model_json,
+    train_minibatch,
     weighted_bce,
 )
+
+from conftest import train_minibatch_oracle
+
+
+def rebinding(fn):
+    """A grad_check binder that calls ``fn(params)`` on the working arrays
+    at every evaluation."""
+    return lambda params: lambda: fn(params)
 
 
 def random_layer(rng, out_dim, in_dim, activation):
@@ -130,7 +140,7 @@ class TestDenseBackward:
                 _, dw, db = dense_backward(trial, cache, diff)
                 return loss, [dw, db]
 
-            err = grad_check(fn, [layer.weights.copy(), layer.bias.copy()], h=1e-5)
+            err = grad_check(rebinding(fn), [layer.weights.copy(), layer.bias.copy()], h=1e-5)
             assert err < 1e-4
 
 
@@ -247,7 +257,7 @@ class TestGradCheck:
             loss = 0.5 * (pred - target) ** 2
             return loss, [(pred - target) * x]
 
-        assert grad_check(fn, [rng.normal(size=6)], h=1e-5) < 1e-8
+        assert grad_check(rebinding(fn), [rng.normal(size=6)], h=1e-5) < 1e-8
 
     def test_detects_wrong_gradient(self, rng):
         x = rng.normal(size=4)
@@ -257,18 +267,115 @@ class TestGradCheck:
             loss = 0.5 * float(w @ x) ** 2
             return loss, [float(w @ x) * x * 2.0]  # doubled on purpose
 
-        assert grad_check(fn, [rng.normal(size=4)], h=1e-5) > 0.4
+        assert grad_check(rebinding(fn), [rng.normal(size=4)], h=1e-5) > 0.4
+
+    def test_one_working_copy_bumped_and_restored(self, rng):
+        x = rng.normal(size=(2, 3))
+        params = [rng.normal(size=(2, 3)), rng.normal(size=2)]
+        before = [p.copy() for p in params]
+        bound = []
+
+        def bind(working):
+            bound.append(working)
+            w, b = working
+            return lambda: (float(((w * x).sum(axis=1) + b) @ b), [b[:, None] * x, (w * x).sum(axis=1) + 2 * b])
+
+        assert grad_check(bind, params, h=1e-5) < 1e-6
+        assert len(bound) == 1
+        assert [p.tobytes() for p in params] == [p.tobytes() for p in before]
+        assert [w.tobytes() for w in bound[0]] == [p.tobytes() for p in before]  # every entry restored
+        assert not any(np.shares_memory(w, p) for w, p in zip(bound[0], params))
 
     def test_h_out_of_range(self):
         with pytest.raises(ValueError):
-            grad_check(lambda p: (0.0, [np.zeros(1)]), [np.zeros(1)], h=1e-2)
+            grad_check(rebinding(lambda p: (0.0, [np.zeros(1)])), [np.zeros(1)], h=1e-2)
 
     def test_non_finite_loss(self):
         def fn(params):
             return float("nan"), [np.zeros(1)]
 
         with pytest.raises(FloatingPointError):
-            grad_check(fn, [np.zeros(1)], h=1e-5)
+            grad_check(rebinding(fn), [np.zeros(1)], h=1e-5)
+
+
+def least_squares(rng, n=23, d=3):
+    """A linear least-squares problem: rows, targets and initial arrays
+    (a (1, d) weight matrix and a (1,) bias)."""
+    x = rng.normal(size=(n, d))
+    y = x @ rng.normal(size=d) + 0.5
+    return x, y, [rng.normal(size=(1, d)), rng.normal(size=1)]
+
+
+def least_squares_loss(x, y, w, b, batch):
+    """Summed squared error of a batch and its gradients in (w, b) order."""
+    r = x[batch] @ w[0] + b[0] - y[batch]
+    return 0.5 * float(r @ r), [(r @ x[batch])[None, :], np.array([r.sum()])]
+
+
+class TestTrainMinibatch:
+    config = SimpleNamespace(epochs=3, batch_size=5, learning_rate=0.05)  # batches of 5 and a last of 3
+
+    def test_matches_per_array_oracle_bit_for_bit(self, rng):
+        x, y, init = least_squares(rng)
+        got, trace = train_minibatch(
+            init, lambda views: lambda batch: least_squares_loss(x, y, *views, batch),
+            len(x), self.config, np.random.default_rng(4), "toy",
+        )
+        want, losses = train_minibatch_oracle(
+            init, lambda arrays, batch: least_squares_loss(x, y, *arrays, batch),
+            len(x), self.config, np.random.default_rng(4), "toy",
+        )
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert [a.shape for a in got] == [(1, 3), (1,)]
+        assert [entry.mean_loss for entry in trace] == losses
+
+    def test_binds_once_and_leaves_the_caller_arrays_alone(self, rng):
+        x, y, init = least_squares(rng)
+        before = [a.copy() for a in init]
+        bound = []
+
+        def bind(views):
+            bound.append(views)
+            return lambda batch: least_squares_loss(x, y, *views, batch)
+
+        got, _ = train_minibatch(init, bind, len(x), self.config, np.random.default_rng(4), "toy")
+        assert len(bound) == 1
+        assert [a.tobytes() for a in init] == [a.tobytes() for a in before]
+        for out in got:
+            assert not any(np.shares_memory(out, a) for a in init + bound[0])
+        # the views hold the trained parameters in place
+        assert [a.tobytes() for a in bound[0]] == [a.tobytes() for a in got]
+
+    def test_parameter_turning_non_finite_mid_epoch_stops_the_run(self, rng):
+        x, y, init = least_squares(rng)
+        calls = []
+
+        def bind(views):
+            def batch_loss_and_grads(batch):
+                calls.append(batch)
+                loss, grads = least_squares_loss(x, y, *views, batch)
+                if len(calls) == 7:  # the second of the five batches of epoch 2
+                    grads[1] = np.array([np.nan])
+                return loss, grads
+
+            return batch_loss_and_grads
+
+        with pytest.raises(ValueError, match=r"^toy training diverged in epoch 2 of 3: non-finite"):
+            train_minibatch(init, bind, len(x), self.config, np.random.default_rng(4), "toy")
+        assert len(calls) == 7  # no batch ran on the non-finite parameters
+
+    def test_gradient_shape_mismatch_rejected(self, rng):
+        x, y, init = least_squares(rng)
+
+        def bind(views):
+            def batch_loss_and_grads(batch):
+                loss, (dw, db) = least_squares_loss(x, y, *views, batch)
+                return loss, [dw[0], db]  # (d,) where the weights are (1, d)
+
+            return batch_loss_and_grads
+
+        with pytest.raises(ValueError, match="gradient shapes"):
+            train_minibatch(init, bind, len(x), self.config, np.random.default_rng(4), "toy")
 
 
 class TestModelJson:

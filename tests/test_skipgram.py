@@ -156,11 +156,14 @@ class TestSgnsStep:
             k = int(rng.integers(1, 5))
             arrays = [rng.normal(size=d), rng.normal(size=d), rng.normal(size=(k, d))]
 
-            def fn(params):
-                loss, dc, dp, dn = sgns_loss_and_grads(*params)
-                return loss, [dc, dp, dn]
+            def bind(params):
+                def fn():
+                    loss, dc, dp, dn = sgns_loss_and_grads(*params)
+                    return loss, [dc, dp, dn]
 
-            assert neural.grad_check(fn, arrays, h=1e-5) < 1e-4
+                return fn
+
+            assert neural.grad_check(bind, arrays, h=1e-5) < 1e-4
 
     def test_positive_pair_dot_increases(self, rng):
         inp = rng.uniform(-0.01, 0.01, size=(5, 4))

@@ -27,6 +27,7 @@ from session2rec.traveler import (
     loss_fn_for_gradcheck,
     params_list,
     pool_average,
+    positive_class_weight,
     predict_probability,
     save_traveler_model,
     train_traveler_model,
@@ -35,7 +36,7 @@ from session2rec.traveler import (
     write_training_log,
 )
 
-from conftest import view
+from conftest import train_minibatch_oracle, view
 
 
 def zero_dan(d=4, d_h2=6, d_h1=3, d_f=2):
@@ -269,6 +270,23 @@ class TestPooling:
         for row, viewed in zip(pooled, batch):
             assert np.allclose(row, viewed.mean(axis=0), rtol=0, atol=1e-12)
 
+    def test_pooling_once_equals_pooling_each_batch_bit_for_bit(self, rng):
+        viewed = [rng.normal(size=(int(t), 16)) for t in rng.integers(1, 51, size=300)]
+        pooled = pool_average(viewed)
+        for size in (1, 2, 7, 64, 300):
+            batch = rng.permutation(len(viewed))[:size]
+            assert pooled[batch].tobytes() == pool_average([viewed[i] for i in batch]).tobytes()
+
+    @pytest.mark.parametrize("kind", ("average", "dan"))
+    def test_kernels_take_pooled_rows_in_place_of_prefixes(self, kind, rng):
+        params, _ = random_case(kind, rng)
+        viewed = [rng.normal(size=(int(t), 5)) for t in rng.integers(1, 9, size=11)]
+        labels = rng.integers(0, 2, size=11)
+        loss, grads = example_loss_and_grads(kind, params, viewed, labels, 1.3)
+        pooled_loss, pooled_grads = example_loss_and_grads(kind, params, pool_average(viewed), labels, 1.3)
+        assert pooled_loss == loss
+        assert [g.tobytes() for g in pooled_grads] == [g.tobytes() for g in grads]
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             pool_average([np.zeros((0, 3))])
@@ -362,10 +380,11 @@ class TestBatchedKernels:
             params, one = random_case(kind, rng)
             viewed = [rng.normal(size=(t, one.shape[1])) for t in (1, 4, 2)]
 
-            def fn(arrays):
-                return example_loss_and_grads(kind, with_params(params, arrays), viewed, [1, 0, 1], 1.5)
+            def bind(arrays):
+                layers = with_params(params, arrays)
+                return lambda: example_loss_and_grads(kind, layers, viewed, [1, 0, 1], 1.5)
 
-            assert neural.grad_check(fn, [a.copy() for a in params_list(params)], h=1e-5) < 1e-4
+            assert neural.grad_check(bind, [a.copy() for a in params_list(params)], h=1e-5) < 1e-4
 
     @pytest.mark.parametrize("kind", TRAINABLE_KINDS)
     def test_prediction_and_embedding_match_per_example_forward(self, kind, rng):
@@ -579,6 +598,31 @@ class TestTraining:
             assert trace[epoch].mean_loss == pytest.approx(epoch_loss / len(examples), rel=1e-12)
         for got, want in zip(params_list(model.params), arrays):
             assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", TRAINABLE_KINDS)
+    def test_flat_trainer_matches_per_array_oracle_bit_for_bit(self, kind, rng):
+        examples = separable_examples(rng, n=61)  # batches of 16, 16, 16 and 13
+        config = TravelerConfig(
+            input_dim=8, hidden_expand=12, hidden_contract=6, embedding_dim=4,
+            lstm_hidden=4, epochs=3, batch_size=16, seed=5,
+        )
+        model, trace = train_traveler_model(examples, kind, config)
+        # the trainer before one flat vector: layers rebuilt and the batch pooled at every step
+        ref_rng = np.random.default_rng(config.seed)
+        params = init_params(kind, config, ref_rng)
+        viewed = [ex.viewed for ex in examples]
+        labels = np.array([ex.label for ex in examples])
+        w_pos = positive_class_weight(labels, None)
+
+        def batch_loss_and_grads(arrays, batch):
+            layers = with_params(params, arrays)
+            return example_loss_and_grads(kind, layers, [viewed[i] for i in batch], labels[batch], w_pos)
+
+        arrays, losses = train_minibatch_oracle(
+            params_list(params), batch_loss_and_grads, len(examples), config, ref_rng, kind
+        )
+        assert [a.tobytes() for a in params_list(model.params)] == [a.tobytes() for a in arrays]
+        assert [entry.mean_loss for entry in trace] == losses
 
     def test_positive_weight_doubles_positive_gradients_exactly(self, rng):
         params, viewed = random_case("dan", rng)
@@ -857,6 +901,26 @@ class TestTravelerConfigRanges:
 
 
 class TestDivergence:
+    def test_parameter_turning_non_finite_mid_epoch_names_kind_and_epoch(self, rng, monkeypatch):
+        examples = separable_examples(rng, n=60)  # four batches per epoch
+        config = TravelerConfig(
+            input_dim=8, hidden_expand=12, hidden_contract=6, embedding_dim=4,
+            epochs=3, batch_size=16, seed=1,
+        )
+        calls = []
+
+        def poisoned(kind, params, viewed, labels, positive_weight):
+            calls.append(kind)
+            loss, grads = example_loss_and_grads(kind, params, viewed, labels, positive_weight)
+            if len(calls) == 6:  # the second batch of epoch 2; the loss stays finite
+                grads[0] = np.full_like(grads[0], np.nan)
+            return loss, grads
+
+        monkeypatch.setattr(traveler, "example_loss_and_grads", poisoned)
+        with pytest.raises(ValueError, match=r"^dan training diverged in epoch 2 of 3"):
+            train_traveler_model(examples, "dan", config)
+        assert len(calls) == 6  # no batch ran on the non-finite layers
+
     def test_names_kind_and_epoch(self, rng):
         examples = separable_examples(rng, n=60)
         config = TravelerConfig(
