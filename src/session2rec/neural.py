@@ -260,7 +260,7 @@ def grad_check(bind, params, h: float = 1e-5) -> float:
     worst = 0.0
     for k, p in enumerate(working):
         flat = p.reshape(-1)  # a view: the working copies are contiguous
-        analytic = np.array(grads[k], dtype=np.float64).reshape(-1)
+        analytic = np.asarray(grads[k]).reshape(-1)
         for i in range(flat.size):
             saved = flat[i]
             flat[i] = saved + h
