@@ -395,8 +395,8 @@ def run_gradcheck(seed: int = 0, corrupt_kind: str | None = None, rounds: int = 
     return results
 
 
-def cmd_gradcheck(seed: int = 0, corrupt_kind: str | None = None, rounds: int = 100) -> int:
-    results = run_gradcheck(seed=seed, corrupt_kind=corrupt_kind, rounds=rounds)
+def cmd_gradcheck(seed: int = 0, rounds: int = 100) -> int:
+    results = run_gradcheck(seed=seed, rounds=rounds)
     ok = True
     for kind, err in results.items():
         status = "ok" if err < 1e-4 else "FAIL"
@@ -435,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--settings", required=True, help="comma-separated setting tokens")
     p = sub.add_parser("gradcheck")
     p.add_argument("--rounds", type=int, default=100, help="random cases per model kind")
-    p.add_argument("--corrupt-gradient", default=None, help=argparse.SUPPRESS)  # test hook
     return parser
 
 
@@ -443,9 +442,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "gradcheck":
-            return cmd_gradcheck(
-                seed=args.seed or 0, corrupt_kind=args.corrupt_gradient, rounds=args.rounds
-            )
+            return cmd_gradcheck(seed=args.seed or 0, rounds=args.rounds)
         if not args.config:
             raise ConfigError(f"{args.command} requires --config")
         config = load_config(args.config, seed_override=args.seed, out_override=args.out)

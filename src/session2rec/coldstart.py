@@ -21,7 +21,6 @@ from .skipgram import EmbeddingTable
 EARTH_RADIUS_KM = 6371.0088
 SUM_TOLERANCE = 1e-6
 SHORTLIST_SLACK = 1e-9  # relative margin over the m-th nearest haversine term
-SHORTLIST_MIN_CUT = 10  # the numpy pass costs about as much as 10 scalar distances
 DEMAND_BLOCK = 4096  # demand rows per scatter-add: the temporary stays DEMAND_BLOCK x d
 
 
@@ -157,10 +156,10 @@ def demand_belief_from_location(
     ``1 / (distance_km + 1)``, normalised to sum to 1.  Distance ties break
     by destination id so the selection is deterministic.
 
-    With more than ``m_nearest + SHORTLIST_MIN_CUT`` centroids, one numpy
-    pass first computes the haversine term of every centroid and keeps
-    those within a relative ``SHORTLIST_SLACK`` of the m-th smallest; the
-    vector and scalar terms differ by a few ulps, far inside it.  A plain
+    One numpy pass first computes the haversine term of every centroid and
+    keeps those within a relative ``SHORTLIST_SLACK`` of the m-th smallest
+    (of the largest, with at most m centroids); the vector and scalar terms
+    differ by a few ulps, far inside it.  A plain
     mapping gets its ``Centroids`` arrays built on the call.  The centroids
     left are ranked with ``great_circle_km`` itself.
     """
@@ -168,22 +167,19 @@ def demand_belief_from_location(
         raise ValueError("m_nearest must be >= 1")
     if not destination_centroids:
         raise ValueError("no destination centroids")
-    shortlist = destination_centroids  # its ids
-    if len(destination_centroids) > m_nearest + SHORTLIST_MIN_CUT:
-        centroids = (
-            destination_centroids
-            if isinstance(destination_centroids, Centroids)
-            else Centroids(destination_centroids)
-        )
-        # the slack is taken on the haversine term, not on the distance: asin
-        # turns a few ulps of the term into far more near the antipode
-        lat, lon = math.radians(point.latitude), math.radians(point.longitude)
-        term = (
-            np.sin((centroids.latitudes - lat) / 2) ** 2
-            + math.cos(lat) * centroids.cos_latitudes * np.sin((centroids.longitudes - lon) / 2) ** 2
-        )
-        bound = np.partition(term, m_nearest - 1)[m_nearest - 1] * (1.0 + SHORTLIST_SLACK)
-        shortlist = [centroids.ids[i] for i in np.flatnonzero(term <= bound)]
+    centroids = destination_centroids
+    if not isinstance(centroids, Centroids):
+        centroids = Centroids(centroids)
+    # the slack is taken on the haversine term, not on the distance: asin
+    # turns a few ulps of the term into far more near the antipode
+    lat, lon = math.radians(point.latitude), math.radians(point.longitude)
+    term = (
+        np.sin((centroids.latitudes - lat) / 2) ** 2
+        + math.cos(lat) * centroids.cos_latitudes * np.sin((centroids.longitudes - lon) / 2) ** 2
+    )
+    cut = min(m_nearest, len(term)) - 1
+    bound = np.partition(term, cut)[cut] * (1.0 + SHORTLIST_SLACK)
+    shortlist = [centroids.ids[i] for i in np.flatnonzero(term <= bound)]
     ranked = sorted(
         (great_circle_km(point, destination_centroids[dest]), dest) for dest in shortlist
     )[:m_nearest]

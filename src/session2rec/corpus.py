@@ -98,9 +98,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.index_to_key)
 
-    def __contains__(self, key: str) -> bool:
-        return key in self.key_to_index
-
 
 @dataclass(frozen=True)
 class SyntheticGroundTruth:
@@ -271,19 +268,19 @@ def load_sessions(path) -> SessionCorpus:
                 continue
             parts = line.split("\t")
             if len(parts) != 5:
-                raise ParseError(f"line {lineno}: expected 5 tab-separated fields, got {len(parts)}")
+                raise ParseError(f"{path}: line {lineno}: expected 5 tab-separated fields, got {len(parts)}")
             traveler, sid, ts, listing, kind = parts
             if kind not in EVENT_KINDS:
-                raise ParseError(f"line {lineno}: unknown event_kind {kind!r}")
+                raise ParseError(f"{path}: line {lineno}: unknown event_kind {kind!r}")
             try:
                 timestamp = int(ts)
             except ValueError:
-                raise ParseError(f"line {lineno}: bad timestamp {ts!r}") from None
+                raise ParseError(f"{path}: line {lineno}: bad timestamp {ts!r}") from None
             if timestamp < 0:
-                raise ParseError(f"line {lineno}: negative timestamp")
+                raise ParseError(f"{path}: line {lineno}: negative timestamp")
             groups.setdefault((traveler, sid), []).append(Interaction(listing, timestamp, kind))
     if not groups:
-        raise ParseError("no sessions")
+        raise ParseError(f"{path}: no sessions")
     sessions = tuple(Session(traveler, tuple(items)) for (traveler, _), items in groups.items())
     return SessionCorpus(sessions, {"source": str(path)})
 
@@ -310,10 +307,13 @@ def load_ground_truth(path) -> SyntheticGroundTruth:
                 continue
             parts = line.split("\t")
             if len(parts) != 2:
-                raise ParseError(f"line {lineno}: expected 'listing_key<TAB>cluster_id'")
-            clusters[parts[0]] = int(parts[1])
+                raise ParseError(f"{path}: line {lineno}: expected 'listing_key<TAB>cluster_id'")
+            try:
+                clusters[parts[0]] = int(parts[1])
+            except ValueError:
+                raise ParseError(f"{path}: line {lineno}: bad cluster id {parts[1]!r}") from None
     if not clusters:
-        raise ParseError("no ground-truth rows")
+        raise ParseError(f"{path}: no ground-truth rows")
     count = max(clusters.values()) + 1
     return SyntheticGroundTruth(clusters, count, rule)
 

@@ -93,9 +93,6 @@ def precision_recall_f1(scored: ScoredSet, threshold: float) -> tuple[float, flo
     return precision, recall, f1
 
 
-HANDCRAFTED_DIM = 8
-
-
 def handcrafted_features(prefix) -> np.ndarray:
     """Fixed 8-vector of session statistics over a view prefix.
 

@@ -135,47 +135,37 @@ def weighted_bce(probability, label, positive_weight: float = 1.0):
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
 
 
-@dataclass
-class OptimizerState:
-    """Adaptive-moment accumulators; shapes mirror the parameter list."""
+def adam_step(theta, grad, moments, t: int, step_size: float) -> None:
+    """Step ``t`` (counted from 1) of the bias-corrected adaptive update,
+    in place: ``theta`` and its ``(first, second)`` moment vectors are
+    written, ``grad`` is not.
 
-    first_moment: list[np.ndarray]
-    second_moment: list[np.ndarray]
-    step_count: int = 0
-    step_size: float = 1e-3
-
-
-def init_optimizer(params, step_size: float = 1e-3) -> OptimizerState:
-    return OptimizerState(
-        first_moment=[np.zeros_like(p) for p in params],
-        second_moment=[np.zeros_like(p) for p in params],
-        step_size=step_size,
-    )
-
-
-def adam_step(params, grads, state: OptimizerState):
-    """One bias-corrected adaptive update; pure (inputs are not mutated).
-
-    Returns (new_params, new_state).  From a fresh state a zero gradient
-    leaves the parameters unchanged; under a constant gradient g the step
-    magnitude approaches step_size * sign(g).
+    From zero moments a zero gradient leaves theta unchanged; under a
+    constant gradient g the step magnitude approaches step_size * sign(g).
     """
-    if len(params) != len(grads) or len(params) != len(state.first_moment):
-        raise ValueError("params, grads, and state must have the same length")
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-    t = state.step_count + 1
-    new_m, new_v, new_params = [], [], []
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
-        m = BETA1 * m + (1.0 - BETA1) * g
-        v = BETA2 * v + (1.0 - BETA2) * g * g
-        m_hat = m / (1.0 - BETA1**t)
-        v_hat = v / (1.0 - BETA2**t)
-        new_params.append(p - state.step_size * m_hat / (np.sqrt(v_hat) + EPSILON))
-        new_m.append(m)
-        new_v.append(v)
-    return new_params, OptimizerState(new_m, new_v, t, state.step_size)
+    if grad.shape != theta.shape:
+        raise ValueError(f"gradient shape {grad.shape} does not match parameter {theta.shape}")
+    m, v = moments
+    m *= BETA1
+    m += (1.0 - BETA1) * grad
+    v *= BETA2
+    v += (1.0 - BETA2) * grad * grad
+    theta -= step_size * (m / (1.0 - BETA1**t)) / (np.sqrt(v / (1.0 - BETA2**t)) + EPSILON)
+
+
+def _flat_views(arrays):
+    """A flat float64 copy of ``arrays`` and one view per array onto it."""
+    theta = np.concatenate([np.ravel(a) for a in arrays]).astype(np.float64, copy=False)
+    bounds = np.cumsum([0] + [np.size(a) for a in arrays])
+    return theta, [theta[lo:hi].reshape(np.shape(a)) for lo, hi, a in zip(bounds, bounds[1:], arrays)]
+
+
+def _flat_gradient(grads, views):
+    """The gradients as one flat vector; ValueError unless shaped like the views."""
+    grad_shapes, shapes = [np.shape(g) for g in grads], [v.shape for v in views]
+    if grad_shapes != shapes:
+        raise ValueError(f"gradient shapes {grad_shapes} do not match the parameters' {shapes}")
+    return np.concatenate([np.ravel(g) for g in grads])
 
 
 @dataclass(frozen=True)
@@ -189,24 +179,22 @@ def train_minibatch(arrays, bind, n: int, config, rng, name: str):
     """Minimise a summed loss over n examples with the adaptive optimizer;
     ``config`` supplies ``epochs``, ``batch_size`` and ``learning_rate``.
 
-    The trainer copies ``arrays`` into one flat float64 parameter vector and
-    calls ``bind(views)`` once, with one view per array reshaped onto that
-    vector; it returns ``batch_loss_and_grads(indices)``, a batch's summed
-    loss and its gradients in array order.  The views change in place after
-    every step, so layers built over them once stay current.  Each epoch
-    walks one ``rng`` permutation of the examples in batches, and one step
-    is taken on the mean gradient.  The trace holds the mean pre-update loss
-    per epoch.  Raises ValueError naming ``name`` and the epoch as soon as
-    the loss or a parameter turns non-finite, so the views stay finite.
+    The trainer copies ``arrays`` into one flat float64 vector and calls
+    ``bind(views)`` once, with one view per array onto it; that returns
+    ``batch_loss_and_grads(indices)``, a batch's summed loss and its
+    gradients shaped like the arrays.  Each epoch walks one ``rng``
+    permutation of the examples in batches, and each batch is one in-place
+    ``adam_step`` on the mean gradient, so layers built over the views stay
+    current; the trainer holds the moments and the step count.  The trace
+    holds the mean pre-update loss per epoch.  Raises ValueError naming
+    ``name`` and the epoch once the loss or a parameter turns non-finite.
     Returns (arrays, trace); the arrays are copies, and the caller's are
     never written.
     """
-    shapes = [a.shape for a in arrays]
-    theta = np.concatenate([a.ravel() for a in arrays]).astype(np.float64, copy=False)
-    bounds = np.cumsum([0] + [a.size for a in arrays])
-    views = [theta[lo:hi].reshape(shape) for lo, hi, shape in zip(bounds, bounds[1:], shapes)]
+    theta, views = _flat_views(arrays)
     batch_loss_and_grads = bind(views)
-    state = init_optimizer([theta], step_size=config.learning_rate)
+    moments = (np.zeros_like(theta), np.zeros_like(theta))
+    step = 0
     trace: list[TraceEntry] = []
     for epoch in range(config.epochs):
         started = time.perf_counter()
@@ -216,13 +204,10 @@ def train_minibatch(arrays, bind, n: int, config, rng, name: str):
             batch = order[lo : lo + config.batch_size]
             loss, grads = batch_loss_and_grads(batch)
             epoch_loss += loss
-            grad_shapes = [g.shape for g in grads]
-            if grad_shapes != shapes:
-                raise ValueError(f"gradient shapes {grad_shapes} do not match the parameters' {shapes}")
-            grad = np.concatenate([g.ravel() for g in grads])
+            grad = _flat_gradient(grads, views)
             grad *= 1.0 / len(batch)
-            (stepped,), state = adam_step([theta], [grad], state)
-            theta[:] = stepped
+            step += 1
+            adam_step(theta, grad, moments, step, config.learning_rate)
             if not (math.isfinite(epoch_loss) and np.isfinite(theta).all()):
                 raise ValueError(
                     f"{name} training diverged in epoch {epoch + 1} of {config.epochs}: "
@@ -241,38 +226,37 @@ GRAD_RESOLUTION = 1e-6  # entries smaller than this on both sides are below
 def grad_check(bind, params, h: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    ``params`` is copied once into a working list, and ``bind(working)``
-    returns ``loss_and_grads() -> (loss, grads)``, which must depend on the
-    parameters only through those arrays, so it may build its layers over
-    them once.  Each entry in turn is bumped by +-h in place and restored.
-    The relative error uses max(|analytic|, |numeric|, 1e-8) as denominator.
-    Entries where both the analytic and the numeric value fall below
-    GRAD_RESOLUTION are not scored; a wrong gradient still surfaces because
-    either side being large keeps the entry in the comparison.
+    ``params`` is copied once into a flat float64 vector as in
+    ``train_minibatch``, and ``bind(views)`` returns ``loss_and_grads() ->
+    (loss, grads)``, which must read the parameters only through the views
+    and return gradients shaped like them (else ValueError).  Each entry of
+    the vector in turn is bumped by +-h in place and restored.  The relative
+    error uses max(|analytic|, |numeric|, 1e-8) as denominator.  Entries
+    where both the analytic and the numeric value fall below GRAD_RESOLUTION
+    are not scored; a wrong gradient still surfaces because either side
+    being large keeps the entry in the comparison.
     """
     if not 1e-7 <= h <= 1e-3:
         raise ValueError("h must be in [1e-7, 1e-3]")
-    working = [np.array(p, dtype=np.float64) for p in params]
-    loss_and_grads = bind(working)
+    theta, views = _flat_views(params)
+    loss_and_grads = bind(views)
     loss, grads = loss_and_grads()
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite loss")
+    analytic = _flat_gradient(grads, views)
     worst = 0.0
-    for k, p in enumerate(working):
-        flat = p.reshape(-1)  # a view: the working copies are contiguous
-        analytic = np.asarray(grads[k]).reshape(-1)
-        for i in range(flat.size):
-            saved = flat[i]
-            flat[i] = saved + h
-            up, _ = loss_and_grads()
-            flat[i] = saved - h
-            down, _ = loss_and_grads()
-            flat[i] = saved
-            numeric = (up - down) / (2.0 * h)
-            if max(abs(analytic[i]), abs(numeric)) < GRAD_RESOLUTION:
-                continue
-            denom = max(abs(analytic[i]), abs(numeric), 1e-8)
-            worst = max(worst, abs(analytic[i] - numeric) / denom)
+    for i in range(theta.size):
+        saved = theta[i]
+        theta[i] = saved + h
+        up, _ = loss_and_grads()
+        theta[i] = saved - h
+        down, _ = loss_and_grads()
+        theta[i] = saved
+        numeric = (up - down) / (2.0 * h)
+        if max(abs(analytic[i]), abs(numeric)) < GRAD_RESOLUTION:
+            continue
+        denom = max(abs(analytic[i]), abs(numeric), 1e-8)
+        worst = max(worst, abs(analytic[i] - numeric) / denom)
     return worst
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -33,12 +34,53 @@ def rng():
     return np.random.default_rng(12345)
 
 
+@dataclass
+class OracleAdamState:
+    """Adaptive-moment accumulators of the list-form oracle; shapes mirror
+    the parameter list."""
+
+    first_moment: list[np.ndarray]
+    second_moment: list[np.ndarray]
+    step_count: int = 0
+    step_size: float = 1e-3
+
+
+def oracle_adam_state(params, step_size: float = 1e-3) -> OracleAdamState:
+    return OracleAdamState(
+        first_moment=[np.zeros_like(p) for p in params],
+        second_moment=[np.zeros_like(p) for p in params],
+        step_size=step_size,
+    )
+
+
+def oracle_adam_step(params, grads, state: OracleAdamState):
+    """The optimizer before it stepped one flat vector in place: one pure
+    bias-corrected update over a list of arrays.  Returns (new_params,
+    new_state); the inputs are not written."""
+    if len(params) != len(grads) or len(params) != len(state.first_moment):
+        raise ValueError("params, grads, and state must have the same length")
+    for p, g in zip(params, grads):
+        if p.shape != g.shape:
+            raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
+    t = state.step_count + 1
+    new_m, new_v, new_params = [], [], []
+    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
+        m = neural.BETA1 * m + (1.0 - neural.BETA1) * g
+        v = neural.BETA2 * v + (1.0 - neural.BETA2) * g * g
+        m_hat = m / (1.0 - neural.BETA1**t)
+        v_hat = v / (1.0 - neural.BETA2**t)
+        new_params.append(p - state.step_size * m_hat / (np.sqrt(v_hat) + neural.EPSILON))
+        new_m.append(m)
+        new_v.append(v)
+    return new_params, OracleAdamState(new_m, new_v, t, state.step_size)
+
+
 def train_minibatch_oracle(arrays, batch_loss_and_grads, n, config, rng, name):
     """The trainer before it kept one flat parameter vector: the optimizer
     steps over the list of arrays, and ``batch_loss_and_grads(arrays,
     indices)`` gets the current list at every batch.  Returns (arrays, the
     mean loss per epoch)."""
-    state = neural.init_optimizer(arrays, step_size=config.learning_rate)
+    state = oracle_adam_state(arrays, step_size=config.learning_rate)
     losses = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)
@@ -48,7 +90,7 @@ def train_minibatch_oracle(arrays, batch_loss_and_grads, n, config, rng, name):
             loss, grads = batch_loss_and_grads(arrays, batch)
             epoch_loss += loss
             scale = 1.0 / len(batch)
-            arrays, state = neural.adam_step(arrays, [g * scale for g in grads], state)
+            arrays, state = oracle_adam_step(arrays, [g * scale for g in grads], state)
             if not (math.isfinite(epoch_loss) and all(np.isfinite(a).all() for a in arrays)):
                 raise ValueError(
                     f"{name} training diverged in epoch {epoch + 1} of {config.epochs}: "

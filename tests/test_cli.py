@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 
@@ -283,6 +284,12 @@ class TestTrainEmbeddings:
         second = (file_hash(tmp_path / "embeddings.txt"), file_hash(tmp_path / "embeddings.s2re"))
         assert first == second
 
+    def test_bad_session_log_names_file_and_line(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        (tmp_path / "sessions.tsv").write_text("t1\t0\t5\tA\tview\nt1\t0\tabc\tA\tview\n")
+        assert cli.main(["--config", str(path), "train-embeddings"]) == 2
+        assert f"{tmp_path / 'sessions.tsv'}: line 2: bad timestamp 'abc'" in capsys.readouterr().err
+
     def test_overpruned_vocabulary_exits_two(self, tmp_path, capsys):
         path = write_config(tmp_path, {"skipgram": {"min_count": 10**6}})
         cli.main(["--config", str(path), "generate"])
@@ -555,8 +562,9 @@ class TestGradcheckCommand:
         for kind in ("dan", "lstm", "lstm_attention", "sgns"):
             assert kind in out
 
-    def test_corrupted_gradient_fails(self, capsys):
-        code = cli.main(["gradcheck", "--rounds", "2", "--corrupt-gradient", "sgns"])
+    def test_corrupted_gradient_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_gradcheck", functools.partial(cli.run_gradcheck, corrupt_kind="sgns"))
+        code = cli.main(["gradcheck", "--rounds", "2"])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
 

@@ -195,6 +195,13 @@ class TestSessionLogRoundTrip:
         assert loaded.cluster_count == truth.cluster_count
         assert loaded.booking_rule == truth.booking_rule
 
+    def test_ground_truth_bad_cluster_id_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "clusters.tsv"
+        path.write_text("# rule=x\nL1\t0\nL2\tseven\n")
+        with pytest.raises(ParseError) as info:
+            load_ground_truth(path)
+        assert str(info.value) == f"{path}: line 3: bad cluster id 'seven'"
+
 
 class TestVocabulary:
     def test_min_count_threshold(self):

@@ -10,7 +10,6 @@ from session2rec.neural import (
     dense_backward,
     dense_forward,
     grad_check,
-    init_optimizer,
     layer_from_json,
     layer_to_json,
     load_model_json,
@@ -19,7 +18,7 @@ from session2rec.neural import (
     weighted_bce,
 )
 
-from conftest import train_minibatch_oracle
+from conftest import oracle_adam_state, oracle_adam_step, train_minibatch_oracle
 
 
 def rebinding(fn):
@@ -194,56 +193,73 @@ class TestWeightedBce:
             weighted_bce(0.5, 2, 1.0)
 
 
+def zero_moments(theta):
+    return np.zeros_like(theta), np.zeros_like(theta)
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self, rng):
-        params = [rng.normal(size=(3, 2)), rng.normal(size=4)]
-        state = init_optimizer(params)
-        new_params, new_state = adam_step(params, [np.zeros((3, 2)), np.zeros(4)], state)
-        for old, new in zip(params, new_params):
-            assert np.array_equal(old, new)
-        assert new_state.step_count == 1
+        theta = rng.normal(size=10)
+        before = theta.copy()
+        moments = zero_moments(theta)
+        adam_step(theta, np.zeros(10), moments, 1, 1e-3)
+        assert np.array_equal(theta, before)
+        assert not any(m.any() for m in moments)
 
     def test_constant_gradient_limit_is_signed_step(self):
-        params = [np.zeros(3)]
-        grads = [np.array([0.5, -2.0, 7.0])]
-        state = init_optimizer(params, step_size=1e-3)
-        prev = params
-        for _ in range(500):
-            new, state = adam_step(prev, grads, state)
-            step = new[0] - prev[0]
-            prev = new
-        assert np.allclose(step, -1e-3 * np.sign(grads[0]), atol=1e-6)
+        theta = np.zeros(3)
+        grad = np.array([0.5, -2.0, 7.0])
+        moments = zero_moments(theta)
+        for t in range(1, 501):
+            prev = theta.copy()
+            adam_step(theta, grad, moments, t, 1e-3)
+            step = theta - prev
+        assert np.allclose(step, -1e-3 * np.sign(grad), atol=1e-6)
 
-    def test_purity(self, rng):
-        params = [rng.normal(size=5)]
-        grads = [rng.normal(size=5)]
-        state = init_optimizer(params)
-        p_before = params[0].copy()
-        out1, s1 = adam_step(params, grads, state)
-        out2, s2 = adam_step(params, grads, state)
-        assert np.array_equal(out1[0], out2[0])
-        assert np.array_equal(s1.first_moment[0], s2.first_moment[0])
-        assert np.array_equal(params[0], p_before)  # inputs untouched
+    def test_in_place_contract(self, rng):
+        theta, grad = rng.normal(size=5), rng.normal(size=5)
+        moments = zero_moments(theta)
+        before = [theta.copy(), grad.copy()]
+        ids = [id(theta), id(moments[0]), id(moments[1])]
+        assert adam_step(theta, grad, moments, 1, 1e-3) is None
+        assert not np.array_equal(theta, before[0])
+        assert moments[0].all() and moments[1].all()
+        assert np.array_equal(grad, before[1])  # the gradient is only read
+        assert [id(theta), id(moments[0]), id(moments[1])] == ids
 
     def test_gradient_scaling_keeps_sign_pattern(self, rng):
-        grads = [rng.normal(size=6)]
-        params = [np.zeros(6)]
+        grad = rng.normal(size=6)
         steps = {}
         for scale in (1.0, 37.5):
-            state = init_optimizer(params)
-            prev = params
-            for _ in range(300):
-                new, state = adam_step(prev, [grads[0] * scale], state)
-                delta = new[0] - prev[0]
-                prev = new
+            theta = np.zeros(6)
+            moments = zero_moments(theta)
+            for t in range(1, 301):
+                prev = theta.copy()
+                adam_step(theta, grad * scale, moments, t, 1e-3)
+                delta = theta - prev
             steps[scale] = np.sign(delta)
         assert np.array_equal(steps[1.0], steps[37.5])
 
     def test_shape_mismatch(self):
-        params = [np.zeros(3)]
-        state = init_optimizer(params)
+        theta = np.zeros(3)
         with pytest.raises(ValueError, match="shape"):
-            adam_step(params, [np.zeros(4)], state)
+            adam_step(theta, np.zeros(4), zero_moments(theta), 1, 1e-3)
+
+    @pytest.mark.parametrize("size", [1, 37, 3321])
+    def test_matches_list_form_oracle_bit_for_bit(self, size):
+        rng = np.random.default_rng(size)
+        theta = rng.normal(size=size)
+        moments = zero_moments(theta)
+        state = oracle_adam_state([theta], step_size=2e-3)
+        want = [theta.copy()]
+        for t in range(1, 301):
+            # gradients from 1e-8 to 1e3 in magnitude, either sign
+            grad = rng.choice([-1.0, 1.0], size=size) * 10.0 ** rng.uniform(-8, 3, size=size)
+            adam_step(theta, grad, moments, t, 2e-3)
+            want, state = oracle_adam_step(want, [grad], state)
+            assert theta.tobytes() == want[0].tobytes()
+            assert moments[0].tobytes() == state.first_moment[0].tobytes()
+            assert moments[1].tobytes() == state.second_moment[0].tobytes()
 
 
 class TestGradCheck:
@@ -285,6 +301,15 @@ class TestGradCheck:
         assert [p.tobytes() for p in params] == [p.tobytes() for p in before]
         assert [w.tobytes() for w in bound[0]] == [p.tobytes() for p in before]  # every entry restored
         assert not any(np.shares_memory(w, p) for w, p in zip(bound[0], params))
+
+    @pytest.mark.parametrize("grad", [np.ones(6), np.ones((2, 2))], ids=["longer", "wrong-shape"])
+    def test_gradient_not_shaped_like_parameters(self, grad):
+        def fn(params):
+            (w,) = params
+            return 0.5 * float(w @ w), [grad]
+
+        with pytest.raises(ValueError, match="gradient shapes"):
+            grad_check(rebinding(fn), [np.ones(4)], h=1e-5)
 
     def test_h_out_of_range(self):
         with pytest.raises(ValueError):

@@ -36,7 +36,7 @@ from session2rec.traveler import (
     write_training_log,
 )
 
-from conftest import train_minibatch_oracle, view
+from conftest import oracle_adam_state, oracle_adam_step, train_minibatch_oracle, view
 
 
 def zero_dan(d=4, d_h2=6, d_h1=3, d_f=2):
@@ -579,7 +579,7 @@ class TestTraining:
         ref_rng = np.random.default_rng(config.seed)
         params = init_params(kind, config, ref_rng)
         arrays = params_list(params)
-        state = neural.init_optimizer(arrays, step_size=config.learning_rate)
+        state = oracle_adam_state(arrays, step_size=config.learning_rate)
         for epoch in range(config.epochs):
             order = ref_rng.permutation(len(examples))
             epoch_loss = 0.0
@@ -594,7 +594,7 @@ class TestTraining:
                     epoch_loss += loss
                     for acc, g in zip(summed, grads):
                         acc += g
-                arrays, state = neural.adam_step(arrays, [g * (1.0 / len(batch)) for g in summed], state)
+                arrays, state = oracle_adam_step(arrays, [g * (1.0 / len(batch)) for g in summed], state)
             assert trace[epoch].mean_loss == pytest.approx(epoch_loss / len(examples), rel=1e-12)
         for got, want in zip(params_list(model.params), arrays):
             assert np.allclose(got, want, rtol=0, atol=1e-12)
