@@ -158,10 +158,10 @@ def demand_belief_from_location(
 
     One numpy pass first computes the haversine term of every centroid and
     keeps those within a relative ``SHORTLIST_SLACK`` of the m-th smallest
-    (of the largest, with at most m centroids); the vector and scalar terms
-    differ by a few ulps, far inside it.  A plain
-    mapping gets its ``Centroids`` arrays built on the call.  The centroids
-    left are ranked with ``great_circle_km`` itself.
+    (all of them when there are at most m); the vector and scalar terms
+    differ by a few ulps, far inside it.  A plain mapping gets its
+    ``Centroids`` arrays built on the call.  The centroids left are ranked
+    with ``great_circle_km`` itself.
     """
     if m_nearest < 1:
         raise ValueError("m_nearest must be >= 1")
