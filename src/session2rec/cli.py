@@ -329,15 +329,15 @@ def run_gradcheck(seed: int = 0, corrupt_kind: str | None = None, rounds: int = 
 
     def corrupted(bind):
         def bind_corrupted(views):
-            loss_and_grads = bind(views)
+            loss, loss_and_grads = bind(views)
 
             def fn():
-                loss, grads = loss_and_grads()
+                value, grads = loss_and_grads()
                 grads = [g.copy() for g in grads]
                 grads[0].reshape(-1)[0] += 0.5
-                return loss, grads
+                return value, grads
 
-            return fn
+            return loss, fn
 
         return bind_corrupted
 
@@ -385,7 +385,7 @@ def run_gradcheck(seed: int = 0, corrupt_kind: str | None = None, rounds: int = 
                 grad = before - np.stack([table.input_vectors, table.output_vectors])
                 return loss, [grad[0, 0], grad[1, 1], grad[1, 2:]]
 
-            return fn
+            return lambda: fn()[0], fn
 
         return bind, arrays
 

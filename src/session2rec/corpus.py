@@ -309,9 +309,12 @@ def load_ground_truth(path) -> SyntheticGroundTruth:
             if len(parts) != 2:
                 raise ParseError(f"{path}: line {lineno}: expected 'listing_key<TAB>cluster_id'")
             try:
-                clusters[parts[0]] = int(parts[1])
+                cluster = int(parts[1])
             except ValueError:
                 raise ParseError(f"{path}: line {lineno}: bad cluster id {parts[1]!r}") from None
+            if cluster < 0:
+                raise ParseError(f"{path}: line {lineno}: negative cluster id {cluster}")
+            clusters[parts[0]] = cluster
     if not clusters:
         raise ParseError(f"{path}: no ground-truth rows")
     count = max(clusters.values()) + 1

@@ -156,10 +156,20 @@ class DownstreamConfig:
             raise ConfigError("threshold must be finite")
 
 
+def _case_features(case: TravelerExample) -> np.ndarray:
+    """A case's hand-crafted features, built on first use and kept on the
+    case: they depend only on its prefix, which never changes."""
+    if case.features is None:
+        features = handcrafted_features(case.prefix.views)
+        features.flags.writeable = False
+        object.__setattr__(case, "features", features)
+    return case.features
+
+
 def _feature_matrix(cases: list[TravelerExample], spec: FeatureSetSpec, rng) -> np.ndarray:
     blocks = []
     if spec.use_handcrafted:
-        blocks.append([handcrafted_features(case.prefix.views) for case in cases])
+        blocks.append([_case_features(case) for case in cases])
     if spec.model is not None:
         blocks.append(traveler_mod.traveler_embedding(spec.model, [case.viewed for case in cases], rng=rng))
     return np.hstack(blocks)
@@ -177,8 +187,13 @@ def downstream_eval(
     model must carry the provenance tag named in the config, which guards
     against evaluating a model that saw test travelers.  The head is built
     once over the trainer's parameter views, whose arrays change in place;
-    the trainer's finite check keeps them valid.  Raises ValueError naming
-    the setting and the epoch if the classifier's training diverges.
+    the trainer's finite check keeps them valid.  A case's hand-crafted
+    features are built once and kept on the case, so later settings over
+    the same case lists reuse them.  The labels are checked once, by
+    ``TravelerExample``, and the class weight by the config or
+    ``positive_class_weight``; every step slices one label mask.  Raises
+    ValueError naming the setting and the epoch if the classifier's
+    training diverges.
     """
     if not train_cases or not test_cases:
         raise ValueError("need non-empty train and test case lists")
@@ -198,6 +213,7 @@ def downstream_eval(
     y_train = np.array([c.label for c in train_cases])
     y_test = np.array([c.label for c in test_cases])
     w_pos = traveler_mod.positive_class_weight(y_train, config.positive_class_weight)
+    positive = y_train == 1
 
     mean = x_train.mean(axis=0)
     std = x_train.std(axis=0)
@@ -207,7 +223,7 @@ def downstream_eval(
 
     def bind(views):
         head = [neural.DenseLayer(*views, "sigmoid")]
-        return lambda batch: neural.stack_loss_and_grads(head, x_train[batch], y_train[batch], w_pos)
+        return lambda batch: neural.stack_loss_and_grads(head, x_train[batch], positive[batch], w_pos)
 
     zero_head = [np.zeros((1, x_train.shape[1])), np.zeros(1)]
     arrays, _ = neural.train_minibatch(
@@ -251,11 +267,6 @@ def save_report(report: EvalReport, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(asdict(report), fh, indent=1)
         fh.write("\n")
-
-
-def load_report(path) -> EvalReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        return EvalReport(**json.load(fh))
 
 
 def write_comparison(reports: list[EvalReport], path) -> None:

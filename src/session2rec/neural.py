@@ -52,27 +52,30 @@ def _activate(z, kind):
     return z
 
 
-def _activate_grad(z, kind):
-    # relu' is taken as 0 at z == 0
+def _activate_grad(a, kind):
+    """The activation's derivative, from its output ``a``: the forward pass
+    already computed sigmoid(z) and tanh(z), so they are not recomputed."""
+    # relu' is taken as 0 at z == 0, where a == 0
     if kind == "relu":
-        return (z > 0).astype(float)
+        return (a > 0).astype(float)
     if kind == "sigmoid":
-        s = sigmoid(z)
-        return s * (1.0 - s)
+        return a * (1.0 - a)
     if kind == "tanh":
-        return 1.0 - np.tanh(z) ** 2
-    return np.ones_like(z)
+        return 1.0 - a**2
+    return np.ones_like(a)
 
 
 def dense_forward(layer: DenseLayer, x: np.ndarray):
-    """Returns (output, cache) for one input row (in,) or a batch (B, in);
-    the cache feeds dense_backward."""
+    """Returns (output, cache) for one input row (in,) or a batch (B, in).
+    The cache ``(x, z, a)`` holds the input, the pre-activation and the
+    output; dense_backward reads the activation's derivative off ``a``."""
     if x.ndim not in (1, 2) or x.shape[-1] != layer.weights.shape[1]:
         raise ValueError(
             f"input shape {x.shape} does not match layer in-dim {layer.weights.shape[1]}"
         )
     z = x @ layer.weights.T + layer.bias
-    return _activate(z, layer.activation), (x, z)
+    a = _activate(z, layer.activation)
+    return a, (x, z, a)
 
 
 def dense_backward(layer: DenseLayer, cache, upstream: np.ndarray):
@@ -81,10 +84,10 @@ def dense_backward(layer: DenseLayer, cache, upstream: np.ndarray):
     Returns (d_input, d_weights, d_bias) given d loss / d output; over a
     batch the parameter gradients are summed across rows.
     """
-    x, z = cache
-    if upstream.shape != z.shape:
-        raise ValueError(f"upstream shape {upstream.shape} does not match output {z.shape}")
-    dz = upstream * _activate_grad(z, layer.activation)
+    x, _, a = cache
+    if upstream.shape != a.shape:
+        raise ValueError(f"upstream shape {upstream.shape} does not match output {a.shape}")
+    dz = upstream * _activate_grad(a, layer.activation)
     rows = dz.reshape(-1, dz.shape[-1])
     return dz @ layer.weights, rows.T @ x.reshape(-1, x.shape[-1]), rows.sum(axis=0)
 
@@ -99,17 +102,36 @@ def stack_forward(layers: list[DenseLayer], x: np.ndarray):
     return x, caches
 
 
-def stack_loss_and_grads(layers: list[DenseLayer], x: np.ndarray, labels, positive_weight: float):
-    """Summed weighted BCE of a dense stack that ends in one sigmoid unit,
-    over (B, in) rows, and its gradients summed over the rows: each layer's
-    weights then bias, in layer order."""
-    out, caches = stack_forward(layers, x)
-    loss, d_prob = weighted_bce(out[:, 0], labels, positive_weight)
-    upstream, grads = d_prob[:, None], []
+def stack_backward(layers: list[DenseLayer], caches, upstream: np.ndarray) -> list[np.ndarray]:
+    """Gradients of a dense stack given d loss / d its output, summed over
+    the rows: each layer's weights then bias, in layer order."""
+    grads = []
     for layer, cache in zip(reversed(layers), reversed(caches)):
         upstream, dw, db = dense_backward(layer, cache, upstream)
         grads[:0] = [dw, db]
-    return float(loss.sum()), grads
+    return grads
+
+
+def stack_loss_and_grads(layers: list[DenseLayer], x: np.ndarray, positive, positive_weight: float):
+    """Summed weighted BCE of a dense stack that ends in one sigmoid unit,
+    over (B, in) rows, and its gradients summed over the rows: each layer's
+    weights then bias, in layer order.  ``positive`` is the rows' boolean
+    label mask, taken unchecked (see ``weighted_bce_unchecked``)."""
+    out, caches = stack_forward(layers, x)
+    loss, d_prob = weighted_bce_unchecked(out[:, 0], positive, positive_weight)
+    return float(loss.sum()), stack_backward(layers, caches, d_prob[:, None])
+
+
+def positive_mask(label, positive_weight: float) -> np.ndarray:
+    """The boolean mask ``label == 1``; ValueError unless every label is 0
+    or 1 and ``positive_weight`` is finite and > 0."""
+    label = np.asarray(label)
+    positive = label == 1
+    if not (positive | (label == 0)).all():
+        raise ValueError("label must be 0 or 1")
+    if not math.isfinite(positive_weight) or positive_weight <= 0:
+        raise ValueError("positive_weight must be finite and > 0")
+    return positive
 
 
 def weighted_bce(probability, label, positive_weight: float = 1.0):
@@ -118,13 +140,15 @@ def weighted_bce(probability, label, positive_weight: float = 1.0):
 
     loss = -w+ * y * ln(p) - (1 - y) * ln(1 - p), with p clamped to
     [1e-7, 1 - 1e-7].  With w+ = 1 this is exactly the unweighted loss.
+    Raises ValueError unless every label is 0 or 1 and w+ is finite and > 0.
     """
-    label = np.asarray(label)
-    positive = label == 1
-    if not (positive | (label == 0)).all():
-        raise ValueError("label must be 0 or 1")
-    if not math.isfinite(positive_weight) or positive_weight <= 0:
-        raise ValueError("positive_weight must be finite and > 0")
+    return weighted_bce_unchecked(probability, positive_mask(label, positive_weight), positive_weight)
+
+
+def weighted_bce_unchecked(probability, positive, positive_weight: float):
+    """``weighted_bce`` from the boolean mask of the positive labels, with no
+    check: the trainers build the mask once from labels and a weight that
+    are already valid, and call this at every step."""
     p = np.minimum(np.maximum(np.asarray(probability, dtype=np.float64), PROB_CLAMP), 1.0 - PROB_CLAMP)
     loss = np.where(positive, -positive_weight * np.log(p), -np.log1p(-p))
     grad = np.where(positive, -positive_weight / p, 1.0 / (1.0 - p))
@@ -160,12 +184,13 @@ def _flat_views(arrays):
     return theta, [theta[lo:hi].reshape(np.shape(a)) for lo, hi, a in zip(bounds, bounds[1:], arrays)]
 
 
-def _flat_gradient(grads, views):
-    """The gradients as one flat vector; ValueError unless shaped like the views."""
-    grad_shapes, shapes = [np.shape(g) for g in grads], [v.shape for v in views]
+def _flat_gradient(grads, shapes):
+    """The gradient arrays as one flat vector; ValueError unless their
+    shapes are ``shapes``, the parameters', which a run fixes."""
+    grad_shapes = [g.shape for g in grads]
     if grad_shapes != shapes:
         raise ValueError(f"gradient shapes {grad_shapes} do not match the parameters' {shapes}")
-    return np.concatenate([np.ravel(g) for g in grads])
+    return np.concatenate([g.ravel() for g in grads])
 
 
 @dataclass(frozen=True)
@@ -182,17 +207,18 @@ def train_minibatch(arrays, bind, n: int, config, rng, name: str):
     The trainer copies ``arrays`` into one flat float64 vector and calls
     ``bind(views)`` once, with one view per array onto it; that returns
     ``batch_loss_and_grads(indices)``, a batch's summed loss and its
-    gradients shaped like the arrays.  Each epoch walks one ``rng``
-    permutation of the examples in batches, and each batch is one in-place
-    ``adam_step`` on the mean gradient, so layers built over the views stay
-    current; the trainer holds the moments and the step count.  The trace
-    holds the mean pre-update loss per epoch.  Raises ValueError naming
-    ``name`` and the epoch once the loss or a parameter turns non-finite.
-    Returns (arrays, trace); the arrays are copies, and the caller's are
-    never written.
+    gradient arrays shaped like the arrays (else ValueError).  Each epoch
+    walks one ``rng`` permutation of the examples in batches, and each batch
+    is one in-place ``adam_step`` on the mean gradient, so layers built over
+    the views stay current; the trainer holds the moments and the step
+    count.  The trace holds the mean pre-update loss per epoch.  Raises
+    ValueError naming ``name`` and the epoch once the loss or a parameter
+    turns non-finite.  Returns (arrays, trace); the arrays are copies, and
+    the caller's are never written.
     """
     theta, views = _flat_views(arrays)
     batch_loss_and_grads = bind(views)
+    shapes = [view.shape for view in views]
     moments = (np.zeros_like(theta), np.zeros_like(theta))
     step = 0
     trace: list[TraceEntry] = []
@@ -204,7 +230,7 @@ def train_minibatch(arrays, bind, n: int, config, rng, name: str):
             batch = order[lo : lo + config.batch_size]
             loss, grads = batch_loss_and_grads(batch)
             epoch_loss += loss
-            grad = _flat_gradient(grads, views)
+            grad = _flat_gradient(grads, shapes)
             grad *= 1.0 / len(batch)
             step += 1
             adam_step(theta, grad, moments, step, config.learning_rate)
@@ -227,30 +253,34 @@ def grad_check(bind, params, h: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     ``params`` is copied once into a flat float64 vector as in
-    ``train_minibatch``, and ``bind(views)`` returns ``loss_and_grads() ->
-    (loss, grads)``, which must read the parameters only through the views
-    and return gradients shaped like them (else ValueError).  Each entry of
-    the vector in turn is bumped by +-h in place and restored.  The relative
-    error uses max(|analytic|, |numeric|, 1e-8) as denominator.  Entries
-    where both the analytic and the numeric value fall below GRAD_RESOLUTION
-    are not scored; a wrong gradient still surfaces because either side
-    being large keeps the entry in the comparison.
+    ``train_minibatch``, and ``bind(views)`` returns ``(loss,
+    loss_and_grads)``: ``loss() -> float`` and ``loss_and_grads() -> (loss,
+    grads)``, which must read the parameters only through the views, agree
+    on the loss, and return gradient arrays shaped like them (else
+    ValueError).
+    The analytic gradients come from one ``loss_and_grads()``; then each
+    entry of the vector in turn is bumped by +-h in place and restored, and
+    the two bumped evaluations call only ``loss()``.  The relative error
+    uses max(|analytic|, |numeric|, 1e-8) as denominator.  Entries where
+    both the analytic and the numeric value fall below GRAD_RESOLUTION are
+    not scored; a wrong gradient still surfaces because either side being
+    large keeps the entry in the comparison.
     """
     if not 1e-7 <= h <= 1e-3:
         raise ValueError("h must be in [1e-7, 1e-3]")
     theta, views = _flat_views(params)
-    loss_and_grads = bind(views)
-    loss, grads = loss_and_grads()
-    if not np.isfinite(loss):
+    loss, loss_and_grads = bind(views)
+    value, grads = loss_and_grads()
+    if not np.isfinite(value):
         raise FloatingPointError("non-finite loss")
-    analytic = _flat_gradient(grads, views)
+    analytic = _flat_gradient(grads, [view.shape for view in views])
     worst = 0.0
     for i in range(theta.size):
         saved = theta[i]
         theta[i] = saved + h
-        up, _ = loss_and_grads()
+        up = loss()
         theta[i] = saved - h
-        down, _ = loss_and_grads()
+        down = loss()
         theta[i] = saved
         numeric = (up - down) / (2.0 * h)
         if max(abs(analytic[i]), abs(numeric)) < GRAD_RESOLUTION:

@@ -16,7 +16,9 @@ and the on-disk layer order.
 
 All trainable kinds minimise class-weighted binary cross entropy on booking
 labels with the mini-batch loop from :mod:`.neural`; every gradient is
-hand-derived and checked against finite differences.  Every kind runs a
+hand-derived and checked against finite differences.  A kind is a forward
+and a backward kernel: its loss is the forward pass and the BCE, its
+gradients add the backward pass.  Every kind runs a
 batch of view prefixes in one pass, in training and in inference.  Average
 and DAN run the dense-stack kernel over the segment means of the prefixes;
 training computes each example's mean once.
@@ -52,10 +54,12 @@ ALL_KINDS = ("random",) + TRAINABLE_KINDS
 @dataclass(frozen=True)
 class TravelerExample:
     """One supervised case: a labeled view prefix and the embedding rows of
-    its in-vocabulary views."""
+    its in-vocabulary views.  ``features`` holds the prefix's hand-crafted
+    features once the downstream evaluation has built them (read-only)."""
 
     prefix: LabeledPrefix
     viewed: np.ndarray  # (t, d)
+    features: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.viewed.ndim != 2 or self.viewed.shape[0] < 1:
@@ -178,8 +182,8 @@ def _pooled_forward(params: Params, viewed):
     return out[:, 0], caches[-1][0], caches
 
 
-def _pooled_loss_and_grads(params: Params, viewed, labels, positive_weight: float):
-    return neural.stack_loss_and_grads(list(params.values()), _pooled_rows(viewed), labels, positive_weight)
+def _pooled_backward(params: Params, caches, d_probs: np.ndarray) -> list[np.ndarray]:
+    return neural.stack_backward(list(params.values()), caches, d_probs[:, None])
 
 
 def attention_combine(score_vector: np.ndarray, hidden_states, valid=None):
@@ -300,15 +304,9 @@ def _recurrent_backward(params: Params, cache, d_probs: np.ndarray) -> list[np.n
         dc_next[:n] = dc * forget
     dz_rows = dz_all.reshape(-1, 4 * d_h)
     inputs = np.concatenate([states[:-1], xs], axis=2).reshape(len(dz_rows), -1)
-    dw = np.split(dz_rows.T @ inputs, 4)
-    db = np.split(dz_rows.sum(axis=0), 4)
-    return [a for pair in zip(dw, db) for a in pair] + tail + [dw_head, db_head]
-
-
-def _recurrent_loss_and_grads(params: Params, viewed_list, labels, positive_weight: float):
-    probs, _, cache = _recurrent_forward(params, viewed_list)
-    loss, d_probs = neural.weighted_bce(probs, labels, positive_weight)
-    return float(loss.sum()), _recurrent_backward(params, cache, d_probs)
+    dw, db = dz_rows.T @ inputs, dz_rows.sum(axis=0)
+    per_gate = [a for lo in range(0, 4 * d_h, d_h) for a in (dw[lo : lo + d_h], db[lo : lo + d_h])]
+    return per_gate + tail + [dw_head, db_head]
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +352,7 @@ class KindSpec(NamedTuple):
     dims: dict[str, str]  # dims key besides input_dim -> layer whose out-dim it is
     layers: Callable[[dict], list[LayerSpec]]
     forward: Callable | None = None  # (params, viewed_list) -> (probabilities, embeddings, cache)
-    loss_and_grads: Callable | None = None  # (params, viewed_list, labels, w+) -> (loss, grads)
+    backward: Callable | None = None  # (params, cache, d loss / d probabilities) -> grads
     pooled: bool = False  # the kernels also take pool_average rows in place of the prefixes
 
 
@@ -362,11 +360,11 @@ _DAN_DIMS = {"hidden_expand": "pool_proj", "hidden_contract": "hidden", "embeddi
 _LSTM_DIMS = {"lstm_hidden": "forget"}
 KINDS = {
     "random": KindSpec({}, lambda dims: []),
-    "average": KindSpec({}, _average_spec, _pooled_forward, _pooled_loss_and_grads, pooled=True),
-    "dan": KindSpec(_DAN_DIMS, _dan_spec, _pooled_forward, _pooled_loss_and_grads, pooled=True),
-    "lstm": KindSpec(_LSTM_DIMS, _lstm_spec, _recurrent_forward, _recurrent_loss_and_grads),
+    "average": KindSpec({}, _average_spec, _pooled_forward, _pooled_backward, pooled=True),
+    "dan": KindSpec(_DAN_DIMS, _dan_spec, _pooled_forward, _pooled_backward, pooled=True),
+    "lstm": KindSpec(_LSTM_DIMS, _lstm_spec, _recurrent_forward, _recurrent_backward),
     "lstm_attention": KindSpec(
-        _LSTM_DIMS, _lstm_attention_spec, _recurrent_forward, _recurrent_loss_and_grads
+        _LSTM_DIMS, _lstm_attention_spec, _recurrent_forward, _recurrent_backward
     ),
 }
 
@@ -410,21 +408,41 @@ def with_params(params: Params, arrays: list[np.ndarray]) -> Params:
     }
 
 
+def batch_loss(kind: str, params, viewed_list, positive, positive_weight: float) -> float:
+    """A kind's summed weighted BCE over a batch: its forward pass and the
+    loss, no backward pass.  ``positive`` is the batch's boolean label mask,
+    taken unchecked (``neural.weighted_bce_unchecked``)."""
+    probs = KINDS[kind].forward(params, viewed_list)[0]
+    loss, _ = neural.weighted_bce_unchecked(probs, positive, positive_weight)
+    return float(loss.sum())
+
+
+def batch_loss_and_grads(kind: str, params, viewed_list, positive, positive_weight: float):
+    """``batch_loss`` and its gradients summed over the batch, in spec
+    order; the loss is the same expression, so it has the same bits."""
+    probs, _, cache = KINDS[kind].forward(params, viewed_list)
+    loss, d_probs = neural.weighted_bce_unchecked(probs, positive, positive_weight)
+    return float(loss.sum()), KINDS[kind].backward(params, cache, d_probs)
+
+
 def example_loss_and_grads(kind: str, params, viewed_list, labels, positive_weight: float):
     """Weighted BCE loss and gradients of a batch of examples, each summed
-    over the batch (used by training and by the finite-difference checker).
-    A pooled kind also takes the batch's ``pool_average`` rows in place of
-    its prefix list."""
-    return KINDS[kind].loss_and_grads(params, viewed_list, labels, positive_weight)
+    over the batch; ValueError unless every label is 0 or 1 and the weight
+    is finite and > 0.  A pooled kind also takes the batch's
+    ``pool_average`` rows in place of its prefix list."""
+    positive = neural.positive_mask(labels, positive_weight)
+    return batch_loss_and_grads(kind, params, viewed_list, positive, positive_weight)
 
 
 def loss_fn_for_gradcheck(kind: str, template, viewed, label: int, positive_weight: float = 1.0):
-    """Bind an example for ``neural.grad_check``: the layers are built once
-    over the checker's working arrays, which it bumps in place."""
+    """Bind an example for ``neural.grad_check``: the label is checked once,
+    and the layers are built once over the checker's working arrays, which
+    it bumps in place.  The binder returns ``(loss, loss_and_grads)``."""
+    positive = neural.positive_mask([label], positive_weight)
 
     def bind(arrays):
-        params = with_params(template, arrays)
-        return lambda: example_loss_and_grads(kind, params, [viewed], [label], positive_weight)
+        args = (kind, with_params(template, arrays), [viewed], positive, positive_weight)
+        return lambda: batch_loss(*args), lambda: batch_loss_and_grads(*args)
 
     return bind
 
@@ -438,7 +456,7 @@ def dan_relu_margin(params: Params, viewed) -> float:
     comfortably exceeds the perturbation's reach.
     """
     *relu_caches, _ = _pooled_forward(params, [viewed])[2]
-    return float(min(np.abs(z).min() for _, z in relu_caches))
+    return float(min(np.abs(z).min() for _, z, _ in relu_caches))
 
 
 def train_traveler_model(
@@ -450,8 +468,11 @@ def train_traveler_model(
     batch.  The layers are built once over the trainer's parameter views,
     whose arrays change in place at every step; the trainer's finite check
     keeps them valid.  Average and DAN pool each example once, before the
-    first epoch.  The recorded per-epoch loss is the mean pre-update loss
-    over the epoch's examples.  Deterministic for a fixed config and seed.
+    first epoch.  The labels are checked once, by ``TravelerExample``, and
+    the class weight by ``positive_class_weight`` or the config; each step
+    runs ``batch_loss_and_grads`` on a slice of one label mask built up
+    front.  The recorded per-epoch loss is the mean pre-update loss over the
+    epoch's examples.  Deterministic for a fixed config and seed.
     Raises ValueError naming the kind and the epoch as soon as the loss or a
     parameter turns non-finite.
     """
@@ -459,6 +480,7 @@ def train_traveler_model(
         raise ConfigError(f"unknown model kind {kind!r}; valid: {', '.join(TRAINABLE_KINDS)}")
     labels = np.array([ex.label for ex in examples])
     w_pos = positive_class_weight(labels, config.positive_class_weight)
+    positive = labels == 1
     for ex in examples:
         if ex.viewed.shape[1] != config.input_dim:
             raise ValueError(
@@ -474,11 +496,11 @@ def train_traveler_model(
     def bind(views):
         layers = with_params(params, views)
 
-        def batch_loss_and_grads(batch):
+        def loss_and_grads(batch):
             inputs = [viewed[i] for i in batch] if pooled is None else pooled[batch]
-            return example_loss_and_grads(kind, layers, inputs, labels[batch], w_pos)
+            return batch_loss_and_grads(kind, layers, inputs, positive[batch], w_pos)
 
-        return batch_loss_and_grads
+        return loss_and_grads
 
     arrays, trace = neural.train_minibatch(params_list(params), bind, len(examples), config, rng, kind)
     params = with_params(params, arrays)

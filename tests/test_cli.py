@@ -579,6 +579,27 @@ class TestGradcheckCommand:
         "sgns": "0x1.2483a37df894fp+0",
     }
 
+    def test_every_binder_loss_matches_its_loss_and_grads(self, monkeypatch):
+        real, bound = cli.neural.grad_check, []
+
+        def checked(bind, params, h):
+            def bind_checked(views):
+                loss, loss_and_grads = bind(views)
+                bound.append(loss)
+
+                def loss_checked():
+                    value = loss()
+                    assert value.hex() == loss_and_grads()[0].hex()
+                    return value
+
+                return loss_checked, loss_and_grads
+
+            return real(bind_checked, params, h)
+
+        monkeypatch.setattr(cli.neural, "grad_check", checked)
+        assert set(cli.run_gradcheck(seed=3, rounds=2)) == {"dan", "lstm", "lstm_attention", "sgns"}
+        assert len(bound) == 8  # two cases per kind, SGNS included
+
     @pytest.mark.parametrize("corrupt", [None, "dan", "lstm_attention", "sgns"])
     def test_results_keep_their_bits(self, corrupt):
         results = cli.run_gradcheck(seed=7, corrupt_kind=corrupt, rounds=3)

@@ -202,6 +202,14 @@ class TestSessionLogRoundTrip:
             load_ground_truth(path)
         assert str(info.value) == f"{path}: line 3: bad cluster id 'seven'"
 
+    def test_ground_truth_negative_cluster_id_names_the_file_and_line(self, tmp_path):
+        # ids -3 and -5 would otherwise load as cluster_count = max + 1 = -2
+        path = tmp_path / "clusters.tsv"
+        path.write_text("# rule=x\nL1\t-3\nL2\t-5\n")
+        with pytest.raises(ParseError) as info:
+            load_ground_truth(path)
+        assert str(info.value) == f"{path}: line 2: negative cluster id -3"
+
 
 class TestVocabulary:
     def test_min_count_threshold(self):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from session2rec import neural
+from session2rec import evaluation, neural
 from session2rec.corpus import LabeledPrefix
 from session2rec.errors import ConfigError
 from session2rec.evaluation import (
@@ -20,7 +20,6 @@ from session2rec.evaluation import (
     compare_settings,
     downstream_eval,
     handcrafted_features,
-    load_report,
     precision_recall_f1,
     save_report,
     write_comparison,
@@ -143,14 +142,16 @@ class TestEvalReport:
 
     def test_file_bytes_are_pinned(self, tmp_path):
         golden = Path(__file__).parent / "data" / "report.json"
-        save_report(load_report(golden), tmp_path / "report.json")
+        with open(golden, encoding="utf-8") as fh:
+            save_report(EvalReport(**json.load(fh)), tmp_path / "report.json")
         assert (tmp_path / "report.json").read_bytes() == golden.read_bytes()
 
     def test_round_trip(self, tmp_path):
         report = EvalReport("dan", 0.91, 0.8, 0.6, 2 * 0.8 * 0.6 / 1.4, 0.5, 10, 20, 3, "test_cases=30")
         path = tmp_path / "report.json"
         save_report(report, path)
-        assert load_report(path) == report
+        with open(path, encoding="utf-8") as fh:
+            assert EvalReport(**json.load(fh)) == report
 
 
 class TestHandcraftedFeatures:
@@ -301,6 +302,47 @@ class TestDownstreamEval:
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
         assert [entry.mean_loss for entry in trace] == losses
         assert reports[0] == reports[1]
+
+    # the parent commit's reports, which built every case's features afresh
+    # for each setting: (auc, precision, recall, f1) as float.hex, counts
+    GOLDEN = {
+        "handcrafted": (
+            "0x1.da7b9611a7b96p-2", "0x1.4b4b4b4b4b4b5p-1", "0x1.8469ee58469eep-1",
+            "0x1.6596596596596p-1", 29, 16,
+        ),
+        "average": (
+            "0x1.cf72c234f72c2p-1", "0x1.bdef7bdef7bdfp-1", "0x1.dcb08d3dcb08dp-1",
+            "0x1.ccccccccccccdp-1", 29, 16,
+        ),
+        "handcrafted+average": (
+            "0x1.811a7b9611a7cp-1", "0x1.b13b13b13b13bp-1", "0x1.8469ee58469eep-1",
+            "0x1.999999999999ap-1", 29, 16,
+        ),
+    }
+
+    def test_settings_build_each_case_features_once(self, monkeypatch):
+        rng = np.random.default_rng(2024)
+        train, test = synthetic_cases(rng, n=90), synthetic_cases(rng, n=45)
+        model = average_model(4, rng)
+        calls, real = [], evaluation.handcrafted_features
+
+        def counted(prefix):
+            calls.append(prefix)
+            return real(prefix)
+
+        monkeypatch.setattr(evaluation, "handcrafted_features", counted)
+        for name, use_handcrafted, m in (
+            ("handcrafted", True, None), ("average", False, model), ("handcrafted+average", True, model),
+        ):
+            report = downstream_eval(
+                train, test, FeatureSetSpec(name, use_handcrafted, m), DownstreamConfig(epochs=7, seed=4)
+            )
+            got = (report.auc, report.precision, report.recall, report.f1)
+            assert (*(v.hex() for v in got), report.positives, report.negatives) == self.GOLDEN[name]
+        assert len(calls) == len(train) + len(test)
+        for case in train + test:
+            assert not case.features.flags.writeable
+            assert np.array_equal(case.features, real(case.prefix.views))
 
     def test_report_counts_describe_test_set(self, rng):
         train = synthetic_cases(rng, n=60)

@@ -10,6 +10,7 @@ from session2rec.neural import (
     dense_backward,
     dense_forward,
     grad_check,
+    sigmoid,
     layer_from_json,
     layer_to_json,
     load_model_json,
@@ -18,17 +19,23 @@ from session2rec.neural import (
     weighted_bce,
 )
 
-from conftest import oracle_adam_state, oracle_adam_step, train_minibatch_oracle
-
-
-def rebinding(fn):
-    """A grad_check binder that calls ``fn(params)`` on the working arrays
-    at every evaluation."""
-    return lambda params: lambda: fn(params)
+from conftest import oracle_adam_state, oracle_adam_step, rebinding, train_minibatch_oracle
 
 
 def random_layer(rng, out_dim, in_dim, activation):
     return DenseLayer(rng.normal(size=(out_dim, in_dim)), rng.normal(size=out_dim), activation)
+
+
+def activate_grad_oracle(z, kind):
+    """The activation's derivative recomputed from the pre-activation z."""
+    if kind == "relu":
+        return (z > 0).astype(float)
+    if kind == "sigmoid":
+        s = sigmoid(z)
+        return s * (1.0 - s)
+    if kind == "tanh":
+        return 1.0 - np.tanh(z) ** 2
+    return np.ones_like(z)
 
 
 class TestDenseForward:
@@ -46,10 +53,11 @@ class TestDenseForward:
     def test_matches_direct_recomputation(self, rng):
         layer = random_layer(rng, 8, 5, "tanh")
         x = rng.normal(size=5)
-        out, (cached_x, cached_z) = dense_forward(layer, x)
+        out, (cached_x, cached_z, cached_a) = dense_forward(layer, x)
         z = np.array([sum(layer.weights[i, j] * x[j] for j in range(5)) + layer.bias[i] for i in range(8)])
         assert np.allclose(out, np.tanh(z), atol=1e-12)
         assert np.allclose(cached_z, z, atol=1e-12)
+        assert cached_a is out
 
     def test_shape_mismatch(self, rng):
         layer = random_layer(rng, 3, 4, "relu")
@@ -116,6 +124,22 @@ class TestDenseBackward:
         dx, _, db = dense_backward(layer, cache, g)
         assert np.allclose(dx, layer.weights.T @ g, atol=1e-15)
         assert np.array_equal(db, g)
+
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid", "tanh", "linear"])
+    def test_matches_pre_activation_oracle_bit_for_bit(self, activation, rng):
+        for rows in ((), (1,), (9,)):  # one row, then batches
+            for scale in (1.0, 40.0):  # 40 saturates sigmoid and tanh
+                layer = random_layer(rng, 5, 3, activation)
+                layer.weights[0], layer.bias[0] = 0.0, 0.0  # z == 0 exactly: the relu kink
+                x = rng.normal(scale=scale, size=rows + (3,))
+                upstream = rng.normal(size=rows + (5,))
+                _, cache = dense_forward(layer, x)
+                z = x @ layer.weights.T + layer.bias
+                dz = upstream * activate_grad_oracle(z, activation)
+                flat = dz.reshape(-1, 5)
+                want = (dz @ layer.weights, flat.T @ x.reshape(-1, 3), flat.sum(axis=0))
+                got = dense_backward(layer, cache, upstream)
+                assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
     @pytest.mark.parametrize("activation", ["relu", "sigmoid", "tanh", "linear"])
     def test_matches_finite_differences(self, activation):
@@ -289,10 +313,13 @@ class TestGradCheck:
         before = [p.copy() for p in params]
         bound = []
 
+        def fn(working):
+            w, b = working
+            return float(((w * x).sum(axis=1) + b) @ b), [b[:, None] * x, (w * x).sum(axis=1) + 2 * b]
+
         def bind(working):
             bound.append(working)
-            w, b = working
-            return lambda: (float(((w * x).sum(axis=1) + b) @ b), [b[:, None] * x, (w * x).sum(axis=1) + 2 * b])
+            return rebinding(fn)(working)
 
         assert grad_check(bind, params, h=1e-5) < 1e-6
         assert len(bound) == 1

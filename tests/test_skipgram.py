@@ -21,6 +21,7 @@ from session2rec.skipgram import (
     train_embeddings,
 )
 
+from conftest import rebinding
 
 def generate_training_pairs(indices, window: int):
     """Oracle of ``skipgram._window_pairs`` for one session: (center, context)
@@ -156,14 +157,11 @@ class TestSgnsStep:
             k = int(rng.integers(1, 5))
             arrays = [rng.normal(size=d), rng.normal(size=d), rng.normal(size=(k, d))]
 
-            def bind(params):
-                def fn():
-                    loss, dc, dp, dn = sgns_loss_and_grads(*params)
-                    return loss, [dc, dp, dn]
+            def fn(params):
+                loss, dc, dp, dn = sgns_loss_and_grads(*params)
+                return loss, [dc, dp, dn]
 
-                return fn
-
-            assert neural.grad_check(bind, arrays, h=1e-5) < 1e-4
+            assert neural.grad_check(rebinding(fn), arrays, h=1e-5) < 1e-4
 
     def test_positive_pair_dot_increases(self, rng):
         inp = rng.uniform(-0.01, 0.01, size=(5, 4))

@@ -36,7 +36,7 @@ from session2rec.traveler import (
     write_training_log,
 )
 
-from conftest import oracle_adam_state, oracle_adam_step, train_minibatch_oracle, view
+from conftest import oracle_adam_state, oracle_adam_step, rebinding, train_minibatch_oracle, view
 
 
 def zero_dan(d=4, d_h2=6, d_h1=3, d_f=2):
@@ -380,11 +380,41 @@ class TestBatchedKernels:
             params, one = random_case(kind, rng)
             viewed = [rng.normal(size=(t, one.shape[1])) for t in (1, 4, 2)]
 
-            def bind(arrays):
-                layers = with_params(params, arrays)
-                return lambda: example_loss_and_grads(kind, layers, viewed, [1, 0, 1], 1.5)
+            def fn(arrays):
+                return example_loss_and_grads(kind, with_params(params, arrays), viewed, [1, 0, 1], 1.5)
 
-            assert neural.grad_check(bind, [a.copy() for a in params_list(params)], h=1e-5) < 1e-4
+            arrays = [a.copy() for a in params_list(params)]
+            assert neural.grad_check(rebinding(fn), arrays, h=1e-5) < 1e-4
+
+    @pytest.mark.parametrize("size", (1, 6))
+    @pytest.mark.parametrize("kind", TRAINABLE_KINDS)
+    def test_loss_only_entry_keeps_the_loss_bits(self, kind, size, rng):
+        for _ in range(5):
+            params, one = random_case(kind, rng)
+            viewed = [rng.normal(size=(int(t), one.shape[1])) for t in rng.integers(1, 6, size=size)]
+            labels = rng.integers(0, 2, size=size)
+            weight = 1.0 + 3.0 * rng.random()
+            args = (kind, params, viewed, labels == 1, weight)
+            loss = traveler.batch_loss(*args)
+            assert loss.hex() == traveler.batch_loss_and_grads(*args)[0].hex()
+            assert loss.hex() == example_loss_and_grads(kind, params, viewed, labels, weight)[0].hex()
+            if kind in ("average", "dan"):  # pooled rows in place of the prefixes
+                pooled = (kind, params, pool_average(viewed), labels == 1, weight)
+                assert traveler.batch_loss(*pooled).hex() == loss.hex()
+            if size == 1:
+                bind = loss_fn_for_gradcheck(kind, params, viewed[0], int(labels[0]), weight)
+                loss_only, loss_and_grads = bind(params_list(params))
+                assert loss_only().hex() == loss_and_grads()[0].hex() == loss.hex()
+
+    @pytest.mark.parametrize("kind", TRAINABLE_KINDS)
+    def test_public_entries_still_check_labels_and_weight(self, kind, rng):
+        params, viewed = random_case(kind, rng)
+        with pytest.raises(ValueError, match="label must be 0 or 1"):
+            example_loss_and_grads(kind, params, [viewed, viewed], [1, 2], 1.0)
+        with pytest.raises(ValueError, match="label must be 0 or 1"):
+            loss_fn_for_gradcheck(kind, params, viewed, 2)
+        with pytest.raises(ValueError, match="positive_weight"):
+            example_loss_and_grads(kind, params, [viewed], [1], 0.0)
 
     @pytest.mark.parametrize("kind", TRAINABLE_KINDS)
     def test_prediction_and_embedding_match_per_example_forward(self, kind, rng):
@@ -907,16 +937,16 @@ class TestDivergence:
             input_dim=8, hidden_expand=12, hidden_contract=6, embedding_dim=4,
             epochs=3, batch_size=16, seed=1,
         )
-        calls = []
+        calls, real = [], traveler.batch_loss_and_grads
 
-        def poisoned(kind, params, viewed, labels, positive_weight):
+        def poisoned(kind, params, viewed, positive, positive_weight):
             calls.append(kind)
-            loss, grads = example_loss_and_grads(kind, params, viewed, labels, positive_weight)
+            loss, grads = real(kind, params, viewed, positive, positive_weight)
             if len(calls) == 6:  # the second batch of epoch 2; the loss stays finite
                 grads[0] = np.full_like(grads[0], np.nan)
             return loss, grads
 
-        monkeypatch.setattr(traveler, "example_loss_and_grads", poisoned)
+        monkeypatch.setattr(traveler, "batch_loss_and_grads", poisoned)
         with pytest.raises(ValueError, match=r"^dan training diverged in epoch 2 of 3"):
             train_traveler_model(examples, "dan", config)
         assert len(calls) == 6  # no batch ran on the non-finite layers
