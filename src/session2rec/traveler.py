@@ -18,10 +18,10 @@ All trainable kinds minimise class-weighted binary cross entropy on booking
 labels with the mini-batch loop from :mod:`.neural`; every gradient is
 hand-derived and checked against finite differences.  A kind is a forward
 and a backward kernel: its loss is the forward pass and the BCE, its
-gradients add the backward pass.  Every kind runs a
-batch of view prefixes in one pass, in training and in inference.  Average
-and DAN run the dense-stack kernel over the segment means of the prefixes;
-training computes each example's mean once.
+gradients add the backward pass.  Every kind runs a batch of view prefixes
+in one pass, in training and in inference.  Average and DAN run the
+dense-stack kernel over the segment means of the prefixes; training
+computes each example's mean once.
 The LSTM kinds run one packed recurrence: the prefixes sorted by length,
 the four gates stacked into one matrix, step t over the rows still active;
 attention scores a padded step -inf, so it weighs exactly 0.

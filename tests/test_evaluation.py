@@ -303,8 +303,8 @@ class TestDownstreamEval:
         assert [entry.mean_loss for entry in trace] == losses
         assert reports[0] == reports[1]
 
-    # the parent commit's reports, which built every case's features afresh
-    # for each setting: (auc, precision, recall, f1) as float.hex, counts
+    # the reports as computed when every setting built every case's features
+    # afresh: (auc, precision, recall, f1) as float.hex, then the counts
     GOLDEN = {
         "handcrafted": (
             "0x1.da7b9611a7b96p-2", "0x1.4b4b4b4b4b4b5p-1", "0x1.8469ee58469eep-1",
