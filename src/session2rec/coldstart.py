@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, open_utf8
 from .skipgram import EmbeddingTable
 
 EARTH_RADIUS_KM = 6371.0088
@@ -205,7 +205,7 @@ def extrapolate_cold(belief: dict[str, float], dest_embeddings: DestinationEmbed
 def _csv_records(path, columns):
     """Yield (line number, record) per row of a CSV file; ParseError naming
     the file unless its header holds exactly ``columns``."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_utf8(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or set(reader.fieldnames) != set(columns):
             raise ParseError(f"{path}: expected header {sorted(columns)}")

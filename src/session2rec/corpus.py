@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, open_utf8
 
 EVENT_KINDS = ("view", "book")
 
@@ -261,7 +261,7 @@ def load_sessions(path) -> SessionCorpus:
     stably sorted by timestamp.  Sessions appear in first-seen order.
     """
     groups: dict[tuple[str, str], list[Interaction]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line or line.startswith("#"):
@@ -296,7 +296,7 @@ def save_ground_truth(truth: SyntheticGroundTruth, path) -> None:
 def load_ground_truth(path) -> SyntheticGroundTruth:
     clusters: dict[str, int] = {}
     rule = ""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line:

@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the UTF-8 text opener of
+every file reader."""
+
+import contextlib
 
 
 class ConfigError(ValueError):
@@ -7,3 +10,25 @@ class ConfigError(ValueError):
 
 class ParseError(ValueError):
     """An input file does not conform to its declared format."""
+
+
+@contextlib.contextmanager
+def open_utf8(path, error=ParseError, newline=None):
+    """``path`` opened as UTF-8 text.  Bytes that do not decode raise
+    ``error`` naming the file and the first line that holds them; the file
+    is rescanned in binary for that line only once decoding has failed.
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, as the text readers count them."""
+    try:
+        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines()
+        for lineno, raw in enumerate(lines, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as bad:
+                raise error(
+                    f"{path}: line {lineno}: not UTF-8 ({bad.reason} {raw[bad.start]:#04x})"
+                ) from None
+        raise error(f"{path}: not UTF-8 ({exc.reason})") from None  # the file changed meanwhile

@@ -139,21 +139,20 @@ class FeatureSetSpec:
 # the benchmark in perfbench/ calls and traces the downstream cases by this name
 build_downstream_cases = traveler_mod.build_examples
 
+DECISION_THRESHOLD = 0.5  # a test case is predicted positive at a score >= this
+REQUIRED_PROVENANCE = "train"  # the split tag every embedding model must carry
+
 
 @dataclass(frozen=True)
 class DownstreamConfig:
     epochs: int = 40
     batch_size: int = 64
     learning_rate: float = 0.01
-    threshold: float = 0.5
     positive_class_weight: float | None = None
     seed: int = 0
-    required_provenance: str = "train"  # embedding models must carry this tag
 
     def __post_init__(self):
         traveler_mod.check_training_fields(self)
-        if not math.isfinite(self.threshold):
-            raise ConfigError("threshold must be finite")
 
 
 def _case_features(case: TravelerExample) -> np.ndarray:
@@ -184,7 +183,7 @@ def downstream_eval(
     """Train the logistic downstream classifier and score the test side.
 
     Features are standardised with train-side statistics only.  Any embedding
-    model must carry the provenance tag named in the config, which guards
+    model must carry the split tag ``REQUIRED_PROVENANCE``, which guards
     against evaluating a model that saw test travelers.  The head is built
     once over the trainer's parameter views, whose arrays change in place;
     the trainer's finite check keeps them valid.  A case's hand-crafted
@@ -197,12 +196,12 @@ def downstream_eval(
     """
     if not train_cases or not test_cases:
         raise ValueError("need non-empty train and test case lists")
-    if spec.model is not None and config.required_provenance:
+    if spec.model is not None:
         tag = spec.model.provenance.get("split")
-        if tag != config.required_provenance:
+        if tag != REQUIRED_PROVENANCE:
             raise ValueError(
                 f"model for setting {spec.name!r} carries provenance split={tag!r}, "
-                f"expected {config.required_provenance!r}"
+                f"expected {REQUIRED_PROVENANCE!r}"
             )
 
     rng = np.random.default_rng(config.seed)
@@ -222,8 +221,10 @@ def downstream_eval(
     x_test = (x_test - mean) / std
 
     def bind(views):
-        head = [neural.DenseLayer(*views, "sigmoid")]
-        return lambda batch: neural.stack_loss_and_grads(head, x_train[batch], positive[batch], w_pos)
+        head = {"head": neural.DenseLayer(*views, "sigmoid")}  # the "average" kind's one layer
+        return lambda batch: traveler_mod.batch_loss_and_grads(
+            "average", head, x_train[batch], positive[batch], w_pos
+        )
 
     zero_head = [np.zeros((1, x_train.shape[1])), np.zeros(1)]
     arrays, _ = neural.train_minibatch(
@@ -232,14 +233,14 @@ def downstream_eval(
     )
     scores, _ = neural.stack_forward([neural.DenseLayer(*arrays, "sigmoid")], x_test)
     scored = ScoredSet(scores[:, 0], y_test)
-    precision, recall, f1 = precision_recall_f1(scored, config.threshold)
+    precision, recall, f1 = precision_recall_f1(scored, DECISION_THRESHOLD)
     return EvalReport(
         feature_set=spec.name,
         auc=auc(scored),
         precision=precision,
         recall=recall,
         f1=f1,
-        threshold=config.threshold,
+        threshold=DECISION_THRESHOLD,
         positives=int(y_test.sum()),
         negatives=int(len(y_test) - y_test.sum()),
         seed=config.seed,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, open_utf8
 
 ACTIVATIONS = ("relu", "sigmoid", "tanh", "linear")
 PROB_CLAMP = 1e-7  # keeps binary cross entropy finite
@@ -110,16 +110,6 @@ def stack_backward(layers: list[DenseLayer], caches, upstream: np.ndarray) -> li
         upstream, dw, db = dense_backward(layer, cache, upstream)
         grads[:0] = [dw, db]
     return grads
-
-
-def stack_loss_and_grads(layers: list[DenseLayer], x: np.ndarray, positive, positive_weight: float):
-    """Summed weighted BCE of a dense stack that ends in one sigmoid unit,
-    over (B, in) rows, and its gradients summed over the rows: each layer's
-    weights then bias, in layer order.  ``positive`` is the rows' boolean
-    label mask, taken unchecked (see ``weighted_bce_unchecked``)."""
-    out, caches = stack_forward(layers, x)
-    loss, d_prob = weighted_bce_unchecked(out[:, 0], positive, positive_weight)
-    return float(loss.sum()), stack_backward(layers, caches, d_prob[:, None])
 
 
 def positive_mask(label, positive_weight: float) -> np.ndarray:
@@ -243,13 +233,14 @@ def train_minibatch(arrays, bind, n: int, config, rng, name: str):
     return [view.copy() for view in views], trace
 
 
+GRAD_STEP = 1e-5  # the central-difference step h
 GRAD_RESOLUTION = 1e-6  # entries smaller than this on both sides are below
 # what central differences can resolve at 64 bits: the difference quotient
 # carries ~|loss| * eps / h rounding noise plus O(h^2) truncation, i.e.
 # ~1e-11 absolute at h = 1e-5, which swamps the relative comparison there.
 
 
-def grad_check(bind, params, h: float = 1e-5) -> float:
+def grad_check(bind, params) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     ``params`` is copied once into a flat float64 vector as in
@@ -259,15 +250,13 @@ def grad_check(bind, params, h: float = 1e-5) -> float:
     on the loss, and return gradient arrays shaped like them (else
     ValueError).
     The analytic gradients come from one ``loss_and_grads()``; then each
-    entry of the vector in turn is bumped by +-h in place and restored, and
-    the two bumped evaluations call only ``loss()``.  The relative error
-    uses max(|analytic|, |numeric|, 1e-8) as denominator.  Entries where
-    both the analytic and the numeric value fall below GRAD_RESOLUTION are
-    not scored; a wrong gradient still surfaces because either side being
-    large keeps the entry in the comparison.
+    entry of the vector in turn is bumped by +-GRAD_STEP in place and
+    restored, and the two bumped evaluations call only ``loss()``.  The
+    relative error uses max(|analytic|, |numeric|, 1e-8) as denominator.
+    Entries where both the analytic and the numeric value fall below
+    GRAD_RESOLUTION are not scored; a wrong gradient still surfaces because
+    either side being large keeps the entry in the comparison.
     """
-    if not 1e-7 <= h <= 1e-3:
-        raise ValueError("h must be in [1e-7, 1e-3]")
     theta, views = _flat_views(params)
     loss, loss_and_grads = bind(views)
     value, grads = loss_and_grads()
@@ -277,12 +266,12 @@ def grad_check(bind, params, h: float = 1e-5) -> float:
     worst = 0.0
     for i in range(theta.size):
         saved = theta[i]
-        theta[i] = saved + h
+        theta[i] = saved + GRAD_STEP
         up = loss()
-        theta[i] = saved - h
+        theta[i] = saved - GRAD_STEP
         down = loss()
         theta[i] = saved
-        numeric = (up - down) / (2.0 * h)
+        numeric = (up - down) / (2.0 * GRAD_STEP)
         if max(abs(analytic[i]), abs(numeric)) < GRAD_RESOLUTION:
             continue
         denom = max(abs(analytic[i]), abs(numeric), 1e-8)
@@ -306,17 +295,17 @@ def layer_from_json(obj: dict) -> DenseLayer:
     )
 
 
-def save_model_json(path, model_kind: str, dims: dict, layers: list[DenseLayer], extra: dict | None = None):
-    """Model parameter file: layers in a fixed per-kind order, optimizer
-    state omitted.  json keeps shortest round-trip float text."""
+def save_model_json(path, model_kind: str, dims: dict, layers: list[DenseLayer], extra: dict):
+    """Model parameter file: layers in a fixed per-kind order, then the
+    ``extra`` keys; optimizer state omitted.  json keeps shortest
+    round-trip float text."""
     payload = {
         "format_version": 1,
         "model_kind": model_kind,
         "dims": dims,
         "layers": [layer_to_json(layer) for layer in layers],
+        **extra,
     }
-    if extra:
-        payload.update(extra)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")
@@ -325,7 +314,7 @@ def save_model_json(path, model_kind: str, dims: dict, layers: list[DenseLayer],
 def load_model_json(path) -> dict:
     """Read a model file with its layers built; ParseError unless it is a
     format-1 object whose ``layers`` list holds valid layer objects."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import SessionCorpus, Vocabulary, subsample_keep_probability
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, open_utf8
 from .neural import sigmoid
 
 LOGIT_CLAMP = 30.0  # dot products are clipped here before exponentiation
@@ -134,9 +134,10 @@ def sgns_step(centers, contexts, negatives, table: EmbeddingTable, learning_rate
 
     s_pos = np.clip(np.einsum("bd,bd->b", center_vecs, pos_vecs), -LOGIT_CLAMP, LOGIT_CLAMP)
     s_neg = np.clip(np.einsum("bkd,bd->bk", neg_vecs, center_vecs), -LOGIT_CLAMP, LOGIT_CLAMP)
-    loss = -float(np.log(sigmoid(s_pos)).sum() + np.log(sigmoid(-s_neg)).sum())
+    p_pos = sigmoid(s_pos)
+    loss = -float(np.log(p_pos).sum() + np.log(sigmoid(-s_neg)).sum())
 
-    g_pos = (sigmoid(s_pos) - 1.0) * rate  # rate * d loss / d s_pos
+    g_pos = (p_pos - 1.0) * rate  # rate * d loss / d s_pos
     g_neg = sigmoid(s_neg) * rate[:, None]  # rate * d loss / d s_neg
     d_center = g_pos[:, None] * pos_vecs + np.einsum("bkd,bk->bd", neg_vecs, g_neg)
     d_pos = g_pos[:, None] * center_vecs
@@ -195,27 +196,22 @@ def _window_pairs(indices: np.ndarray, session_ids: np.ndarray, window: int) -> 
 def negative_sample(contexts: np.ndarray, vocab_size: int, k: int, rng, weights=None) -> np.ndarray:
     """Draw k negatives for each of the (n,) contexts; returns (n, k).
 
-    Draws are uniform, or follow ``weights`` when given.  A draw equal to
-    its row's context is redrawn; after 16 rounds a colliding draw is kept.
+    Draws follow ``weights``, or are uniform when it is None: then
+    ``rng.choice`` returns the ``rng.integers(0, vocab_size)`` stream.  A
+    draw equal to its row's context is redrawn; after 16 rounds a colliding
+    draw is kept.
     """
     if vocab_size <= 1:
         raise ValueError("cannot negative-sample a single-listing vocabulary")
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = len(contexts)
-    if weights is None:
-        draws = rng.integers(0, vocab_size, size=(n, k))
-    else:
-        draws = rng.choice(vocab_size, size=(n, k), p=weights)
+    draws = rng.choice(vocab_size, size=(len(contexts), k), p=weights)
     for _ in range(16):
         mask = draws == contexts[:, None]
         hits = int(mask.sum())
         if hits == 0:
             break
-        if weights is None:
-            draws[mask] = rng.integers(0, vocab_size, size=hits)
-        else:
-            draws[mask] = rng.choice(vocab_size, size=hits, p=weights)
+        draws[mask] = rng.choice(vocab_size, size=hits, p=weights)
     return draws
 
 
@@ -358,7 +354,7 @@ def load_embeddings_text(path) -> tuple[list[str], np.ndarray]:
     is not a finite number, a key seen before, and (line 1) a header count
     other than the number of rows before ``#coldstart`` (all rows without it).
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         header = fh.readline().split()
         try:
             count, dim = (int(x) for x in header)
@@ -402,26 +398,10 @@ def load_embeddings_text(path) -> tuple[list[str], np.ndarray]:
 
 
 def save_embeddings_binary(table: EmbeddingTable, path) -> None:
-    """Binary sidecar holding both tables bit-exactly."""
+    """Binary sidecar holding both tables bit-exactly.  No stage reads it,
+    so there is no loader."""
     with open(path, "wb") as fh:
         fh.write(SIDECAR_HEADER.pack(SIDECAR_MAGIC, SIDECAR_VERSION, table.vocab_size, table.dim))
         fh.write(np.ascontiguousarray(table.input_vectors, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(table.output_vectors, dtype="<f8").tobytes())
 
-
-def load_embeddings_binary(path) -> EmbeddingTable:
-    """Read the sidecar.  ParseError names the file for a bad magic or
-    version, and for a size other than the header's ``V x d`` promises."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    header = SIDECAR_HEADER.size
-    if len(data) < header or data[:4] != SIDECAR_MAGIC:
-        raise ParseError(f"{path}: not a sidecar: bad magic {data[:4]!r} or under {header} bytes")
-    _, version, v, d = SIDECAR_HEADER.unpack_from(data)
-    if version != SIDECAR_VERSION:
-        raise ParseError(f"{path}: unsupported sidecar version {version}")
-    size = header + 2 * v * d * 8
-    if len(data) != size:
-        raise ParseError(f"{path}: {len(data)} bytes, expected {size} for V={v} d={d}")
-    tables = np.frombuffer(data, dtype="<f8", offset=header).reshape(2, v, d).copy()
-    return EmbeddingTable(tables[0], tables[1])

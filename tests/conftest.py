@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +34,42 @@ def rebinding(fn):
     """A grad_check binder that calls ``fn(params) -> (loss, grads)`` on the
     working arrays at every evaluation; its loss-only entry keeps the loss."""
     return lambda params: (lambda: fn(params)[0], lambda: fn(params))
+
+
+def corrupted(bind):
+    """A grad_check binder whose analytic gradient is off by 0.5 in the
+    first entry of the first array: a checker that works must flag it."""
+
+    def bind_corrupted(views):
+        loss, loss_and_grads = bind(views)
+
+        def fn():
+            value, grads = loss_and_grads()
+            grads = [g.copy() for g in grads]
+            grads[0].reshape(-1)[0] += 0.5
+            return value, grads
+
+        return loss, fn
+
+    return bind_corrupted
+
+
+GRADCHECK_KINDS = ("dan", "lstm", "lstm_attention", "sgns")  # cli.run_gradcheck's order
+
+
+def corrupting_grad_check(kind, rounds):
+    """A ``neural.grad_check`` for ``cli.run_gradcheck(rounds=rounds)`` that
+    corrupts every case of ``kind``: run_gradcheck checks GRADCHECK_KINDS in
+    order, ``rounds`` calls each."""
+    real, calls = neural.grad_check, itertools.count()
+    first = GRADCHECK_KINDS.index(kind) * rounds
+
+    def grad_check(bind, params):
+        if first <= next(calls) < first + rounds:
+            bind = corrupted(bind)
+        return real(bind, params)
+
+    return grad_check
 
 
 @pytest.fixture

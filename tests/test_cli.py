@@ -1,11 +1,11 @@
-import functools
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 
-from session2rec import cli
+from session2rec import cli, coldstart, corpus, neural
 from session2rec.coldstart import (
     DestinationDemand,
     destination_embeddings,
@@ -14,8 +14,10 @@ from session2rec.coldstart import (
     load_centroids_csv,
     GeoPoint,
 )
-from session2rec.errors import ConfigError
+from session2rec.errors import ConfigError, ParseError
 from session2rec.skipgram import EmbeddingTable, load_embeddings_text
+
+from conftest import corrupting_grad_check
 
 TINY = {
     "seed": 5,
@@ -563,7 +565,7 @@ class TestGradcheckCommand:
             assert kind in out
 
     def test_corrupted_gradient_fails(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "run_gradcheck", functools.partial(cli.run_gradcheck, corrupt_kind="sgns"))
+        monkeypatch.setattr(cli.neural, "grad_check", corrupting_grad_check("sgns", rounds=2))
         code = cli.main(["gradcheck", "--rounds", "2"])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
@@ -582,7 +584,7 @@ class TestGradcheckCommand:
     def test_every_binder_loss_matches_its_loss_and_grads(self, monkeypatch):
         real, bound = cli.neural.grad_check, []
 
-        def checked(bind, params, h):
+        def checked(bind, params):
             def bind_checked(views):
                 loss, loss_and_grads = bind(views)
                 bound.append(loss)
@@ -594,17 +596,58 @@ class TestGradcheckCommand:
 
                 return loss_checked, loss_and_grads
 
-            return real(bind_checked, params, h)
+            return real(bind_checked, params)
 
         monkeypatch.setattr(cli.neural, "grad_check", checked)
         assert set(cli.run_gradcheck(seed=3, rounds=2)) == {"dan", "lstm", "lstm_attention", "sgns"}
         assert len(bound) == 8  # two cases per kind, SGNS included
 
     @pytest.mark.parametrize("corrupt", [None, "dan", "lstm_attention", "sgns"])
-    def test_results_keep_their_bits(self, corrupt):
-        results = cli.run_gradcheck(seed=7, corrupt_kind=corrupt, rounds=3)
+    def test_results_keep_their_bits(self, corrupt, monkeypatch):
+        if corrupt:
+            monkeypatch.setattr(cli.neural, "grad_check", corrupting_grad_check(corrupt, rounds=3))
+        results = cli.run_gradcheck(seed=7, rounds=3)
         want = dict(self.CLEAN, **({corrupt: self.CORRUPTED[corrupt]} if corrupt else {}))
         assert {kind: err.hex() for kind, err in results.items()} == want
+
+
+@pytest.mark.parametrize(
+    "read, lines, error",
+    [
+        pytest.param(
+            corpus.load_sessions, [b"T1\t0\t1\tA\tview", b"T1\t0\t2\tB\tview", b"T1\t0\t3\tC"],
+            ParseError, id="session-log",
+        ),
+        pytest.param(corpus.load_ground_truth, [b"# clusters=2", b"A\t0", b"B"], ParseError, id="ground-truth"),
+        pytest.param(load_embeddings_text, [b"2 2", b"A 0.1 0.2", b"B 0.3 0.4"], ParseError, id="embeddings"),
+        pytest.param(
+            lambda path: coldstart.load_demand_csv(path, {"A": 0, "B": 1}),
+            [b"listing_key,destination_id,proportion", b"A,north,1.0", b"B,south,1.0"],
+            ParseError, id="demand",
+        ),
+        pytest.param(
+            coldstart.load_centroids_csv, [b"destination_id,latitude,longitude", b"north,1,2", b"south,3,4"],
+            ParseError, id="centroids",
+        ),
+        pytest.param(
+            coldstart.load_cold_listings_csv, [b"listing_key,latitude,longitude", b"C1,1,2", b"C2,3,4"],
+            ParseError, id="cold-listings",
+        ),
+        pytest.param(
+            neural.load_model_json, [b"{", b' "format_version": 1,', b' "layers": []', b"}"],
+            ParseError, id="model-json",
+        ),
+        pytest.param(cli.load_config, [b"{", b' "seed": 1,', b' "corpus": {}', b"}"], ConfigError, id="config"),
+    ],
+)
+@pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_input_that_is_not_utf8_names_the_file_and_first_bad_line(read, lines, error, eol, tmp_path):
+    path = tmp_path / "input"
+    lines[2] += b"\xff"  # the first byte that does not decode is on line 3
+    lines.insert(3, b"\xfe")
+    path.write_bytes(eol.join(lines) + eol)
+    with pytest.raises(error, match=rf"^{re.escape(str(path))}: line 3: not UTF-8 \(invalid start byte 0xff\)$"):
+        read(path)
 
 
 class TestPipeline:

@@ -362,8 +362,6 @@ class TestDownstreamConfigRanges:
             ("learning_rate", 0.0),
             ("learning_rate", math.inf),
             ("learning_rate", math.nan),
-            ("threshold", math.inf),
-            ("threshold", math.nan),
             ("positive_class_weight", 0.0),
             ("positive_class_weight", -2.0),
             ("positive_class_weight", math.inf),

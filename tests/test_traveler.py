@@ -340,7 +340,7 @@ class TestDanForward:
             label = int(rng.integers(2))
             fn = loss_fn_for_gradcheck("dan", params, viewed, label, 1.5)
             arrays = [a.copy() for a in params_list(params)]
-            assert neural.grad_check(fn, arrays, h=1e-5) < 1e-4
+            assert neural.grad_check(fn, arrays) < 1e-4
             checked += 1
 
 
@@ -384,7 +384,7 @@ class TestBatchedKernels:
                 return example_loss_and_grads(kind, with_params(params, arrays), viewed, [1, 0, 1], 1.5)
 
             arrays = [a.copy() for a in params_list(params)]
-            assert neural.grad_check(rebinding(fn), arrays, h=1e-5) < 1e-4
+            assert neural.grad_check(rebinding(fn), arrays) < 1e-4
 
     @pytest.mark.parametrize("size", (1, 6))
     @pytest.mark.parametrize("kind", TRAINABLE_KINDS)
@@ -484,7 +484,7 @@ class TestLstmForward:
             params, viewed = random_case("lstm", rng, t=5)
             fn = loss_fn_for_gradcheck("lstm", params, viewed, int(rng.integers(2)), 2.0)
             arrays = [a.copy() for a in params_list(params)]
-            assert neural.grad_check(fn, arrays, h=1e-5) < 1e-4
+            assert neural.grad_check(fn, arrays) < 1e-4
 
 
 class TestAttention:
@@ -541,7 +541,7 @@ class TestAttention:
             params, viewed = random_case("lstm_attention", rng)
             fn = loss_fn_for_gradcheck("lstm_attention", params, viewed, int(rng.integers(2)), 1.0)
             arrays = [a.copy() for a in params_list(params)]
-            assert neural.grad_check(fn, arrays, h=1e-5) < 1e-4
+            assert neural.grad_check(fn, arrays) < 1e-4
 
 
 class TestPermutationBehaviour:
