@@ -201,7 +201,7 @@ def cmd_coldstart(config: PipelineConfig) -> int:
     if not (cs["demand_file"] and cs["centroids_file"]):
         raise ConfigError("coldstart needs demand_file and centroids_file")
     table, key_to_index = _load_table_and_index(config)
-    with open(embeddings_path, "r", encoding="utf-8") as fh:
+    with open_utf8(embeddings_path) as fh:
         n_trained = int(fh.readline().split()[0])  # the loader checked it against the rows
     trained = {key for key, i in key_to_index.items() if i < n_trained}
     listings = cold.load_cold_listings_csv(_resolve(config, cs["cold_listings_file"]), trained)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParseError, open_utf8
+from .errors import ParseError, bad_listing_key, open_utf8
 from .skipgram import EmbeddingTable
 
 EARTH_RADIUS_KM = 6371.0088
@@ -275,7 +275,7 @@ def load_cold_listings_csv(path, trained_keys=frozenset()) -> list[tuple[str, Ge
     rows, first_line = [], {}
     for line, record in _csv_records(path, ("listing_key", "latitude", "longitude")):
         key, where = record["listing_key"], f"{path}: line {line}"
-        if key.split() != [key] or key.startswith("#"):
+        if bad_listing_key(key):
             raise ParseError(f"{where}: bad listing key {key!r}")
         if key in first_line:
             raise ParseError(f"{where}: duplicate key {key!r}, first on line {first_line[key]}")

@@ -10,11 +10,11 @@ every downstream stage can be checked against ground truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, open_utf8
+from .errors import ConfigError, ParseError, bad_listing_key, open_utf8
 
 EVENT_KINDS = ("view", "book")
 
@@ -51,9 +51,6 @@ class Session:
         ordered = tuple(sorted(self.interactions, key=lambda it: it.timestamp))
         object.__setattr__(self, "interactions", ordered)
 
-    def views(self) -> tuple[Interaction, ...]:
-        return tuple(it for it in self.interactions if it.event_kind == "view")
-
     def has_booking(self) -> bool:
         return any(it.event_kind == "book" for it in self.interactions)
 
@@ -61,7 +58,6 @@ class Session:
 @dataclass(frozen=True)
 class SessionCorpus:
     sessions: tuple[Session, ...]
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.sessions:
@@ -225,14 +221,7 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[SessionCorpus, Syntheti
             "booked listing = last home-cluster view, else last view"
         ),
     )
-    metadata = {
-        "source": "synthetic",
-        "n_listings": str(v),
-        "n_clusters": str(k),
-        "n_travelers": str(config.n_travelers),
-        "seed": str(config.seed),
-    }
-    return SessionCorpus(tuple(sessions), metadata), truth
+    return SessionCorpus(tuple(sessions)), truth
 
 
 def save_sessions(corpus: SessionCorpus, path) -> None:
@@ -259,8 +248,11 @@ def load_sessions(path) -> SessionCorpus:
 
     Records are grouped by (traveler_key, session_id) with interactions
     stably sorted by timestamp.  Sessions appear in first-seen order.
+    ParseError names the file and line of a malformed record, including a
+    listing key the embedding text format cannot hold.
     """
     groups: dict[tuple[str, str], list[Interaction]] = {}
+    listings: set[str] = set()  # keys already checked
     with open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -278,47 +270,26 @@ def load_sessions(path) -> SessionCorpus:
                 raise ParseError(f"{path}: line {lineno}: bad timestamp {ts!r}") from None
             if timestamp < 0:
                 raise ParseError(f"{path}: line {lineno}: negative timestamp")
+            if listing not in listings:
+                if bad_listing_key(listing):
+                    raise ParseError(f"{path}: line {lineno}: bad listing key {listing!r}")
+                listings.add(listing)
             groups.setdefault((traveler, sid), []).append(Interaction(listing, timestamp, kind))
     if not groups:
         raise ParseError(f"{path}: no sessions")
     sessions = tuple(Session(traveler, tuple(items)) for (traveler, _), items in groups.items())
-    return SessionCorpus(sessions, {"source": str(path)})
+    return SessionCorpus(sessions)
 
 
 def save_ground_truth(truth: SyntheticGroundTruth, path) -> None:
+    """Cluster count and booking rule as ``#`` lines, then one
+    ``listing_key<TAB>cluster_id`` row per listing.  No stage reads it, so
+    there is no loader."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# clusters={truth.cluster_count}\n")
         fh.write(f"# rule={truth.booking_rule}\n")
         for key in sorted(truth.cluster_of_listing):
             fh.write(f"{key}\t{truth.cluster_of_listing[key]}\n")
-
-
-def load_ground_truth(path) -> SyntheticGroundTruth:
-    clusters: dict[str, int] = {}
-    rule = ""
-    with open_utf8(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                if line.startswith("# rule="):
-                    rule = line[len("# rule=") :]
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError(f"{path}: line {lineno}: expected 'listing_key<TAB>cluster_id'")
-            try:
-                cluster = int(parts[1])
-            except ValueError:
-                raise ParseError(f"{path}: line {lineno}: bad cluster id {parts[1]!r}") from None
-            if cluster < 0:
-                raise ParseError(f"{path}: line {lineno}: negative cluster id {cluster}")
-            clusters[parts[0]] = cluster
-    if not clusters:
-        raise ParseError(f"{path}: no ground-truth rows")
-    count = max(clusters.values()) + 1
-    return SyntheticGroundTruth(clusters, count, rule)
 
 
 def build_vocabulary(corpus: SessionCorpus, min_count: int = 5) -> Vocabulary:
@@ -367,35 +338,6 @@ def subsample_keep_probability(counts, total_views: int, threshold: float):
     return np.minimum(1.0, np.sqrt(threshold * total_views / counts))
 
 
-def apply_subsampling(
-    corpus: SessionCorpus, vocabulary: Vocabulary, threshold: float, seed: int
-) -> SessionCorpus:
-    """Drop view occurrences of frequent listings; bookings always survive.
-
-    Each in-vocabulary view is kept independently with
-    :func:`subsample_keep_probability`.  Out-of-vocabulary views pass through
-    untouched (they are skipped later anyway).  Sessions left empty are
-    removed.
-    """
-    rng = np.random.default_rng(seed)
-    keep_prob = subsample_keep_probability(vocabulary.counts, vocabulary.total_views, threshold)
-    sessions = []
-    for session in corpus.sessions:
-        kept = []
-        for it in session.interactions:
-            if it.event_kind != "view":
-                kept.append(it)
-                continue
-            idx = vocabulary.key_to_index.get(it.listing_key)
-            if idx is None or rng.random() < keep_prob[idx]:
-                kept.append(it)
-        if kept:
-            sessions.append(Session(session.traveler_key, tuple(kept)))
-    if not sessions:
-        raise ValueError("subsampling removed every session")
-    return SessionCorpus(tuple(sessions), dict(corpus.metadata))
-
-
 def split_by_user(
     corpus: SessionCorpus, train_fraction: float, seed: int
 ) -> tuple[SessionCorpus, SessionCorpus]:
@@ -416,11 +358,7 @@ def split_by_user(
     train_set = {travelers[i] for i in order[:n_train]}
     train = tuple(s for s in corpus.sessions if s.traveler_key in train_set)
     test = tuple(s for s in corpus.sessions if s.traveler_key not in train_set)
-    meta = dict(corpus.metadata)
-    return (
-        SessionCorpus(train, {**meta, "split": "train"}),
-        SessionCorpus(test, {**meta, "split": "test"}),
-    )
+    return SessionCorpus(train), SessionCorpus(test)
 
 
 def labeled_prefixes(corpus: SessionCorpus, max_views: int = 50) -> list[LabeledPrefix]:
@@ -428,8 +366,11 @@ def labeled_prefixes(corpus: SessionCorpus, max_views: int = 50) -> list[Labeled
 
     The prefix holds the views preceding the first booking (all views when
     the session has none), truncated to the ``max_views`` most recent.
-    Sessions without any view are skipped.
+    Sessions without any view are skipped.  ConfigError unless ``max_views``
+    is at least 1.
     """
+    if max_views < 1:
+        raise ConfigError("max_prefix_views must be >= 1")
     cases = []
     for session in corpus.sessions:
         views: list[Interaction] = []

@@ -1,5 +1,5 @@
-"""Exception types shared across the toolkit, and the UTF-8 text opener of
-every file reader."""
+"""Exception types shared across the toolkit, the UTF-8 text opener of every
+file reader, and the listing-key rule of the readers that take new keys."""
 
 import contextlib
 
@@ -14,12 +14,13 @@ class ParseError(ValueError):
 
 @contextlib.contextmanager
 def open_utf8(path, error=ParseError, newline=None):
-    """``path`` opened as UTF-8 text.  Bytes that do not decode raise
-    ``error`` naming the file and the first line that holds them; the file
-    is rescanned in binary for that line only once decoding has failed.
-    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, as the text readers count them."""
+    """``path`` opened as UTF-8 text; a leading byte-order mark is dropped.
+    Bytes that do not decode raise ``error`` naming the file and the first
+    line that holds them; the file is rescanned in binary for that line only
+    once decoding has failed.  Lines end at ``\\n``, ``\\r\\n`` or ``\\r``,
+    as the text readers count them."""
     try:
-        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+        with open(path, "r", encoding="utf-8-sig", newline=newline) as fh:
             yield fh
     except UnicodeDecodeError as exc:
         with open(path, "rb") as fh:
@@ -32,3 +33,9 @@ def open_utf8(path, error=ParseError, newline=None):
                     f"{path}: line {lineno}: not UTF-8 ({bad.reason} {raw[bad.start]:#04x})"
                 ) from None
         raise error(f"{path}: not UTF-8 ({exc.reason})") from None  # the file changed meanwhile
+
+
+def bad_listing_key(key: str) -> bool:
+    """True for a key the embedding text format cannot hold: empty, holding
+    whitespace, or starting with ``#`` (a comment there)."""
+    return key.split() != [key] or key.startswith("#")

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from session2rec import cli, neural
+from session2rec import cli, neural, skipgram
 from session2rec.coldstart import (
     DestinationDemand,
     destination_embeddings,
@@ -260,9 +260,7 @@ def test_criterion_06_split_hygiene():
            f"{overlaps} overlaps, {off_target} off-target of 1000")
 
 
-def test_criterion_07_subsampling_law():
-    from session2rec.corpus import apply_subsampling
-
+def test_criterion_07_subsampling_law(monkeypatch):
     # listings A and B each hold half the views: f_rel = 0.5 = 4t at t = 0.125
     sessions = []
     for s in range(1000):
@@ -270,13 +268,19 @@ def test_criterion_07_subsampling_law():
         sessions.append((f"b{s}", [("B", i) for i in range(100)]))
     corpus = make_corpus(sessions)
     vocabulary = build_vocabulary(corpus, min_count=1)
-    subsampled = apply_subsampling(corpus, vocabulary, threshold=0.125, seed=7)
-    kept = sum(
-        1 for session in subsampled.sessions for it in session.interactions
-        if it.listing_key == "A"
+    # count the views one epoch of training keeps, where it enumerates pairs
+    kept, window_pairs = [], skipgram._window_pairs
+
+    def recording(indices, session_ids, window):
+        kept.append(np.count_nonzero(indices == vocabulary.key_to_index["A"]))
+        return window_pairs(indices, session_ids, window)
+
+    monkeypatch.setattr(skipgram, "_window_pairs", recording)
+    train_embeddings(
+        corpus, vocabulary, SkipgramConfig(dim=2, window=1, epochs=1, subsample_threshold=0.125, seed=7)
     )
-    rate = kept / 100_000
-    report(7, "subsampling-law", abs(rate - 0.5) < 0.02, f"keep rate {rate:.4f}")
+    rate = sum(kept) / 100_000
+    report(7, "subsampling-law", len(kept) == 1 and abs(rate - 0.5) < 0.02, f"keep rate {rate:.4f}")
 
 
 def test_criterion_08_relative_cost_and_pipeline(tmp_path):

@@ -1,11 +1,14 @@
+import dataclasses
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from session2rec import cli, coldstart, corpus, neural
+from session2rec import cli, coldstart, corpus, neural, traveler
 from session2rec.coldstart import (
     DestinationDemand,
     destination_embeddings,
@@ -384,6 +387,16 @@ class TestColdstart:
         assert cli.main(["--config", str(config_path), "coldstart"]) == 0
         assert (tmp_path / "embeddings.txt").read_bytes() == first
 
+    def test_inputs_with_a_byte_order_mark_append_the_same_row(self, tmp_path):
+        config_path, _ = self.prepare(tmp_path)
+        assert cli.main(["--config", str(config_path), "coldstart"]) == 0
+        first = (tmp_path / "embeddings.txt").read_bytes()
+        for name in ("embeddings.txt", "demand.csv", "centroids.csv", "cold.csv"):
+            path = tmp_path / name
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert cli.main(["--config", str(config_path), "coldstart"]) == 0
+        assert (tmp_path / "embeddings.txt").read_bytes() == b"\xef\xbb\xbf" + first
+
     @pytest.mark.parametrize(
         "rows, message",
         [
@@ -618,7 +631,6 @@ class TestGradcheckCommand:
             corpus.load_sessions, [b"T1\t0\t1\tA\tview", b"T1\t0\t2\tB\tview", b"T1\t0\t3\tC"],
             ParseError, id="session-log",
         ),
-        pytest.param(corpus.load_ground_truth, [b"# clusters=2", b"A\t0", b"B"], ParseError, id="ground-truth"),
         pytest.param(load_embeddings_text, [b"2 2", b"A 0.1 0.2", b"B 0.3 0.4"], ParseError, id="embeddings"),
         pytest.param(
             lambda path: coldstart.load_demand_csv(path, {"A": 0, "B": 1}),
@@ -648,6 +660,89 @@ def test_input_that_is_not_utf8_names_the_file_and_first_bad_line(read, lines, e
     path.write_bytes(eol.join(lines) + eol)
     with pytest.raises(error, match=rf"^{re.escape(str(path))}: line 3: not UTF-8 \(invalid start byte 0xff\)$"):
         read(path)
+
+
+# One valid file per reader the CLI runs.
+VALID_INPUTS = [
+    pytest.param(
+        corpus.load_sessions, b"T1\t0\t1\tA\tview\nT1\t0\t2\tB\tbook\n# comment\nT2\t0\t3\tA\tview\n",
+        id="session-log",
+    ),
+    pytest.param(load_embeddings_text, b"2 2\nA 0.1 -2e-3\nB 3 0.4\n#coldstart\nC 0.5 0.6\n", id="embeddings"),
+    pytest.param(
+        lambda path: coldstart.load_demand_csv(path, {"A": 0, "B": 1}),
+        b"listing_key,destination_id,proportion\nA,north,0.25\nA,south,0.75\nB,south,1.0\n",
+        id="demand",
+    ),
+    pytest.param(
+        coldstart.load_centroids_csv, b"destination_id,latitude,longitude\nnorth,1.5,2\nsouth,-3,4e1\n",
+        id="centroids",
+    ),
+    pytest.param(
+        coldstart.load_cold_listings_csv, b"listing_key,latitude,longitude\nC1,1,2\nC2,-3.5,4\n",
+        id="cold-listings",
+    ),
+    pytest.param(
+        traveler.load_traveler_model,
+        (Path(__file__).parent / "data" / "traveler_dan.json").read_bytes(),
+        id="model-json",
+    ),
+    pytest.param(
+        cli.load_config,
+        b'{"seed": 1, "corpus": {"n_listings": 30}, "skipgram": {"dim": 8, "smoothed_negatives": false},\n'
+        b' "eval": {"settings": ["handcrafted", "dan"], "positive_class_weight": null}}\n',
+        id="config",
+    ),
+]
+
+
+def plain(value):
+    """``value`` with dataclasses turned into dicts, for np.testing.assert_equal."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [plain(item) for item in value]
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    return value
+
+
+@pytest.mark.parametrize("read, data", VALID_INPUTS)
+def test_input_with_a_byte_order_mark_parses_like_the_same_input_without(read, data, tmp_path):
+    (tmp_path / "plain").write_bytes(data)
+    (tmp_path / "marked").write_bytes(b"\xef\xbb\xbf" + data)
+    np.testing.assert_equal(plain(read(tmp_path / "marked")), plain(read(tmp_path / "plain")))
+
+
+MUTATION_TOKENS = [
+    b"", b"\t", b",", b" ", b"\n", b"\r", b"#", b'"', b":", b"{", b"}", b"[", b"]", b"-", b".", b"e",
+    *(str(digit).encode() for digit in range(10)),
+    b"nan", b"inf", b"\x00", b"\xff", b"\xef\xbb\xbf",
+]
+
+
+@st.composite
+def mutations(draw, data: bytes) -> bytes:
+    """``data`` after a few edits, each deleting up to 3 bytes at a position
+    and inserting one token there (the empty token makes it a deletion)."""
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        cut = draw(st.integers(0, 3))
+        data = data[:at] + draw(st.sampled_from(MUTATION_TOKENS)) + data[at + cut :]
+    return data
+
+
+@pytest.mark.parametrize("read, data", VALID_INPUTS)
+# every example rewrites the one file, so sharing tmp_path between them is safe
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.data())
+def test_mutated_input_parses_or_raises_a_typed_error(read, data, edits, tmp_path):
+    path = tmp_path / "input"
+    path.write_bytes(edits.draw(mutations(data)))
+    try:
+        read(path)
+    except (ParseError, ConfigError):  # cli.main exits 2 on either
+        pass
 
 
 class TestPipeline:

@@ -97,6 +97,17 @@ class TestTrainingPairs:
     def test_single_view_yields_nothing(self):
         assert generate_training_pairs([7], 3) == []
 
+    def test_book_events_are_never_subsampled_or_context(self):
+        # training subsamples and pairs only the views _session_views returns
+        corpus = make_corpus([
+            ("t1", [("A", 0), ("B", 1), ("B", 2, "book"), ("C", 3)]),
+            ("t2", [("A", 0), ("B", 1, "book")]),  # one view left: no pairs
+        ])
+        vocab = build_vocabulary(corpus, min_count=1)
+        views, session_ids = skipgram._session_views(corpus, vocab)
+        assert [vocab.index_to_key[i] for i in views] == ["A", "B", "C"]
+        assert session_ids.tolist() == [0, 0, 0]
+
     @given(
         sessions=st.lists(
             st.lists(st.tuples(st.integers(0, 20), st.booleans()), max_size=12), max_size=8
