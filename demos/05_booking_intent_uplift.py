@@ -16,6 +16,7 @@ from session2rec.corpus import (
     split_by_user,
 )
 from session2rec.evaluation import (
+    RANDOM_VIEW,
     DownstreamConfig,
     FeatureSetSpec,
     compare_settings,
@@ -24,7 +25,6 @@ from session2rec.evaluation import (
 from session2rec.skipgram import SkipgramConfig, train_embeddings
 from session2rec.traveler import (
     TravelerConfig,
-    TravelerModel,
     build_examples,
     train_traveler_model,
 )
@@ -51,13 +51,10 @@ traveler_config = TravelerConfig(
 )
 dan, _ = train_traveler_model(train_cases, "dan", traveler_config, {"split": "train"})
 average, _ = train_traveler_model(train_cases, "average", traveler_config, {"split": "train"})
-random_baseline = TravelerModel(
-    "random", None, input_dim=16, seed=seed, provenance={"split": "train"}
-)
 
 settings = [
     FeatureSetSpec("handcrafted", True, None),
-    FeatureSetSpec("handcrafted+random", True, random_baseline),
+    FeatureSetSpec("handcrafted+random", True, RANDOM_VIEW),
     FeatureSetSpec("handcrafted+average", True, average),
     FeatureSetSpec("handcrafted+dan", True, dan),
     FeatureSetSpec("dan_only", False, dan),

@@ -78,7 +78,6 @@ _SCHEMA = {
 _TYPE_RULES = {
     int: ("an integer", lambda v: type(v) is int),
     float: ("a finite number", lambda v: type(v) is int or (type(v) is float and math.isfinite(v))),
-    bool: ("true or false", lambda v: type(v) is bool),
     str: ("a string", lambda v: isinstance(v, str)),
     list[str]: (
         "a list of strings", lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)
@@ -88,8 +87,8 @@ _TYPE_RULES = {
 
 def _check_value_type(section: str, key: str, value, annotation) -> None:
     """ConfigError naming ``section.key`` unless the value has the annotated
-    type: an int that is not a bool, a finite int or float, a bool, a string
-    or a list of strings; an ``X | None`` annotation also takes null."""
+    type: an int that is not a bool, a finite int or float, a string or a
+    list of strings; an ``X | None`` annotation also takes null."""
     args = typing.get_args(annotation)
     nullable = type(None) in args
     expected, accepts = _TYPE_RULES[args[0] if nullable else annotation]
@@ -146,6 +145,22 @@ def _resolve(config: PipelineConfig, name) -> Path:
     return p if p.is_absolute() else config.out_dir / p
 
 
+# CLI-only keys with restricted values: (section, key, what the error says, accepts the value)
+_VALUE_RULES = (
+    ("traveler", "kind", f"one of {traveler_mod.TRAINABLE_KINDS}", lambda v: v in traveler_mod.TRAINABLE_KINDS),
+    ("skipgram", "min_count", ">= 1", lambda v: v >= 1),
+    ("coldstart", "nearest_destinations", ">= 1", lambda v: v >= 1),
+    ("traveler", "max_prefix_views", ">= 1", lambda v: v >= 1),
+    ("eval", "train_fraction", "in (0, 1)", lambda v: 0 < v < 1),
+)
+
+
+def _check_values(config: PipelineConfig, sections) -> None:
+    for section, key, expected, accepts in _VALUE_RULES:
+        if section in sections and not accepts(getattr(config, section)[key]):
+            raise ConfigError(f"{section}.{key} must be {expected}")
+
+
 def _require_out_dir(config: PipelineConfig):
     if not config.out_dir.is_dir():
         raise FileNotFoundError(f"output directory does not exist: {config.out_dir}")
@@ -193,6 +208,7 @@ def cmd_train_embeddings(config: PipelineConfig) -> int:
 
 def cmd_coldstart(config: PipelineConfig) -> int:
     _require_out_dir(config)
+    _check_values(config, ["coldstart"])
     cs = config.coldstart
     embeddings_path = _resolve(config, config.skipgram["embeddings_file"])
     if not cs["cold_listings_file"]:
@@ -262,21 +278,21 @@ def cmd_train_traveler(config: PipelineConfig, kind: str) -> int:
 
 
 def _parse_setting(token: str):
-    """Map a settings token to (use_handcrafted, model_kind_or_None)."""
+    """Map a settings token to (use_handcrafted, embedding), where the
+    embedding is ``RANDOM_VIEW``, a trained kind or None."""
     if token == "handcrafted":
         return True, None
-    if token.endswith("_only"):
-        kind = token[: -len("_only")]
-        if kind in traveler_mod.ALL_KINDS:
-            return False, kind
-    elif token in traveler_mod.ALL_KINDS:
-        return True, token
-    valid = ["handcrafted", *traveler_mod.ALL_KINDS, *(f"{k}_only" for k in traveler_mod.ALL_KINDS)]
-    raise ConfigError(f"unknown setting {token!r}; valid: {', '.join(valid)}")
+    embeddings = (eval_mod.RANDOM_VIEW, *traveler_mod.TRAINABLE_KINDS)
+    embedding = token.removesuffix("_only")
+    if embedding not in embeddings:
+        valid = ["handcrafted", *embeddings, *(f"{k}_only" for k in embeddings)]
+        raise ConfigError(f"unknown setting {token!r}; valid: {', '.join(valid)}")
+    return embedding == token, embedding
 
 
 def cmd_evaluate(config: PipelineConfig, settings: list[str]) -> int:
     _require_out_dir(config)
+    parsed = [_parse_setting(token) for token in settings]  # every token, before any report
     corpus = _load_corpus(config)
     eval_file = config.eval["eval_sessions_file"]
     if eval_file:  # dual-corpus flow: embeddings/tables from one log, labels from another
@@ -293,18 +309,10 @@ def cmd_evaluate(config: PipelineConfig, settings: list[str]) -> int:
     downstream_config = _build(config, "eval")
     trained: dict[str, traveler_mod.TravelerModel] = {}
     reports = []
-    for token in settings:
-        use_handcrafted, kind = _parse_setting(token)
-        model = None
-        if kind == "random":
-            model = traveler_mod.TravelerModel(
-                kind="random", params=None, input_dim=table.dim, seed=config.seed,
-                provenance={"split": "train"},
-            )
-        elif kind is not None:
-            if kind not in trained:
-                trained[kind], _ = _train_kind(config, kind, train_cases)
-            model = trained[kind]
+    for token, (use_handcrafted, embedding) in zip(settings, parsed):
+        if embedding in traveler_mod.TRAINABLE_KINDS and embedding not in trained:
+            trained[embedding], _ = _train_kind(config, embedding, train_cases)
+        model = trained.get(embedding, embedding)  # a trained model, RANDOM_VIEW or None
         spec = eval_mod.FeatureSetSpec(name=token, use_handcrafted=use_handcrafted, model=model)
         report = eval_mod.downstream_eval(train_cases, test_cases, spec, downstream_config)
         eval_mod.save_report(report, reports_dir / f"{token}.json")
@@ -383,6 +391,13 @@ def cmd_gradcheck(seed: int = 0, rounds: int = 100) -> int:
 
 
 def cmd_pipeline(config: PipelineConfig) -> int:
+    # every value a stage would reject fails here, before the first file is written
+    for name in ("corpus", "eval"):
+        _build(config, name)
+    _build(config, "traveler", input_dim=_build(config, "skipgram").dim)
+    for token in config.eval["settings"]:
+        _parse_setting(token)
+    _check_values(config, _SECTIONS)
     for stage in (cmd_generate, cmd_train_embeddings, cmd_coldstart):
         code = stage(config)
         if code != 0:

@@ -129,9 +129,11 @@ class FeatureSetSpec:
 
     name: str
     use_handcrafted: bool
-    model: TravelerModel | None  # supplies traveler embeddings when set
+    model: TravelerModel | str | None  # the embedding block: a trained model, RANDOM_VIEW or None
 
     def __post_init__(self):
+        if not (self.model is None or isinstance(self.model, TravelerModel) or self.model == RANDOM_VIEW):
+            raise ConfigError(f"setting {self.name!r}: model must be a TravelerModel, {RANDOM_VIEW!r} or None")
         if not self.use_handcrafted and self.model is None:
             raise ConfigError(f"setting {self.name!r} selects no features at all")
 
@@ -139,8 +141,9 @@ class FeatureSetSpec:
 # the benchmark in perfbench/ calls and traces the downstream cases by this name
 build_downstream_cases = traveler_mod.build_examples
 
+RANDOM_VIEW = "random"  # the untrained baseline: one viewed embedding drawn per case
 DECISION_THRESHOLD = 0.5  # a test case is predicted positive at a score >= this
-REQUIRED_PROVENANCE = "train"  # the split tag every embedding model must carry
+REQUIRED_PROVENANCE = "train"  # the split tag every trained model must carry
 
 
 @dataclass(frozen=True)
@@ -169,8 +172,10 @@ def _feature_matrix(cases: list[TravelerExample], spec: FeatureSetSpec, rng) -> 
     blocks = []
     if spec.use_handcrafted:
         blocks.append([_case_features(case) for case in cases])
-    if spec.model is not None:
-        blocks.append(traveler_mod.traveler_embedding(spec.model, [case.viewed for case in cases], rng=rng))
+    if isinstance(spec.model, TravelerModel):
+        blocks.append(traveler_mod.traveler_embedding(spec.model, [case.viewed for case in cases]))
+    elif spec.model is not None:  # RANDOM_VIEW, drawn in case order
+        blocks.append([traveler_mod.baseline_random(case.viewed, rng) for case in cases])
     return np.hstack(blocks)
 
 
@@ -182,9 +187,10 @@ def downstream_eval(
 ) -> EvalReport:
     """Train the logistic downstream classifier and score the test side.
 
-    Features are standardised with train-side statistics only.  Any embedding
+    Features are standardised with train-side statistics only.  A trained
     model must carry the split tag ``REQUIRED_PROVENANCE``, which guards
-    against evaluating a model that saw test travelers.  The head is built
+    against evaluating a model that saw test travelers; ``RANDOM_VIEW``
+    draws from the evaluation's rng, train cases first.  The head is built
     once over the trainer's parameter views, whose arrays change in place;
     the trainer's finite check keeps them valid.  A case's hand-crafted
     features are built once and kept on the case, so later settings over
@@ -196,7 +202,7 @@ def downstream_eval(
     """
     if not train_cases or not test_cases:
         raise ValueError("need non-empty train and test case lists")
-    if spec.model is not None:
+    if isinstance(spec.model, TravelerModel):
         tag = spec.model.provenance.get("split")
         if tag != REQUIRED_PROVENANCE:
             raise ValueError(

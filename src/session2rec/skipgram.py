@@ -77,7 +77,6 @@ class SkipgramConfig:
     learning_rate_final: float = 0.0001
     subsample_threshold: float = 1e-3
     seed: int = 0
-    smoothed_negatives: bool = False  # frequency**0.75 draws instead of uniform
 
     def __post_init__(self):
         if self.dim < 2:
@@ -193,25 +192,23 @@ def _window_pairs(indices: np.ndarray, session_ids: np.ndarray, window: int) -> 
     return np.stack([indices[center_pos[order]], indices[context_pos[order]]], axis=1)
 
 
-def negative_sample(contexts: np.ndarray, vocab_size: int, k: int, rng, weights=None) -> np.ndarray:
-    """Draw k negatives for each of the (n,) contexts; returns (n, k).
+def negative_sample(contexts: np.ndarray, vocab_size: int, k: int, rng) -> np.ndarray:
+    """Draw k uniform negatives for each of the (n,) contexts; returns (n, k).
 
-    Draws follow ``weights``, or are uniform when it is None: then
-    ``rng.choice`` returns the ``rng.integers(0, vocab_size)`` stream.  A
-    draw equal to its row's context is redrawn; after 16 rounds a colliding
-    draw is kept.
+    A draw equal to its row's context is redrawn; after 16 rounds a
+    colliding draw is kept.
     """
     if vocab_size <= 1:
         raise ValueError("cannot negative-sample a single-listing vocabulary")
     if k < 1:
         raise ValueError("k must be >= 1")
-    draws = rng.choice(vocab_size, size=(len(contexts), k), p=weights)
+    draws = rng.integers(0, vocab_size, size=(len(contexts), k))
     for _ in range(16):
         mask = draws == contexts[:, None]
         hits = int(mask.sum())
         if hits == 0:
             break
-        draws[mask] = rng.choice(vocab_size, size=hits, p=weights)
+        draws[mask] = rng.integers(0, vocab_size, size=hits)
     return draws
 
 
@@ -241,10 +238,6 @@ def train_embeddings(
     keep_prob = subsample_keep_probability(
         vocabulary.counts, vocabulary.total_views, config.subsample_threshold
     )
-    weights = None
-    if config.smoothed_negatives:
-        w = vocabulary.counts.astype(np.float64) ** 0.75
-        weights = w / w.sum()
 
     # Materialise every epoch's pairs first so the linear decay knows the
     # total step count before the first update.
@@ -266,7 +259,7 @@ def train_embeddings(
             continue
         order = rng.permutation(len(pairs))
         pairs = pairs[order]
-        negs = negative_sample(pairs[:, 1], v, config.negatives, rng, weights)
+        negs = negative_sample(pairs[:, 1], v, config.negatives, rng)
         epoch_loss = 0.0
         for lo in range(0, len(pairs), SGNS_BATCH):
             hi = min(lo + SGNS_BATCH, len(pairs))

@@ -1,8 +1,7 @@
 """Traveler-embedding models over sequences of viewed-listing embeddings.
 
-Five kinds share one training and inference surface:
+Four trained kinds share one training and inference surface:
 
-* ``random``    -- picks one viewed embedding (untrained baseline)
 * ``average``   -- mean-pools the views, trains only a scoring head
 * ``dan``       -- mean-pool, then expand/contract relu layers; the last
                    hidden layer is the traveler embedding
@@ -48,7 +47,6 @@ Params = dict[str, DenseLayer]
 GATES = (("forget", "sigmoid"), ("input", "sigmoid"), ("cell", "tanh"), ("output", "sigmoid"))
 
 TRAINABLE_KINDS = ("average", "dan", "lstm", "lstm_attention")
-ALL_KINDS = ("random",) + TRAINABLE_KINDS
 
 
 @dataclass(frozen=True)
@@ -75,14 +73,14 @@ class TravelerExample:
 @dataclass
 class TravelerModel:
     kind: str
-    params: Params | None  # None for the random baseline
+    params: Params
     input_dim: int
     seed: int = 0
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in ALL_KINDS:
-            raise ConfigError(f"unknown model kind {self.kind!r}; valid: {', '.join(ALL_KINDS)}")
+        if self.kind not in KINDS:
+            raise ConfigError(f"unknown model kind {self.kind!r}; valid: {', '.join(KINDS)}")
 
 
 @dataclass(frozen=True)
@@ -140,7 +138,7 @@ def pool_average(viewed_list: list[np.ndarray]) -> np.ndarray:
 
 
 def baseline_random(viewed: np.ndarray, rng) -> np.ndarray:
-    """One uniformly chosen viewed embedding."""
+    """One uniformly chosen viewed embedding (the evaluation's random baseline)."""
     if len(viewed) == 0:
         raise ValueError("cannot select from an empty sequence")
     return viewed[int(rng.integers(len(viewed)))]
@@ -351,15 +349,14 @@ class KindSpec(NamedTuple):
 
     dims: dict[str, str]  # dims key besides input_dim -> layer whose out-dim it is
     layers: Callable[[dict], list[LayerSpec]]
-    forward: Callable | None = None  # (params, viewed_list) -> (probabilities, embeddings, cache)
-    backward: Callable | None = None  # (params, cache, d loss / d probabilities) -> grads
+    forward: Callable  # (params, viewed_list) -> (probabilities, embeddings, cache)
+    backward: Callable  # (params, cache, d loss / d probabilities) -> grads
     pooled: bool = False  # the kernels also take pool_average rows in place of the prefixes
 
 
 _DAN_DIMS = {"hidden_expand": "pool_proj", "hidden_contract": "hidden", "embedding_dim": "embed"}
 _LSTM_DIMS = {"lstm_hidden": "forget"}
 KINDS = {
-    "random": KindSpec({}, lambda dims: []),
     "average": KindSpec({}, _average_spec, _pooled_forward, _pooled_backward, pooled=True),
     "dan": KindSpec(_DAN_DIMS, _dan_spec, _pooled_forward, _pooled_backward, pooled=True),
     "lstm": KindSpec(_LSTM_DIMS, _lstm_spec, _recurrent_forward, _recurrent_backward),
@@ -476,8 +473,8 @@ def train_traveler_model(
     Raises ValueError naming the kind and the epoch as soon as the loss or a
     parameter turns non-finite.
     """
-    if kind not in TRAINABLE_KINDS:
-        raise ConfigError(f"unknown model kind {kind!r}; valid: {', '.join(TRAINABLE_KINDS)}")
+    rng = np.random.default_rng(config.seed)
+    params = init_params(kind, config, rng)  # rejects an unknown kind before the examples
     labels = np.array([ex.label for ex in examples])
     w_pos = positive_class_weight(labels, config.positive_class_weight)
     positive = labels == 1
@@ -486,9 +483,6 @@ def train_traveler_model(
             raise ValueError(
                 f"example dim {ex.viewed.shape[1]} does not match config input_dim {config.input_dim}"
             )
-
-    rng = np.random.default_rng(config.seed)
-    params = init_params(kind, config, rng)
     viewed = [ex.viewed for ex in examples]
     # a segment mean reads only its own rows, so pooling once keeps its bits
     pooled = pool_average(viewed) if KINDS[kind].pooled else None
@@ -539,34 +533,26 @@ def _infer(model: TravelerModel, batch) -> tuple[np.ndarray, np.ndarray]:
 def predict_probability(model: TravelerModel, viewed):
     """Booking probability of one (t, d) view prefix, or a (B,) array of
     them for a list of prefixes (batched passes)."""
-    if model.kind == "random":
-        raise ValueError("the random baseline has no booking head")
     batch, single = _prefix_batch(viewed)
     probs, _ = _infer(model, batch)
     return float(probs[0]) if single else probs
 
 
-def traveler_embedding(model: TravelerModel, viewed, rng=None) -> np.ndarray:
+def traveler_embedding(model: TravelerModel, viewed) -> np.ndarray:
     """The model's traveler representation for one view prefix, or a (B, k)
     matrix of them for a list of prefixes (batched passes).
 
     DAN returns its last hidden layer, LSTM the final hidden state, attention
-    the context vector, averaging the pooled vector, and the random baseline
-    one chosen view per prefix, drawn from the caller's rng in list order.
+    the context vector and averaging the pooled vector.
     """
     batch, single = _prefix_batch(viewed)
-    if model.kind == "random":
-        if rng is None:
-            raise ValueError("the random baseline needs an rng")
-        emb = np.array([baseline_random(prefix, rng) for prefix in batch])
-    else:
-        _, emb = _infer(model, batch)
+    _, emb = _infer(model, batch)
     return emb[0] if single else emb
 
 
 def embedding_dim(model: TravelerModel) -> int:
-    """Width of the traveler embedding: what the head reads, else a view."""
-    return model.params["head"].weights.shape[1] if model.params else model.input_dim
+    """Width of the traveler embedding: what the head reads."""
+    return model.params["head"].weights.shape[1]
 
 
 def write_training_log(trace: list[TraceEntry], path) -> None:
@@ -588,18 +574,17 @@ def save_traveler_model(model: TravelerModel, path) -> None:
         "seed": model.seed,
         "provenance": model.provenance,
     }
-    layers = list((model.params or {}).values())
-    neural.save_model_json(path, model.kind, dims, layers, extra)
+    neural.save_model_json(path, model.kind, dims, list(model.params.values()), extra)
 
 
 def load_traveler_model(path) -> TravelerModel:
-    """Read a model file; ParseError unless ``dims`` holds exactly the kind's
-    positive integer widths and the layers match the spec built from them in
-    count, shape and activation."""
+    """Read a model file; ParseError unless ``model_kind`` names a trained
+    kind, ``dims`` holds exactly the kind's positive integer widths and the
+    layers match the spec built from them in count, shape and activation."""
     payload = neural.load_model_json(path)
     kind = payload.get("model_kind")
-    if kind not in KINDS:
-        raise ConfigError(f"unknown model kind {kind!r}")
+    if kind not in TRAINABLE_KINDS:
+        raise ParseError(f"{path}: model_kind must be one of {', '.join(KINDS)}, got {kind!r}")
     keys = ("input_dim", *KINDS[kind].dims)
     dims = payload.get("dims")
     if not isinstance(dims, dict) or set(dims) != set(keys) or not all(
@@ -619,6 +604,6 @@ def load_traveler_model(path) -> TravelerModel:
                 f"{path}: {kind} layer {name!r} must be ({out}, {inp}) {activation}, "
                 f"found {layer.weights.shape} {layer.activation}"
             )
-    params = {name: layer for (name, *_), layer in zip(spec, layers)} or None
+    params = {name: layer for (name, *_), layer in zip(spec, layers)}
     seed, provenance = payload.get("seed", 0), payload.get("provenance", {})
     return TravelerModel(kind, params, dims["input_dim"], seed, provenance)

@@ -63,7 +63,7 @@ OLD_DEFAULTS = {
     "skipgram": {
         "dim": 32, "window": 3, "negatives": 5, "epochs": 5,
         "learning_rate_initial": 0.025, "learning_rate_final": 0.0001,
-        "subsample_threshold": 1e-3, "min_count": 5, "smoothed_negatives": False,
+        "subsample_threshold": 1e-3, "min_count": 5,
         "embeddings_file": "embeddings.txt", "sidecar_file": "embeddings.s2re",
     },
     "coldstart": {
@@ -91,8 +91,8 @@ OLD_COUNT_KEYS = {
 
 
 def wrong_type_value(key, default):
-    """A number for strings, bools and lists; a bool for counts and numbers."""
-    return 1 if isinstance(default, (bool, str, list)) or key.endswith("_file") else True
+    """A number for strings and lists; a bool for counts and numbers."""
+    return 1 if isinstance(default, (str, list)) or key.endswith("_file") else True
 
 
 def write_config(tmp_path, overrides=None, name="config.json"):
@@ -120,6 +120,11 @@ class TestConfigValidation:
         path = write_config(tmp_path, {"skipgram": {"learning_rate": 1.0}})
         assert cli.main(["--config", str(path), "generate"]) == 2
 
+    def test_smoothed_negatives_is_an_unknown_key(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"skipgram": {"smoothed_negatives": False}})
+        assert cli.main(["--config", str(path), "generate"]) == 2
+        assert "unknown keys in section 'skipgram': ['smoothed_negatives']" in capsys.readouterr().err
+
     def test_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -146,7 +151,7 @@ class TestConfigValidation:
             ("corpus", "booking_slope", "2"),
             ("eval", "learning_rate", None),
             ("skipgram", "learning_rate_initial", False),
-            ("skipgram", "smoothed_negatives", 1),
+            ("skipgram", "subsample_threshold", "0.001"),
             ("traveler", "kind", 3),
             ("skipgram", "embeddings_file", None),
             ("coldstart", "demand_file", 5),
@@ -176,7 +181,6 @@ class TestConfigValidation:
             ("eval", "positive_class_weight", 2),
             ("corpus", "mean_session_len", 7.5),
             ("skipgram", "subsample_threshold", 1),
-            ("skipgram", "smoothed_negatives", True),
         ],
     )
     def test_value_of_the_right_type_loads(self, section, key, value, tmp_path):
@@ -202,7 +206,7 @@ class TestConfigSchema:
             assert loaded == defaults
             types = {k: type(v) for k, v in loaded.items()}
             assert types == {k: type(v) for k, v in defaults.items()}
-        assert sum(len(d) for d in OLD_DEFAULTS.values()) == 46
+        assert sum(len(d) for d in OLD_DEFAULTS.values()) == 45
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -455,6 +459,16 @@ class TestColdstart:
         assert "centroids.csv: line 3: duplicate destination 'north', first on line 2" in err
         assert (tmp_path / "embeddings.txt").read_bytes() == before
 
+    def test_nearest_destinations_below_one_exits_two_before_writing(self, tmp_path, capsys):
+        config_path, _ = self.prepare(tmp_path)
+        config = json.loads(config_path.read_text())
+        config["coldstart"]["nearest_destinations"] = 0
+        config_path.write_text(json.dumps(config))
+        before = file_hash(tmp_path / "embeddings.txt")
+        assert cli.main(["--config", str(config_path), "coldstart"]) == 2
+        assert "coldstart.nearest_destinations must be >= 1" in capsys.readouterr().err
+        assert file_hash(tmp_path / "embeddings.txt") == before
+
     def test_no_cold_listings_leaves_file_unchanged(self, tmp_path):
         config_path, _ = self.prepare(tmp_path, with_cold=False)
         before = file_hash(tmp_path / "embeddings.txt")
@@ -546,6 +560,12 @@ class TestEvaluate:
     def test_unknown_setting_exits_two(self, tmp_path):
         path = self.prepare(tmp_path, ["handcrafted"])
         assert cli.main(["--config", str(path), "evaluate", "--settings", "xgboost"]) == 2
+
+    def test_unknown_later_setting_exits_two_before_any_report(self, tmp_path, capsys):
+        path = self.prepare(tmp_path, ["handcrafted"])
+        assert cli.main(["--config", str(path), "evaluate", "--settings", "handcrafted,dann"]) == 2
+        assert "unknown setting 'dann'" in capsys.readouterr().err
+        assert list((tmp_path / "reports").iterdir()) == []
 
     def test_reports_regenerate_identically(self, tmp_path):
         path = self.prepare(tmp_path, ["handcrafted", "dan"])
@@ -689,7 +709,7 @@ VALID_INPUTS = [
     ),
     pytest.param(
         cli.load_config,
-        b'{"seed": 1, "corpus": {"n_listings": 30}, "skipgram": {"dim": 8, "smoothed_negatives": false},\n'
+        b'{"seed": 1, "corpus": {"n_listings": 30}, "skipgram": {"dim": 8, "window": 2},\n'
         b' "eval": {"settings": ["handcrafted", "dan"], "positive_class_weight": null}}\n',
         id="config",
     ),
@@ -754,3 +774,31 @@ class TestPipeline:
             assert (tmp_path / artifact).exists(), artifact
         assert (tmp_path / "reports" / "handcrafted.json").exists()
         assert (tmp_path / "reports" / "dan.json").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"traveler": {"kind": "gru"}}, "traveler.kind must be one of ('average', 'dan',"),
+            (
+                # the default traveler dims need a skip-gram dim above 16
+                {"traveler": {"hidden_expand": 64, "hidden_contract": 16, "embedding_dim": 8}},
+                "traveler: dims must satisfy",
+            ),
+            ({"eval": {"settings": ["handcrafted", "dann"]}}, "unknown setting 'dann'"),
+            ({"skipgram": {"min_count": 0}}, "skipgram.min_count must be >= 1"),
+            ({"traveler": {"max_prefix_views": 0}}, "traveler.max_prefix_views must be >= 1"),
+            ({"eval": {"train_fraction": 1.0}}, "eval.train_fraction must be in (0, 1)"),
+            ({"eval": {"train_fraction": 0}}, "eval.train_fraction must be in (0, 1)"),
+            ({"coldstart": {"nearest_destinations": 0}}, "coldstart.nearest_destinations must be >= 1"),
+            ({"eval": {"epochs": 0}}, "eval: epochs must be >= 1"),
+        ],
+        ids=[
+            "kind", "dims", "setting", "min-count", "max-prefix-views", "train-fraction-1",
+            "train-fraction-0", "nearest-destinations", "eval-epochs",
+        ],
+    )
+    def test_bad_config_exits_two_before_writing_any_file(self, overrides, message, tmp_path, capsys):
+        path = write_config(tmp_path, overrides)
+        assert cli.main(["--config", str(path), "pipeline"]) == 2
+        assert message in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]

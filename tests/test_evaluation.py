@@ -11,6 +11,7 @@ from session2rec import evaluation, neural
 from session2rec.corpus import LabeledPrefix
 from session2rec.errors import ConfigError
 from session2rec.evaluation import (
+    RANDOM_VIEW,
     DownstreamConfig,
     EvalReport,
     FeatureSetSpec,
@@ -26,7 +27,7 @@ from session2rec.evaluation import (
 )
 from session2rec.neural import DenseLayer
 from session2rec.skipgram import EmbeddingTable
-from session2rec.traveler import TravelerExample, TravelerModel
+from session2rec.traveler import TravelerExample, TravelerModel, baseline_random
 
 from conftest import train_minibatch_oracle, view
 
@@ -259,6 +260,26 @@ class TestDownstreamEval:
         with pytest.raises(ConfigError, match="no features"):
             FeatureSetSpec("nothing", False, None)
 
+    @pytest.mark.parametrize("model", ["dan", "random_only", 3])
+    def test_spec_model_must_be_a_model_the_random_view_or_none(self, model):
+        with pytest.raises(ConfigError, match="model must be a TravelerModel, 'random' or None"):
+            FeatureSetSpec("bad", True, model)
+
+    def test_random_view_draws_once_per_case_train_cases_first(self, rng, monkeypatch):
+        train, test = synthetic_cases(rng, n=30), synthetic_cases(rng, n=20)
+        matrices, real = [], evaluation._feature_matrix
+
+        def recording(cases, spec, draws):
+            matrices.append(real(cases, spec, draws))
+            return matrices[-1]
+
+        monkeypatch.setattr(evaluation, "_feature_matrix", recording)
+        spec = FeatureSetSpec("random_only", False, RANDOM_VIEW)
+        downstream_eval(train, test, spec, DownstreamConfig(epochs=2, seed=5))
+        reference = np.random.default_rng(5)  # the evaluation's rng, seeded by the config
+        expected = [baseline_random(case.viewed, reference) for case in train + test]
+        assert np.array_equal(np.vstack(matrices), expected)
+
     def test_deterministic_per_seed(self, rng):
         train = synthetic_cases(rng, n=80)
         test = synthetic_cases(rng, n=50)
@@ -318,6 +339,11 @@ class TestDownstreamEval:
             "0x1.811a7b9611a7cp-1", "0x1.b13b13b13b13bp-1", "0x1.8469ee58469eep-1",
             "0x1.999999999999ap-1", 29, 16,
         ),
+        # computed with the random baseline as a parameterless traveler model
+        "handcrafted+random": (
+            "0x1.658469ee5846ap-1", "0x1.b333333333333p-1", "0x1.2c234f72c234fp-1",
+            "0x1.6343eb1a1f58dp-1", 29, 16,
+        ),
     }
 
     def test_settings_build_each_case_features_once(self, monkeypatch):
@@ -333,6 +359,7 @@ class TestDownstreamEval:
         monkeypatch.setattr(evaluation, "handcrafted_features", counted)
         for name, use_handcrafted, m in (
             ("handcrafted", True, None), ("average", False, model), ("handcrafted+average", True, model),
+            ("handcrafted+random", True, RANDOM_VIEW),
         ):
             report = downstream_eval(
                 train, test, FeatureSetSpec(name, use_handcrafted, m), DownstreamConfig(epochs=7, seed=4)

@@ -282,10 +282,6 @@ def per_pair_train_embeddings(corpus, vocabulary, config):
     keep_prob = np.minimum(
         1.0, np.sqrt(config.subsample_threshold * vocabulary.total_views / vocabulary.counts)
     )
-    weights = None
-    if config.smoothed_negatives:
-        w = vocabulary.counts.astype(np.float64) ** 0.75
-        weights = w / w.sum()
     epoch_pairs = []
     for _ in range(config.epochs):
         pairs = []
@@ -298,7 +294,7 @@ def per_pair_train_embeddings(corpus, vocabulary, config):
     losses, step = [], 0
     for pairs in epoch_pairs:
         pairs = pairs[rng.permutation(len(pairs))]
-        negs = negative_sample(pairs[:, 1], v, config.negatives, rng, weights)
+        negs = negative_sample(pairs[:, 1], v, config.negatives, rng)
         epoch_loss = 0.0
         for row in range(len(pairs)):
             lr = lr_hi + (lr_lo - lr_hi) * (step / denom)
@@ -383,11 +379,10 @@ class TestTrainEmbeddings:
         other = [softmax_prob(0, j) for j in range(len(vocab)) if cluster[j] != cluster[0]]
         assert np.mean(same) > np.mean(other)
 
-    @pytest.mark.parametrize("smoothed", [False, True])
-    def test_batch_of_one_matches_per_pair_reference(self, monkeypatch, smoothed):
+    def test_batch_of_one_matches_per_pair_reference(self, monkeypatch):
         # einsum and BLAS dot sum in different orders, so equality is to rounding
         corpus, _, vocab = small_synthetic()
-        config = SkipgramConfig(dim=8, epochs=2, seed=6, smoothed_negatives=smoothed)
+        config = SkipgramConfig(dim=8, epochs=2, seed=6)
         expected, expected_losses = per_pair_train_embeddings(corpus, vocab, config)
         monkeypatch.setattr(skipgram, "SGNS_BATCH", 1)
         table, losses = train_embeddings(corpus, vocab, config)
@@ -439,14 +434,6 @@ class TestTrainEmbeddings:
         assert len(kept) == config.epochs
         rates = np.sum(kept, axis=0) / (config.epochs * 5000)
         assert np.all(np.abs(rates - 0.5) < 0.02), rates
-
-    def test_smoothed_negative_flag_changes_sampling(self):
-        corpus, _, vocab = small_synthetic()
-        base = SkipgramConfig(dim=8, epochs=1, seed=3)
-        smoothed = SkipgramConfig(dim=8, epochs=1, seed=3, smoothed_negatives=True)
-        t1, _ = train_embeddings(corpus, vocab, base)
-        t2, _ = train_embeddings(corpus, vocab, smoothed)
-        assert not np.array_equal(t1.output_vectors, t2.output_vectors)
 
 
 class TestNearestNeighbors:

@@ -741,14 +741,6 @@ class TestTravelerEmbedding:
             emb = traveler_embedding(model, viewed[rng.permutation(len(viewed))])
             assert np.allclose(emb, base, atol=1e-12)
 
-    def test_random_kind_needs_rng(self, rng):
-        model = TravelerModel("random", None, input_dim=3)
-        viewed = rng.normal(size=(4, 3))
-        with pytest.raises(ValueError, match="rng"):
-            traveler_embedding(model, viewed)
-        picked = traveler_embedding(model, viewed, rng=np.random.default_rng(1))
-        assert any(np.array_equal(picked, row) for row in viewed)
-
     def test_empty_prefix_rejected(self):
         model = TravelerModel("dan", zero_dan(), input_dim=4)
         with pytest.raises(ValueError, match="empty"):
@@ -762,13 +754,6 @@ class TestTravelerEmbedding:
         with pytest.raises(ValueError, match="empty prefix"):
             traveler_embedding(model, [np.ones((2, 3)), np.zeros((0, 3))])
 
-    def test_random_kind_draws_once_per_prefix_in_list_order(self, rng):
-        model = TravelerModel("random", None, input_dim=3)
-        viewed = [rng.normal(size=(int(t), 3)) for t in rng.integers(1, 9, size=30)]
-        picked = traveler_embedding(model, viewed, rng=np.random.default_rng(5))
-        reference = np.random.default_rng(5)
-        assert np.array_equal(picked, [baseline_random(v, reference) for v in viewed])
-
     def test_embedding_dims_per_kind(self, rng):
         config = TravelerConfig(
             input_dim=6, hidden_expand=9, hidden_contract=4, embedding_dim=3, lstm_hidden=5
@@ -777,7 +762,11 @@ class TestTravelerEmbedding:
         for kind, expected in dims.items():
             model = TravelerModel(kind, init_params(kind, config, rng), input_dim=6)
             assert embedding_dim(model) == expected
-        assert embedding_dim(TravelerModel("random", None, input_dim=6)) == 6
+
+    def test_only_trained_kinds_are_models(self):
+        assert tuple(traveler.KINDS) == TRAINABLE_KINDS
+        with pytest.raises(ConfigError, match="unknown model kind 'random'"):
+            TravelerModel("random", {}, input_dim=3)
 
 
 class TestBuildExamples:
@@ -808,15 +797,6 @@ class TestPersistenceRoundTrip:
         assert np.array_equal(
             traveler_embedding(loaded, viewed), traveler_embedding(model, viewed)
         )
-
-    def test_random_model_round_trip(self, tmp_path):
-        model = TravelerModel("random", None, input_dim=7, seed=21)
-        path = tmp_path / "random.json"
-        save_traveler_model(model, path)
-        loaded = load_traveler_model(path)
-        assert loaded.kind == "random"
-        assert loaded.input_dim == 7
-        assert loaded.seed == 21
 
 
 DATA = Path(__file__).parent / "data"
@@ -879,6 +859,27 @@ class TestModelFileValidation:
         path.write_text(json.dumps(payload))
         with pytest.raises(ParseError):
             load_traveler_model(path)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"model_kind": "gru"},
+            {"model_kind": "random", "dims": {"input_dim": 3}, "layers": []},
+            {"model_kind": ["dan"]},  # not hashable: a dict lookup would raise TypeError
+        ],
+        ids=["gru", "random-without-layers", "list"],
+    )
+    def test_unknown_kind_names_the_file_field_and_kinds(self, fields, tmp_path):
+        payload = json.loads((DATA / "traveler_dan.json").read_text())
+        payload.update(fields)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        kind = fields["model_kind"]
+        with pytest.raises(ParseError) as info:
+            load_traveler_model(path)
+        assert str(info.value) == (
+            f"{path}: model_kind must be one of average, dan, lstm, lstm_attention, got {kind!r}"
+        )
 
 
 BAD_LAYER_FIELDS = [
