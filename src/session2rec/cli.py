@@ -206,16 +206,21 @@ def cmd_train_embeddings(config: PipelineConfig) -> int:
     return 0
 
 
+def _check_coldstart_files(config: PipelineConfig) -> None:
+    cs = config.coldstart
+    if cs["cold_listings_file"] and not (cs["demand_file"] and cs["centroids_file"]):
+        raise ConfigError("coldstart needs demand_file and centroids_file")
+
+
 def cmd_coldstart(config: PipelineConfig) -> int:
     _require_out_dir(config)
     _check_values(config, ["coldstart"])
+    _check_coldstart_files(config)
     cs = config.coldstart
     embeddings_path = _resolve(config, config.skipgram["embeddings_file"])
     if not cs["cold_listings_file"]:
         print("coldstart: no cold listings configured, nothing to do")
         return 0
-    if not (cs["demand_file"] and cs["centroids_file"]):
-        raise ConfigError("coldstart needs demand_file and centroids_file")
     table, key_to_index = _load_table_and_index(config)
     with open_utf8(embeddings_path) as fh:
         n_trained = int(fh.readline().split()[0])  # the loader checked it against the rows
@@ -398,6 +403,7 @@ def cmd_pipeline(config: PipelineConfig) -> int:
     for token in config.eval["settings"]:
         _parse_setting(token)
     _check_values(config, _SECTIONS)
+    _check_coldstart_files(config)
     for stage in (cmd_generate, cmd_train_embeddings, cmd_coldstart):
         code = stage(config)
         if code != 0:

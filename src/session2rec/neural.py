@@ -78,18 +78,24 @@ def dense_forward(layer: DenseLayer, x: np.ndarray):
     return a, (x, z, a)
 
 
+def _param_grads(layer: DenseLayer, cache, upstream: np.ndarray):
+    """(d loss / d pre-activation, d_weights, d_bias) of one dense layer."""
+    x, _, a = cache
+    if upstream.shape != a.shape:
+        raise ValueError(f"upstream shape {upstream.shape} does not match output {a.shape}")
+    dz = upstream * _activate_grad(a, layer.activation)
+    rows = dz.reshape(-1, dz.shape[-1])
+    return dz, rows.T @ x.reshape(-1, x.shape[-1]), rows.sum(axis=0)
+
+
 def dense_backward(layer: DenseLayer, cache, upstream: np.ndarray):
     """Exact chain-rule gradients for one dense layer.
 
     Returns (d_input, d_weights, d_bias) given d loss / d output; over a
     batch the parameter gradients are summed across rows.
     """
-    x, _, a = cache
-    if upstream.shape != a.shape:
-        raise ValueError(f"upstream shape {upstream.shape} does not match output {a.shape}")
-    dz = upstream * _activate_grad(a, layer.activation)
-    rows = dz.reshape(-1, dz.shape[-1])
-    return dz @ layer.weights, rows.T @ x.reshape(-1, x.shape[-1]), rows.sum(axis=0)
+    dz, dw, db = _param_grads(layer, cache, upstream)
+    return dz @ layer.weights, dw, db
 
 
 def stack_forward(layers: list[DenseLayer], x: np.ndarray):
@@ -104,12 +110,14 @@ def stack_forward(layers: list[DenseLayer], x: np.ndarray):
 
 def stack_backward(layers: list[DenseLayer], caches, upstream: np.ndarray) -> list[np.ndarray]:
     """Gradients of a dense stack given d loss / d its output, summed over
-    the rows: each layer's weights then bias, in layer order."""
+    the rows: each layer's weights then bias, in layer order.  The stack's
+    input is data, so the first layer's input gradient is not computed."""
     grads = []
-    for layer, cache in zip(reversed(layers), reversed(caches)):
+    for layer, cache in zip(layers[:0:-1], caches[:0:-1]):
         upstream, dw, db = dense_backward(layer, cache, upstream)
         grads[:0] = [dw, db]
-    return grads
+    _, dw, db = _param_grads(layers[0], caches[0], upstream)
+    return [dw, db, *grads]
 
 
 def positive_mask(label, positive_weight: float) -> np.ndarray:

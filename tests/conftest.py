@@ -7,6 +7,8 @@ import pytest
 
 from session2rec import neural
 from session2rec.corpus import Interaction, Session, SessionCorpus
+from session2rec.neural import sigmoid
+from session2rec.skipgram import LOGIT_CLAMP, EmbeddingTable
 
 
 def view(key, ts):
@@ -141,3 +143,57 @@ def train_minibatch_oracle(arrays, batch_loss_and_grads, n, config, rng, name):
                 )
         losses.append(epoch_loss / n)
     return arrays, losses
+
+
+def _scatter_subtract(table: np.ndarray, rows: np.ndarray, updates: np.ndarray) -> None:
+    """``table[rows] -= updates`` with repeated rows accumulating.
+
+    Each distinct row's updates are summed in input order by one
+    ``np.bincount`` over (distinct row, column) bins, then subtracted once.
+    """
+    distinct, slot = np.unique(rows, return_inverse=True)
+    dim = table.shape[1]
+    bins = (slot[:, None] * dim + np.arange(dim)).ravel()
+    sums = np.bincount(bins, weights=updates.ravel(), minlength=len(distinct) * dim)
+    table[distinct] -= sums.reshape(len(distinct), dim)
+
+
+def oracle_sgns_step(centers, contexts, negatives, table: EmbeddingTable, learning_rate) -> float:
+    """The skip-gram step before it scattered both tables at once: a sorted
+    ``np.unique`` scatter per table.  ``skipgram.sgns_step`` must match it
+    bit for bit.
+
+    ``centers`` and ``contexts`` are (B,) indices, ``negatives`` is (B, k) and
+    ``learning_rate`` a scalar or one rate per row.  Scalars and a (k,)
+    negative list are accepted for a single triple.  Every gradient is taken
+    from the vectors as they stood before the batch; rows touched more than
+    once (a repeated center or context, a negative equal to its context)
+    receive the summed update.  Returns the summed pre-update loss.
+    """
+    centers = np.atleast_1d(np.asarray(centers, dtype=np.int64))
+    contexts = np.atleast_1d(np.asarray(contexts, dtype=np.int64))
+    negatives = np.asarray(negatives, dtype=np.int64).reshape(len(centers), -1)
+    rate = np.broadcast_to(np.asarray(learning_rate, dtype=np.float64), centers.shape)
+    if not (rate > 0).all():
+        raise ValueError("learning_rate must be > 0")
+    inp, out = table.input_vectors, table.output_vectors
+    center_vecs, pos_vecs, neg_vecs = inp[centers], out[contexts], out[negatives]
+
+    s_pos = np.clip(np.einsum("bd,bd->b", center_vecs, pos_vecs), -LOGIT_CLAMP, LOGIT_CLAMP)
+    s_neg = np.clip(np.einsum("bkd,bd->bk", neg_vecs, center_vecs), -LOGIT_CLAMP, LOGIT_CLAMP)
+    p_pos = sigmoid(s_pos)
+    loss = -float(np.log(p_pos).sum() + np.log(sigmoid(-s_neg)).sum())
+
+    g_pos = (p_pos - 1.0) * rate  # rate * d loss / d s_pos
+    g_neg = sigmoid(s_neg) * rate[:, None]  # rate * d loss / d s_neg
+    d_center = g_pos[:, None] * pos_vecs + np.einsum("bkd,bk->bd", neg_vecs, g_neg)
+    d_pos = g_pos[:, None] * center_vecs
+    d_negs = g_neg[:, :, None] * center_vecs[:, None, :]
+    _scatter_subtract(inp, centers, d_center)
+    _scatter_subtract(
+        out,
+        np.concatenate([contexts, negatives.ravel()]),
+        np.concatenate([d_pos, d_negs.reshape(-1, out.shape[1])]),
+    )
+    table._row_norms = None  # the input vectors moved
+    return loss

@@ -469,6 +469,16 @@ class TestColdstart:
         assert "coldstart.nearest_destinations must be >= 1" in capsys.readouterr().err
         assert file_hash(tmp_path / "embeddings.txt") == before
 
+    def test_cold_listings_without_centroids_exit_two_before_writing(self, tmp_path, capsys):
+        config_path, _ = self.prepare(tmp_path)
+        config = json.loads(config_path.read_text())
+        config["coldstart"]["centroids_file"] = None
+        config_path.write_text(json.dumps(config))
+        before = file_hash(tmp_path / "embeddings.txt")
+        assert cli.main(["--config", str(config_path), "coldstart"]) == 2
+        assert "coldstart needs demand_file and centroids_file" in capsys.readouterr().err
+        assert file_hash(tmp_path / "embeddings.txt") == before
+
     def test_no_cold_listings_leaves_file_unchanged(self, tmp_path):
         config_path, _ = self.prepare(tmp_path, with_cold=False)
         before = file_hash(tmp_path / "embeddings.txt")
@@ -791,10 +801,16 @@ class TestPipeline:
             ({"eval": {"train_fraction": 0}}, "eval.train_fraction must be in (0, 1)"),
             ({"coldstart": {"nearest_destinations": 0}}, "coldstart.nearest_destinations must be >= 1"),
             ({"eval": {"epochs": 0}}, "eval: epochs must be >= 1"),
+            ({"coldstart": {"cold_listings_file": "cold.csv"}}, "coldstart needs demand_file and centroids_file"),
+            (
+                {"coldstart": {"cold_listings_file": "cold.csv", "demand_file": "demand.csv"}},
+                "coldstart needs demand_file and centroids_file",
+            ),
         ],
         ids=[
             "kind", "dims", "setting", "min-count", "max-prefix-views", "train-fraction-1",
-            "train-fraction-0", "nearest-destinations", "eval-epochs",
+            "train-fraction-0", "nearest-destinations", "eval-epochs", "cold-without-demand",
+            "cold-without-centroids",
         ],
     )
     def test_bad_config_exits_two_before_writing_any_file(self, overrides, message, tmp_path, capsys):

@@ -15,6 +15,8 @@ from session2rec.neural import (
     layer_to_json,
     load_model_json,
     save_model_json,
+    stack_backward,
+    stack_forward,
     train_minibatch,
     weighted_bce,
 )
@@ -140,6 +142,23 @@ class TestDenseBackward:
                 want = (dz @ layer.weights, flat.T @ x.reshape(-1, 3), flat.sum(axis=0))
                 got = dense_backward(layer, cache, upstream)
                 assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_stack_matches_the_dense_backward_chain_bit_for_bit(self, depth, rng):
+        widths = [4, 6, 3, 1][-depth - 1 :]
+        activations = ["relu", "tanh", "sigmoid"][-depth:]
+        layers = [
+            random_layer(rng, out_dim, in_dim, activation)
+            for in_dim, out_dim, activation in zip(widths, widths[1:], activations)
+        ]
+        _, caches = stack_forward(layers, rng.normal(size=(7, widths[0])))
+        d_out = rng.normal(size=(7, 1))
+        upstream, want = d_out, []
+        for layer, cache in zip(reversed(layers), reversed(caches)):
+            upstream, dw, db = dense_backward(layer, cache, upstream)
+            want[:0] = [dw, db]
+        got = stack_backward(layers, caches, d_out)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
     @pytest.mark.parametrize("activation", ["relu", "sigmoid", "tanh", "linear"])
     def test_matches_finite_differences(self, activation):

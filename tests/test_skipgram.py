@@ -20,7 +20,7 @@ from session2rec.skipgram import (
     train_embeddings,
 )
 
-from conftest import make_corpus, rebinding
+from conftest import make_corpus, oracle_sgns_step, rebinding
 
 def generate_training_pairs(indices, window: int):
     """Oracle of ``skipgram._window_pairs`` for one session: (center, context)
@@ -240,6 +240,75 @@ class TestSgnsStep:
         assert np.isfinite(table.output_vectors).all()
 
 
+def takes_dense_form(vocab_size, dim, batch, k):
+    """``sgns_step``'s size rule for a (batch, k) step on a V x d table."""
+    return vocab_size * dim <= skipgram.DENSE_CELLS + batch * (k + 2) * dim
+
+
+def assert_step_matches_oracle(inp, out, centers, contexts, negatives, learning_rate):
+    """One ``sgns_step`` and one oracle step from the same tables: the loss
+    and every bit of both tables must agree."""
+    want = EmbeddingTable(inp.copy(), out.copy())
+    got = EmbeddingTable(inp.copy(), out.copy())
+    want_loss = oracle_sgns_step(centers, contexts, negatives, want, learning_rate)
+    got_loss = sgns_step(centers, contexts, negatives, got, learning_rate)
+    assert float.hex(got_loss) == float.hex(want_loss)
+    assert got.input_vectors.tobytes() == want.input_vectors.tobytes()
+    assert got.output_vectors.tobytes() == want.output_vectors.tobytes()
+    assert not np.array_equal(got.input_vectors, inp)  # the step moved something
+
+
+class TestSgnsStepMatchesOracle:
+    """The one-scatter step against the two-scatter step it replaced."""
+
+    # (V, d): a 7-row table takes the dense bins, a 6000 x 8 one the compact bins
+    SIDES = [pytest.param(7, 4, True, id="dense"), pytest.param(6000, 8, False, id="compact")]
+
+    @pytest.mark.parametrize("per_row_rates", [True, False], ids=["per-row-rates", "scalar-rate"])
+    @pytest.mark.parametrize("v, d, dense", SIDES)
+    def test_batch(self, rng, v, d, dense, per_row_rates):
+        # repeated centers, a negative equal to its context, and rows 0 and
+        # V-1 as center, context and negative
+        centers, contexts = rng.integers(0, v, 6), rng.integers(0, v, 6)
+        centers[:3], contexts[:3] = [0, v - 1, 0], [v - 1, 0, v - 1]
+        negatives = rng.integers(0, v, (6, 3))
+        negatives[0, 0], negatives[1, :2], negatives[2, 1] = contexts[0], [0, v - 1], 0
+        assert takes_dense_form(v, d, *negatives.shape) == dense
+        rate = np.linspace(0.4, 0.1, len(centers)) if per_row_rates else 0.3
+        inp, out = rng.normal(size=(v, d)), rng.normal(size=(v, d))
+        assert_step_matches_oracle(inp, out, centers, contexts, negatives, rate)
+
+    @pytest.mark.parametrize("v, d, dense", SIDES)
+    def test_single_triple(self, rng, v, d, dense):
+        assert takes_dense_form(v, d, 1, 3) == dense
+        inp, out = rng.normal(size=(v, d)), rng.normal(size=(v, d))
+        assert_step_matches_oracle(inp, out, v - 1, 0, [0, v - 1, 0], 0.2)
+        assert_step_matches_oracle(inp, out, 0, v - 1, [v - 1], 0.7)
+
+    def test_full_batches_of_every_trained_vocabulary_take_the_dense_form(self):
+        # desk scale and listing_embed: V <= 1000, d = 32, 128 pairs of 5 negatives
+        assert takes_dense_form(1000, 32, skipgram.SGNS_BATCH, 5)
+        assert takes_dense_form(1000, 32, skipgram.SGNS_BATCH, 1)
+        assert not takes_dense_form(20000, 32, skipgram.SGNS_BATCH, 5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        v=st.sampled_from([2, 3, 50, 4200, 5000]),
+        b=st.integers(1, 40),
+        k=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        scalar_rate=st.booleans(),
+    )
+    def test_random_batches_match_oracle(self, v, b, k, seed, scalar_rate):
+        rng = np.random.default_rng(seed)
+        d = 8
+        centers, contexts = rng.integers(0, v, b), rng.integers(0, v, b)
+        negatives = rng.integers(0, v, (b, k))
+        rates = 0.25 if scalar_rate else rng.uniform(0.01, 0.5, b)
+        inp, out = rng.normal(size=(v, d)), rng.normal(size=(v, d))
+        assert_step_matches_oracle(inp, out, centers, contexts, negatives, rates)
+
+
 def small_synthetic(seed=21, n_travelers=300):
     config = SyntheticConfig(
         n_listings=30, n_clusters=3, n_travelers=n_travelers, mean_session_len=8,
@@ -389,6 +458,27 @@ class TestTrainEmbeddings:
         np.testing.assert_allclose(table.input_vectors, expected.input_vectors, rtol=0, atol=1e-12)
         np.testing.assert_allclose(table.output_vectors, expected.output_vectors, rtol=0, atol=1e-12)
         np.testing.assert_allclose(losses, expected_losses, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "n_listings, n_travelers, dim, dense",
+        [pytest.param(30, 300, 8, True, id="dense"), pytest.param(4000, 500, 32, False, id="compact")],
+    )
+    def test_training_matches_the_oracle_step_bit_for_bit(
+        self, monkeypatch, n_listings, n_travelers, dim, dense
+    ):
+        corpus, _ = generate_synthetic(SyntheticConfig(
+            n_listings=n_listings, n_clusters=3, n_travelers=n_travelers, mean_session_len=8,
+            booking_base_rate=0.3, seed=23,
+        ))
+        vocab = build_vocabulary(corpus, min_count=1)
+        config = SkipgramConfig(dim=dim, epochs=2, seed=8)
+        assert takes_dense_form(len(vocab), dim, skipgram.SGNS_BATCH, config.negatives) == dense
+        table, losses = train_embeddings(corpus, vocab, config)
+        monkeypatch.setattr(skipgram, "sgns_step", oracle_sgns_step)
+        want, want_losses = train_embeddings(corpus, vocab, config)
+        assert [float.hex(x) for x in losses] == [float.hex(x) for x in want_losses]
+        assert table.input_vectors.tobytes() == want.input_vectors.tobytes()
+        assert table.output_vectors.tobytes() == want.output_vectors.tobytes()
 
     def test_each_pair_of_a_batch_takes_its_own_decayed_rate(self, monkeypatch):
         calls = []
