@@ -5,10 +5,10 @@ One subcommand per stage plus a ``pipeline`` meta-command that chains them:
     generate            write a synthetic session log + cluster sidecar
     train-embeddings    train listing embeddings from the session log
     coldstart           append extrapolated rows for cold listings
-    train-traveler      train one traveler model on the train-side split
-    evaluate            run the downstream uplift protocol per setting
+    train-traveler      train traveler models, each to traveler_<kind>.json
+    evaluate            run the downstream uplift protocol over those models
     gradcheck           finite-difference check of every trainable kind
-    pipeline            generate -> embeddings -> traveler -> evaluate
+    pipeline            generate -> embeddings -> coldstart -> traveler -> evaluate
 
 Exit codes: 0 success, 2 configuration/validation error, 1 runtime error.
 All stages are deterministic for a fixed config and seed; rerunning writes
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import sys
@@ -47,14 +48,10 @@ _SECTIONS = {
         "demand_file": (str | None, None), "centroids_file": (str | None, None),
         "cold_listings_file": (str | None, None), "nearest_destinations": (int, 5),
     }),
-    "traveler": (traveler_mod.TravelerConfig, {
-        "kind": (str, "dan"), "max_prefix_views": (int, 50),
-        "model_file": (str | None, None), "trace_file": (str | None, None),
-    }),
+    "traveler": (traveler_mod.TravelerConfig, {"max_prefix_views": (int, 50)}),
     "eval": (eval_mod.DownstreamConfig, {
         "train_fraction": (float, 0.7), "settings": (list[str], ["handcrafted", "dan"]),
-        "eval_sessions_file": (str | None, None), "reports_dir": (str, "reports"),
-        "comparison_file": (str, "comparison.txt"),
+        "reports_dir": (str, "reports"), "comparison_file": (str, "comparison.txt"),
     }),
 }
 # dataclass fields no config key sets: the CLI passes the run seed and the
@@ -147,7 +144,6 @@ def _resolve(config: PipelineConfig, name) -> Path:
 
 # CLI-only keys with restricted values: (section, key, what the error says, accepts the value)
 _VALUE_RULES = (
-    ("traveler", "kind", f"one of {traveler_mod.TRAINABLE_KINDS}", lambda v: v in traveler_mod.TRAINABLE_KINDS),
     ("skipgram", "min_count", ">= 1", lambda v: v >= 1),
     ("coldstart", "nearest_destinations", ">= 1", lambda v: v >= 1),
     ("traveler", "max_prefix_views", ">= 1", lambda v: v >= 1),
@@ -256,54 +252,103 @@ def _load_table_and_index(config: PipelineConfig):
     return table, {k: i for i, k in enumerate(keys)}
 
 
-def _train_kind(config: PipelineConfig, kind: str, examples):
-    return traveler_mod.train_traveler_model(
-        examples, kind, _build(config, "traveler", input_dim=config.skipgram["dim"]),
-        provenance={"split": "train"},
-    )
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def cmd_train_traveler(config: PipelineConfig, kind: str) -> int:
+def _training_record(config: PipelineConfig):
+    """(TravelerConfig, provenance): the built traveler config and the record
+    of what a model trains on: the split side, the sha256 of the session log
+    and of the embedding text, ``train_fraction``, ``max_prefix_views`` and
+    every TravelerConfig field (``seed`` and ``input_dim`` included)."""
+    traveler_config = _build(config, "traveler", input_dim=config.skipgram["dim"])
+    return traveler_config, {
+        "split": eval_mod.REQUIRED_PROVENANCE,
+        "sessions_sha256": _sha256(_resolve(config, config.corpus["sessions_file"])),
+        "embeddings_sha256": _sha256(_resolve(config, config.skipgram["embeddings_file"])),
+        "train_fraction": config.eval["train_fraction"],
+        "max_prefix_views": config.traveler["max_prefix_views"],
+        **dataclasses.asdict(traveler_config),
+    }
+
+
+def cmd_train_traveler(config: PipelineConfig, kinds: list[str]) -> int:
+    """Train and write each of ``kinds`` on examples built once."""
     _require_out_dir(config)
-    if kind not in traveler_mod.TRAINABLE_KINDS:
-        raise ConfigError(
-            f"unknown kind {kind!r}; valid kinds: {', '.join(traveler_mod.TRAINABLE_KINDS)}"
-        )
+    for kind in kinds:
+        if kind not in traveler_mod.TRAINABLE_KINDS:
+            raise ConfigError(
+                f"unknown kind {kind!r}; valid kinds: {', '.join(traveler_mod.TRAINABLE_KINDS)}"
+            )
     corpus = _load_corpus(config)
     train_prefixes, _ = _split_prefixes(config, corpus)
     table, key_to_index = _load_table_and_index(config)
     examples = traveler_mod.build_examples(train_prefixes, key_to_index, table)
-    model, trace = _train_kind(config, kind, examples)
-    model_file = config.traveler["model_file"] or f"traveler_{kind}.json"
-    trace_file = config.traveler["trace_file"] or f"traveler_{kind}.log"
-    traveler_mod.save_traveler_model(model, _resolve(config, model_file))
-    traveler_mod.write_training_log(trace, _resolve(config, trace_file))
-    print(f"train-traveler: kind={kind} final loss {trace[-1].mean_loss:.4f} -> {model_file}")
+    traveler_config, provenance = _training_record(config)
+    for kind in kinds:
+        model, trace = traveler_mod.train_traveler_model(examples, kind, traveler_config, provenance)
+        traveler_mod.save_traveler_model(model, _resolve(config, f"traveler_{kind}.json"))
+        traveler_mod.write_training_log(trace, _resolve(config, f"traveler_{kind}.log"))
+        print(f"train-traveler: kind={kind} final loss {trace[-1].mean_loss:.4f} -> traveler_{kind}.json")
     return 0
 
 
-def _parse_setting(token: str):
-    """Map a settings token to (use_handcrafted, embedding), where the
-    embedding is ``RANDOM_VIEW``, a trained kind or None."""
-    if token == "handcrafted":
-        return True, None
+def _load_models(config: PipelineConfig, kinds: list[str]) -> dict[str, traveler_mod.TravelerModel]:
+    """{kind: the model ``train-traveler`` wrote}; ConfigError naming the file
+    for a missing model, one of another kind, or one whose provenance differs
+    from this run's in any field."""
+    if not kinds:
+        return {}
+    _, record = _training_record(config)
+    models = {}
+    for kind in kinds:
+        path = _resolve(config, f"traveler_{kind}.json")
+        if not path.is_file():
+            raise ConfigError(f"missing model file {path}; `train-traveler --kind {kind}` writes it")
+        model = traveler_mod.load_traveler_model(path)
+        if model.kind != kind:
+            raise ConfigError(f"{path} holds a model of kind {model.kind!r}, not {kind!r}")
+        stored = model.provenance
+        for field in {**record, **stored}:
+            if (field in stored, stored.get(field)) != (field in record, record.get(field)):
+                raise ConfigError(
+                    f"stale model file {path}: its {field} is {stored.get(field)!r}, this run's "
+                    f"is {record.get(field)!r}; rerun `train-traveler --kind {kind}`"
+                )
+        models[kind] = model
+    return models
+
+
+def _parse_settings(tokens: list[str]) -> list[tuple[bool, str | None]]:
+    """Map each settings token to (use_handcrafted, embedding), where the
+    embedding is ``RANDOM_VIEW``, a trained kind or None; ConfigError for an
+    unknown token or an empty list."""
+    if not tokens:
+        raise ConfigError("no settings: name at least one, e.g. handcrafted,dan")
     embeddings = (eval_mod.RANDOM_VIEW, *traveler_mod.TRAINABLE_KINDS)
-    embedding = token.removesuffix("_only")
-    if embedding not in embeddings:
-        valid = ["handcrafted", *embeddings, *(f"{k}_only" for k in embeddings)]
-        raise ConfigError(f"unknown setting {token!r}; valid: {', '.join(valid)}")
-    return embedding == token, embedding
+    parsed = []
+    for token in tokens:
+        embedding = None if token == "handcrafted" else token.removesuffix("_only")
+        if embedding not in (None, *embeddings):
+            valid = ["handcrafted", *embeddings, *(f"{k}_only" for k in embeddings)]
+            raise ConfigError(f"unknown setting {token!r}; valid: {', '.join(valid)}")
+        parsed.append((embedding in (None, token), embedding))
+    return parsed
+
+
+def _trained_kinds(parsed) -> list[str]:
+    """The distinct trained kinds of parsed settings, in order."""
+    return list(dict.fromkeys(e for _, e in parsed if e in traveler_mod.TRAINABLE_KINDS))
 
 
 def cmd_evaluate(config: PipelineConfig, settings: list[str]) -> int:
+    """One report per setting, over the models ``train-traveler`` wrote."""
     _require_out_dir(config)
-    parsed = [_parse_setting(token) for token in settings]  # every token, before any report
+    parsed = _parse_settings(settings)  # every token, before any file
     corpus = _load_corpus(config)
-    eval_file = config.eval["eval_sessions_file"]
-    if eval_file:  # dual-corpus flow: embeddings/tables from one log, labels from another
-        corpus = corpus_mod.load_sessions(_resolve(config, eval_file))
     train_prefixes, test_prefixes = _split_prefixes(config, corpus)
     table, key_to_index = _load_table_and_index(config)
+    models = _load_models(config, _trained_kinds(parsed))
     train_cases = traveler_mod.build_examples(train_prefixes, key_to_index, table)
     test_cases = traveler_mod.build_examples(test_prefixes, key_to_index, table)
 
@@ -312,12 +357,9 @@ def cmd_evaluate(config: PipelineConfig, settings: list[str]) -> int:
         raise FileNotFoundError(f"reports directory does not exist: {reports_dir}")
 
     downstream_config = _build(config, "eval")
-    trained: dict[str, traveler_mod.TravelerModel] = {}
     reports = []
     for token, (use_handcrafted, embedding) in zip(settings, parsed):
-        if embedding in traveler_mod.TRAINABLE_KINDS and embedding not in trained:
-            trained[embedding], _ = _train_kind(config, embedding, train_cases)
-        model = trained.get(embedding, embedding)  # a trained model, RANDOM_VIEW or None
+        model = models.get(embedding, embedding)  # a trained model, RANDOM_VIEW or None
         spec = eval_mod.FeatureSetSpec(name=token, use_handcrafted=use_handcrafted, model=model)
         report = eval_mod.downstream_eval(train_cases, test_cases, spec, downstream_config)
         eval_mod.save_report(report, reports_dir / f"{token}.json")
@@ -400,17 +442,17 @@ def cmd_pipeline(config: PipelineConfig) -> int:
     for name in ("corpus", "eval"):
         _build(config, name)
     _build(config, "traveler", input_dim=_build(config, "skipgram").dim)
-    for token in config.eval["settings"]:
-        _parse_setting(token)
+    kinds = _trained_kinds(_parse_settings(config.eval["settings"]))
     _check_values(config, _SECTIONS)
     _check_coldstart_files(config)
     for stage in (cmd_generate, cmd_train_embeddings, cmd_coldstart):
         code = stage(config)
         if code != 0:
             return code
-    code = cmd_train_traveler(config, config.traveler["kind"])
-    if code != 0:
-        return code
+    if kinds:
+        code = cmd_train_traveler(config, kinds)
+        if code != 0:
+            return code
     reports_dir = _resolve(config, config.eval["reports_dir"])
     reports_dir.mkdir(exist_ok=True)
     return cmd_evaluate(config, list(config.eval["settings"]))
@@ -451,7 +493,7 @@ def main(argv=None) -> int:
         if args.command == "coldstart":
             return cmd_coldstart(config)
         if args.command == "train-traveler":
-            return cmd_train_traveler(config, args.kind)
+            return cmd_train_traveler(config, [args.kind])
         if args.command == "evaluate":
             return cmd_evaluate(config, [s.strip() for s in args.settings.split(",") if s.strip()])
         if args.command == "pipeline":

@@ -579,8 +579,9 @@ def save_traveler_model(model: TravelerModel, path) -> None:
 
 def load_traveler_model(path) -> TravelerModel:
     """Read a model file; ParseError unless ``model_kind`` names a trained
-    kind, ``dims`` holds exactly the kind's positive integer widths and the
-    layers match the spec built from them in count, shape and activation."""
+    kind, ``dims`` holds exactly the kind's positive integer widths, the
+    layers match the spec built from them in count, shape and activation,
+    ``seed`` is an integer and ``provenance`` an object."""
     payload = neural.load_model_json(path)
     kind = payload.get("model_kind")
     if kind not in TRAINABLE_KINDS:
@@ -606,4 +607,6 @@ def load_traveler_model(path) -> TravelerModel:
             )
     params = {name: layer for (name, *_), layer in zip(spec, layers)}
     seed, provenance = payload.get("seed", 0), payload.get("provenance", {})
+    if type(seed) is not int or not isinstance(provenance, dict):
+        raise ParseError(f"{path}: seed must be an integer and provenance an object")
     return TravelerModel(kind, params, dims["input_dim"], seed, provenance)

@@ -359,6 +359,10 @@ def test_criterion_09_determinism(tmp_path):
         ("train-traveler", ["train-traveler", "--kind", "dan"], ["traveler_dan.json"]),
         ("evaluate", ["evaluate", "--settings", "handcrafted,dan"],
          ["reports/handcrafted.json", "reports/dan.json", "comparison.txt"]),
+        # every stage again; the traveler kinds come from eval.settings
+        ("pipeline", ["pipeline"],
+         ["sessions.tsv", "clusters.tsv", "embeddings.txt", "embeddings.s2re", "traveler_dan.json",
+          "reports/handcrafted.json", "reports/dan.json", "comparison.txt"]),
     ]
     mismatches = []
     for name, args, artifacts in stages:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from session2rec import cli, coldstart, corpus, neural, traveler
+from session2rec import cli, coldstart, corpus, evaluation, neural, traveler
 from session2rec.coldstart import (
     DestinationDemand,
     destination_embeddings,
@@ -49,6 +49,8 @@ TINY = {
     },
     "eval": {"settings": ["handcrafted", "dan"], "epochs": 5},
 }
+# the TravelerConfig the CLI builds from TINY: its traveler section, skip-gram dim and seed
+TINY_TRAVELER = traveler.TravelerConfig(input_dim=8, **TINY["traveler"], seed=5)
 
 
 # The CLI defaults as hand-written dicts before the library dataclasses held
@@ -71,16 +73,15 @@ OLD_DEFAULTS = {
         "nearest_destinations": 5,
     },
     "traveler": {
-        "kind": "dan", "epochs": 20, "batch_size": 64, "learning_rate": 2e-3,
+        "epochs": 20, "batch_size": 64, "learning_rate": 2e-3,
         "positive_class_weight": None, "max_prefix_views": 50,
         "hidden_expand": 64, "hidden_contract": 16, "embedding_dim": 8,
-        "lstm_hidden": 16, "model_file": None, "trace_file": None,
+        "lstm_hidden": 16,
     },
     "eval": {
         "train_fraction": 0.7, "settings": ["handcrafted", "dan"],
         "epochs": 40, "batch_size": 64, "learning_rate": 0.01,
-        "positive_class_weight": None, "eval_sessions_file": None,
-        "reports_dir": "reports", "comparison_file": "comparison.txt",
+        "positive_class_weight": None, "reports_dir": "reports", "comparison_file": "comparison.txt",
     },
 }
 OLD_COUNT_KEYS = {
@@ -152,7 +153,7 @@ class TestConfigValidation:
             ("eval", "learning_rate", None),
             ("skipgram", "learning_rate_initial", False),
             ("skipgram", "subsample_threshold", "0.001"),
-            ("traveler", "kind", 3),
+            ("traveler", "max_prefix_views", 2.5),
             ("skipgram", "embeddings_file", None),
             ("coldstart", "demand_file", 5),
             ("eval", "reports_dir", ["reports"]),
@@ -206,7 +207,7 @@ class TestConfigSchema:
             assert loaded == defaults
             types = {k: type(v) for k, v in loaded.items()}
             assert types == {k: type(v) for k, v in defaults.items()}
-        assert sum(len(d) for d in OLD_DEFAULTS.values()) == 45
+        assert sum(len(d) for d in OLD_DEFAULTS.values()) == 41
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -221,6 +222,16 @@ class TestConfigSchema:
         expected = "an integer" if key in OLD_COUNT_KEYS else ""
         with pytest.raises(ConfigError, match=rf"{section}\.{key} must be {expected}"):
             cli.load_config(path)
+
+    @pytest.mark.parametrize(
+        "name", ["traveler.kind", "traveler.model_file", "traveler.trace_file", "eval.eval_sessions_file"]
+    )
+    def test_deleted_key_is_unknown(self, name, tmp_path, capsys):
+        section, key = name.split(".")
+        path = write_config(tmp_path, {section: {key: "dan"}})
+        assert cli.main(["--config", str(path), "generate"]) == 2
+        assert f"unknown keys in section {section!r}: [{key!r}]" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.mark.parametrize("seed", [True, 1.0])
     def test_non_integer_seed_exits_two(self, seed, tmp_path, capsys):
@@ -533,6 +544,21 @@ class TestTrainTraveler:
         assert "line " in capsys.readouterr().err
         assert not (tmp_path / "traveler_dan.json").exists()
 
+    def test_model_file_records_what_it_was_trained_on(self, tmp_path):
+        path = write_config(tmp_path)
+        cli.main(["--config", str(path), "generate"])
+        cli.main(["--config", str(path), "train-embeddings"])
+        assert cli.main(["--config", str(path), "train-traveler", "--kind", "dan"]) == 0
+        provenance = json.loads((tmp_path / "traveler_dan.json").read_text())["provenance"]
+        assert provenance == {
+            "split": "train",
+            "sessions_sha256": file_hash(tmp_path / "sessions.tsv"),
+            "embeddings_sha256": file_hash(tmp_path / "embeddings.txt"),
+            "train_fraction": 0.7,
+            "max_prefix_views": 50,
+            **dataclasses.asdict(TINY_TRAVELER),
+        }
+
     def test_model_file_rerun_is_byte_identical(self, tmp_path):
         path = write_config(tmp_path)
         cli.main(["--config", str(path), "generate"])
@@ -545,15 +571,21 @@ class TestTrainTraveler:
 
 class TestEvaluate:
     @staticmethod
-    def prepare(tmp_path, settings):
+    def prepare(tmp_path, settings, kinds=()):
+        """Write the inputs of ``evaluate``: the log, the table and the model
+        of each of ``kinds``."""
         path = write_config(tmp_path, {"eval": {"settings": settings}})
         cli.main(["--config", str(path), "generate"])
         cli.main(["--config", str(path), "train-embeddings"])
+        for kind in kinds:
+            assert cli.main(["--config", str(path), "train-traveler", "--kind", kind]) == 0
         (tmp_path / "reports").mkdir()
         return path
 
     def test_four_settings_write_reports_and_comparison(self, tmp_path):
-        path = self.prepare(tmp_path, ["random", "average", "dan", "lstm_attention"])
+        path = self.prepare(
+            tmp_path, ["random", "average", "dan", "lstm_attention"], ["average", "dan", "lstm_attention"]
+        )
         code = cli.main([
             "--config", str(path), "evaluate", "--settings", "random,average,dan,lstm_attention",
         ])
@@ -578,7 +610,7 @@ class TestEvaluate:
         assert list((tmp_path / "reports").iterdir()) == []
 
     def test_reports_regenerate_identically(self, tmp_path):
-        path = self.prepare(tmp_path, ["handcrafted", "dan"])
+        path = self.prepare(tmp_path, ["handcrafted", "dan"], ["dan"])
         cli.main(["--config", str(path), "evaluate", "--settings", "handcrafted,dan"])
         first = file_hash(tmp_path / "reports" / "dan.json")
         cli.main(["--config", str(path), "evaluate", "--settings", "handcrafted,dan"])
@@ -594,10 +626,77 @@ class TestEvaluate:
         assert not (tmp_path / "reports" / "handcrafted.json").exists()
 
     def test_embedding_only_setting(self, tmp_path):
-        path = self.prepare(tmp_path, ["average_only"])
+        path = self.prepare(tmp_path, ["average_only"], ["average"])
         assert cli.main(["--config", str(path), "evaluate", "--settings", "average_only"]) == 0
         report = json.loads((tmp_path / "reports" / "average_only.json").read_text())
         assert report["feature_set"] == "average_only"
+
+    @pytest.mark.parametrize("settings", [",", " , "])
+    def test_empty_settings_exit_two_before_reading_a_file(self, settings, tmp_path, capsys):
+        path = write_config(tmp_path)  # no session log, table or reports directory
+        assert cli.main(["--config", str(path), "evaluate", "--settings", settings]) == 2
+        assert "no settings" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_missing_model_file_exits_two_naming_the_command(self, tmp_path, capsys):
+        path = self.prepare(tmp_path, ["handcrafted", "lstm"], ["dan"])
+        assert cli.main(["--config", str(path), "evaluate", "--settings", "handcrafted,lstm"]) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "traveler_lstm.json") in err
+        assert "train-traveler --kind lstm" in err
+        assert list((tmp_path / "reports").iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            (["--seed", "6"], "seed"),
+            ("edit-log", "sessions_sha256"),
+            ({"traveler": {"epochs": 4}}, "epochs"),
+        ],
+        ids=["seed", "session-log", "traveler-epochs"],
+    )
+    def test_stale_model_exits_two_naming_the_file_and_field(self, change, field, tmp_path, capsys):
+        path = self.prepare(tmp_path, ["handcrafted", "dan"], ["dan"])
+        argv = ["--config", str(path)]
+        if change == "edit-log":
+            log = tmp_path / "sessions.tsv"
+            log.write_text("# edited\n" + log.read_text())
+        elif isinstance(change, dict):
+            write_config(tmp_path, change)
+        else:
+            argv += change
+        capsys.readouterr()
+        assert cli.main(argv + ["evaluate", "--settings", "handcrafted,dan"]) == 2
+        err = capsys.readouterr().err
+        assert f"stale model file {tmp_path / 'traveler_dan.json'}: its {field} is " in err
+        assert list((tmp_path / "reports").iterdir()) == []
+
+    def test_model_of_another_kind_exits_two(self, tmp_path, capsys):
+        path = self.prepare(tmp_path, ["dan"], ["average"])
+        (tmp_path / "traveler_average.json").rename(tmp_path / "traveler_dan.json")
+        assert cli.main(["--config", str(path), "evaluate", "--settings", "dan"]) == 2
+        assert "holds a model of kind 'average', not 'dan'" in capsys.readouterr().err
+
+    def test_report_equals_downstream_eval_over_a_model_trained_in_process(self, tmp_path):
+        path = self.prepare(tmp_path, ["dan"], ["dan"])
+        assert cli.main(["--config", str(path), "evaluate", "--settings", "dan"]) == 0
+        # the same cases and model, built without the CLI
+        log = corpus.load_sessions(tmp_path / "sessions.tsv")
+        train, test = corpus.split_by_user(log, 0.7, 5)
+        keys, vectors = load_embeddings_text(tmp_path / "embeddings.txt")
+        table = EmbeddingTable(vectors, np.zeros_like(vectors))
+        key_to_index = {key: i for i, key in enumerate(keys)}
+        train_cases, test_cases = (
+            traveler.build_examples(corpus.labeled_prefixes(side, 50), key_to_index, table)
+            for side in (train, test)
+        )
+        model, _ = traveler.train_traveler_model(train_cases, "dan", TINY_TRAVELER, {"split": "train"})
+        spec = evaluation.FeatureSetSpec(name="dan", use_handcrafted=True, model=model)
+        report = evaluation.downstream_eval(
+            train_cases, test_cases, spec, evaluation.DownstreamConfig(epochs=5, seed=5)
+        )
+        evaluation.save_report(report, tmp_path / "in_process.json")
+        assert (tmp_path / "in_process.json").read_bytes() == (tmp_path / "reports" / "dan.json").read_bytes()
 
 
 class TestGradcheckCommand:
@@ -788,13 +887,14 @@ class TestPipeline:
     @pytest.mark.parametrize(
         "overrides, message",
         [
-            ({"traveler": {"kind": "gru"}}, "traveler.kind must be one of ('average', 'dan',"),
+            ({"traveler": {"kind": "dan"}}, "unknown keys in section 'traveler': ['kind']"),
             (
                 # the default traveler dims need a skip-gram dim above 16
                 {"traveler": {"hidden_expand": 64, "hidden_contract": 16, "embedding_dim": 8}},
                 "traveler: dims must satisfy",
             ),
             ({"eval": {"settings": ["handcrafted", "dann"]}}, "unknown setting 'dann'"),
+            ({"eval": {"settings": []}}, "no settings"),
             ({"skipgram": {"min_count": 0}}, "skipgram.min_count must be >= 1"),
             ({"traveler": {"max_prefix_views": 0}}, "traveler.max_prefix_views must be >= 1"),
             ({"eval": {"train_fraction": 1.0}}, "eval.train_fraction must be in (0, 1)"),
@@ -808,7 +908,7 @@ class TestPipeline:
             ),
         ],
         ids=[
-            "kind", "dims", "setting", "min-count", "max-prefix-views", "train-fraction-1",
+            "kind", "dims", "setting", "no-settings", "min-count", "max-prefix-views", "train-fraction-1",
             "train-fraction-0", "nearest-destinations", "eval-epochs", "cold-without-demand",
             "cold-without-centroids",
         ],
@@ -818,3 +918,31 @@ class TestPipeline:
         assert cli.main(["--config", str(path), "pipeline"]) == 2
         assert message in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_trains_each_kind_once_and_parses_the_log_three_times(self, tmp_path, monkeypatch):
+        trained, parsed = [], []
+        train, load = traveler.train_traveler_model, corpus.load_sessions
+
+        def counting_train(examples, kind, *args):
+            trained.append(kind)
+            return train(examples, kind, *args)
+
+        def counting_load(path):
+            parsed.append(Path(path).name)
+            return load(path)
+
+        monkeypatch.setattr(traveler, "train_traveler_model", counting_train)
+        monkeypatch.setattr(corpus, "load_sessions", counting_load)
+        path = write_config(tmp_path, {"eval": {"settings": ["handcrafted", "dan", "dan_only", "lstm"]}})
+        assert cli.main(["--config", str(path), "pipeline"]) == 0
+        assert trained == ["dan", "lstm"]
+        assert parsed == ["sessions.tsv"] * 3
+        assert sorted(p.name for p in tmp_path.glob("traveler_*.json")) == [
+            "traveler_dan.json", "traveler_lstm.json",
+        ]
+
+    def test_settings_without_a_trained_kind_train_nothing(self, tmp_path):
+        path = write_config(tmp_path, {"eval": {"settings": ["handcrafted", "random"]}})
+        assert cli.main(["--config", str(path), "pipeline"]) == 0
+        assert list(tmp_path.glob("traveler_*")) == []
+        assert (tmp_path / "comparison.txt").exists()

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -847,6 +848,9 @@ BAD_MODEL_FILES = [
     pytest.param("lstm_attention", lambda p: p.pop("dims"), id="missing-dims"),
     pytest.param("lstm", lambda p: p["dims"].update(lstm_hidden="2"), id="non-integer-dim"),
     pytest.param("dan", _widen_dan_contraction, id="dan-not-expand-contract"),
+    pytest.param("dan", lambda p: p.update(provenance=["train"]), id="provenance-not-an-object"),
+    pytest.param("average", lambda p: p.update(seed="x"), id="string-seed"),
+    pytest.param("lstm", lambda p: p.update(seed=True), id="boolean-seed"),
 ]
 
 
@@ -857,7 +861,7 @@ class TestModelFileValidation:
         mutate(payload)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: "):
             load_traveler_model(path)
 
     @pytest.mark.parametrize(
