@@ -1,6 +1,8 @@
 """Command-line orchestration of the full pipeline.
 
-One subcommand per stage plus a ``pipeline`` meta-command that chains them:
+Each stage is a function that takes objects, writes its artifacts and returns
+objects.  Its subcommand reads the stage's inputs from disk; ``pipeline``
+hands each stage's objects to the next in one pass, parsing no file it wrote:
 
     generate            write a synthetic session log + cluster sidecar
     train-embeddings    train listing embeddings from the session log
@@ -155,11 +157,10 @@ def _check_values(config: PipelineConfig, sections) -> None:
     for section, key, expected, accepts in _VALUE_RULES:
         if section in sections and not accepts(getattr(config, section)[key]):
             raise ConfigError(f"{section}.{key} must be {expected}")
-
-
-def _require_out_dir(config: PipelineConfig):
-    if not config.out_dir.is_dir():
-        raise FileNotFoundError(f"output directory does not exist: {config.out_dir}")
+    cs = config.coldstart
+    missing = not (cs["demand_file"] and cs["centroids_file"])
+    if "coldstart" in sections and cs["cold_listings_file"] and missing:
+        raise ConfigError("coldstart needs demand_file and centroids_file")
 
 
 def _build(config: PipelineConfig, name: str, **extra):
@@ -173,23 +174,23 @@ def _build(config: PipelineConfig, name: str, **extra):
         raise ConfigError(f"{name}: {exc}") from None
 
 
-def cmd_generate(config: PipelineConfig) -> int:
-    _require_out_dir(config)
+def generate(config: PipelineConfig) -> corpus_mod.SessionCorpus:
+    """Write the session log and the cluster sidecar; returns the corpus."""
     c = config.corpus
     corpus, truth = corpus_mod.generate_synthetic(_build(config, "corpus"))
     corpus_mod.save_sessions(corpus, _resolve(config, c["sessions_file"]))
     corpus_mod.save_ground_truth(truth, _resolve(config, c["ground_truth_file"]))
     print(f"generate: {len(corpus.sessions)} sessions -> {c['sessions_file']}")
-    return 0
+    return corpus
 
 
 def _load_corpus(config: PipelineConfig):
     return corpus_mod.load_sessions(_resolve(config, config.corpus["sessions_file"]))
 
 
-def cmd_train_embeddings(config: PipelineConfig) -> int:
-    _require_out_dir(config)
-    corpus = _load_corpus(config)
+def train_embeddings(config: PipelineConfig, corpus) -> tuple[list[str], np.ndarray]:
+    """Train skip-gram on ``corpus`` and write the embedding text (and the
+    sidecar); returns (keys, vectors) as the text holds them."""
     vocabulary = corpus_mod.build_vocabulary(corpus, config.skipgram["min_count"])
     table, losses = skipgram.train_embeddings(corpus, vocabulary, _build(config, "skipgram"))
     skipgram.save_embeddings_text(
@@ -199,57 +200,56 @@ def cmd_train_embeddings(config: PipelineConfig) -> int:
         skipgram.save_embeddings_binary(table, _resolve(config, config.skipgram["sidecar_file"]))
     loss_text = ", ".join(f"{x:.4f}" for x in losses)
     print(f"train-embeddings: V={len(vocabulary)} d={table.dim} epoch losses [{loss_text}]")
-    return 0
+    return list(vocabulary.index_to_key), table.input_vectors
 
 
-def _check_coldstart_files(config: PipelineConfig) -> None:
+def _load_table(config: PipelineConfig) -> tuple[list[str], np.ndarray]:
+    return skipgram.load_embeddings_text(_resolve(config, config.skipgram["embeddings_file"]))
+
+
+def coldstart(config: PipelineConfig, keys, vectors, n_trained) -> tuple[list[str], np.ndarray]:
+    """Replace the embedding text's cold block with a row per cold listing.
+    ``keys`` and ``vectors`` are the table the text holds, its first
+    ``n_trained`` rows trained; returns them as the text now holds them."""
     cs = config.coldstart
-    if cs["cold_listings_file"] and not (cs["demand_file"] and cs["centroids_file"]):
-        raise ConfigError("coldstart needs demand_file and centroids_file")
-
-
-def cmd_coldstart(config: PipelineConfig) -> int:
-    _require_out_dir(config)
-    _check_values(config, ["coldstart"])
-    _check_coldstart_files(config)
-    cs = config.coldstart
-    embeddings_path = _resolve(config, config.skipgram["embeddings_file"])
     if not cs["cold_listings_file"]:
         print("coldstart: no cold listings configured, nothing to do")
-        return 0
-    table, key_to_index = _load_table_and_index(config)
-    with open_utf8(embeddings_path) as fh:
-        n_trained = int(fh.readline().split()[0])  # the loader checked it against the rows
-    trained = {key for key, i in key_to_index.items() if i < n_trained}
-    listings = cold.load_cold_listings_csv(_resolve(config, cs["cold_listings_file"]), trained)
+        return keys, vectors
+    key_to_index = {k: i for i, k in enumerate(keys)}
+    listings = cold.load_cold_listings_csv(_resolve(config, cs["cold_listings_file"]), set(keys[:n_trained]))
     demand = cold.load_demand_csv(_resolve(config, cs["demand_file"]), key_to_index)
     centroids = cold.load_centroids_csv(_resolve(config, cs["centroids_file"]))
+    table = skipgram.EmbeddingTable(vectors, np.zeros_like(vectors))
     dest_embeddings = cold.destination_embeddings(table, demand)
     rows = []
     for key, point in listings:
         belief = cold.demand_belief_from_location(point, centroids, cs["nearest_destinations"])
         rows.append((key, cold.extrapolate_cold(belief, dest_embeddings)))
-    cold.append_cold_rows(embeddings_path, rows)
+    cold.append_cold_rows(_resolve(config, config.skipgram["embeddings_file"]), rows)
     print(f"coldstart: appended {len(rows)} rows to {config.skipgram['embeddings_file']}")
-    return 0
+    n = n_trained if rows else len(keys)  # with no rows append_cold_rows leaves the text as it was
+    return [*keys[:n], *(key for key, _ in rows)], np.vstack([vectors[:n], *(row for _, row in rows)])
 
 
-def _split_prefixes(config: PipelineConfig, corpus):
-    """Shared user-disjoint split so every stage sees the same partition."""
+def cmd_coldstart(config: PipelineConfig) -> None:
+    _check_values(config, ["coldstart"])
+    keys = vectors = n_trained = None  # the table is read only for cold listings
+    if config.coldstart["cold_listings_file"]:
+        keys, vectors = _load_table(config)
+        with open_utf8(_resolve(config, config.skipgram["embeddings_file"])) as fh:
+            n_trained = int(fh.readline().split()[0])  # the loader checked it against the rows
+    coldstart(config, keys, vectors, n_trained)
+
+
+def _cases(config: PipelineConfig, corpus, keys, vectors) -> list[list[traveler_mod.TravelerExample]]:
+    """[train, test] examples over the table (keys, vectors) from the shared
+    user-disjoint split, so every stage sees the same partition."""
     train, test = corpus_mod.split_by_user(corpus, config.eval["train_fraction"], config.seed)
-    max_views = config.traveler["max_prefix_views"]
-    return (
-        corpus_mod.labeled_prefixes(train, max_views),
-        corpus_mod.labeled_prefixes(test, max_views),
-    )
-
-
-def _load_table_and_index(config: PipelineConfig):
-    keys, vectors = skipgram.load_embeddings_text(
-        _resolve(config, config.skipgram["embeddings_file"])
-    )
     table = skipgram.EmbeddingTable(vectors, np.zeros_like(vectors))
-    return table, {k: i for i, k in enumerate(keys)}
+    key_to_index = {k: i for i, k in enumerate(keys)}
+    max_views = config.traveler["max_prefix_views"]
+    sides = [corpus_mod.labeled_prefixes(side, max_views) for side in (train, test)]
+    return [traveler_mod.build_examples(prefixes, key_to_index, table) for prefixes in sides]
 
 
 def _sha256(path: Path) -> str:
@@ -272,25 +272,26 @@ def _training_record(config: PipelineConfig):
     }
 
 
-def cmd_train_traveler(config: PipelineConfig, kinds: list[str]) -> int:
-    """Train and write each of ``kinds`` on examples built once."""
-    _require_out_dir(config)
-    for kind in kinds:
-        if kind not in traveler_mod.TRAINABLE_KINDS:
-            raise ConfigError(
-                f"unknown kind {kind!r}; valid kinds: {', '.join(traveler_mod.TRAINABLE_KINDS)}"
-            )
-    corpus = _load_corpus(config)
-    train_prefixes, _ = _split_prefixes(config, corpus)
-    table, key_to_index = _load_table_and_index(config)
-    examples = traveler_mod.build_examples(train_prefixes, key_to_index, table)
+def train_traveler(config: PipelineConfig, examples, kinds) -> dict[str, traveler_mod.TravelerModel]:
+    """Train each of ``kinds`` on ``examples`` and write its model file and
+    training log; returns {kind: model}."""
     traveler_config, provenance = _training_record(config)
+    models = {}
     for kind in kinds:
         model, trace = traveler_mod.train_traveler_model(examples, kind, traveler_config, provenance)
         traveler_mod.save_traveler_model(model, _resolve(config, f"traveler_{kind}.json"))
         traveler_mod.write_training_log(trace, _resolve(config, f"traveler_{kind}.log"))
         print(f"train-traveler: kind={kind} final loss {trace[-1].mean_loss:.4f} -> traveler_{kind}.json")
-    return 0
+        models[kind] = model
+    return models
+
+
+def cmd_train_traveler(config: PipelineConfig, kind: str) -> None:
+    """Train and write the model of ``kind``."""
+    if kind not in traveler_mod.TRAINABLE_KINDS:
+        raise ConfigError(f"unknown kind {kind!r}; valid kinds: {', '.join(traveler_mod.TRAINABLE_KINDS)}")
+    train_cases, _ = _cases(config, _load_corpus(config), *_load_table(config))
+    train_traveler(config, train_cases, [kind])
 
 
 def _load_models(config: PipelineConfig, kinds: list[str]) -> dict[str, traveler_mod.TravelerModel]:
@@ -322,16 +323,18 @@ def _load_models(config: PipelineConfig, kinds: list[str]) -> dict[str, traveler
 def _parse_settings(tokens: list[str]) -> list[tuple[bool, str | None]]:
     """Map each settings token to (use_handcrafted, embedding), where the
     embedding is ``RANDOM_VIEW``, a trained kind or None; ConfigError for an
-    unknown token or an empty list."""
+    unknown or repeated token or an empty list."""
     if not tokens:
         raise ConfigError("no settings: name at least one, e.g. handcrafted,dan")
     embeddings = (eval_mod.RANDOM_VIEW, *traveler_mod.TRAINABLE_KINDS)
     parsed = []
-    for token in tokens:
+    for i, token in enumerate(tokens):
         embedding = None if token == "handcrafted" else token.removesuffix("_only")
         if embedding not in (None, *embeddings):
             valid = ["handcrafted", *embeddings, *(f"{k}_only" for k in embeddings)]
             raise ConfigError(f"unknown setting {token!r}; valid: {', '.join(valid)}")
+        if token in tokens[:i]:
+            raise ConfigError(f"repeated setting {token!r}")
         parsed.append((embedding in (None, token), embedding))
     return parsed
 
@@ -341,27 +344,19 @@ def _trained_kinds(parsed) -> list[str]:
     return list(dict.fromkeys(e for _, e in parsed if e in traveler_mod.TRAINABLE_KINDS))
 
 
-def cmd_evaluate(config: PipelineConfig, settings: list[str]) -> int:
-    """One report per setting, over the models ``train-traveler`` wrote."""
-    _require_out_dir(config)
-    parsed = _parse_settings(settings)  # every token, before any file
-    corpus = _load_corpus(config)
-    train_prefixes, test_prefixes = _split_prefixes(config, corpus)
-    table, key_to_index = _load_table_and_index(config)
-    models = _load_models(config, _trained_kinds(parsed))
-    train_cases = traveler_mod.build_examples(train_prefixes, key_to_index, table)
-    test_cases = traveler_mod.build_examples(test_prefixes, key_to_index, table)
-
+def evaluate(config: PipelineConfig, settings: list[str], cases, models) -> None:
+    """One report per setting over ``cases`` (train, test) and ``models``
+    ({kind: model}), then the comparison of two or more reports."""
     reports_dir = _resolve(config, config.eval["reports_dir"])
     if not reports_dir.is_dir():
         raise FileNotFoundError(f"reports directory does not exist: {reports_dir}")
 
     downstream_config = _build(config, "eval")
     reports = []
-    for token, (use_handcrafted, embedding) in zip(settings, parsed):
+    for token, (use_handcrafted, embedding) in zip(settings, _parse_settings(settings)):
         model = models.get(embedding, embedding)  # a trained model, RANDOM_VIEW or None
         spec = eval_mod.FeatureSetSpec(name=token, use_handcrafted=use_handcrafted, model=model)
-        report = eval_mod.downstream_eval(train_cases, test_cases, spec, downstream_config)
+        report = eval_mod.downstream_eval(*cases, spec, downstream_config)
         eval_mod.save_report(report, reports_dir / f"{token}.json")
         reports.append(report)
         print(
@@ -370,7 +365,13 @@ def cmd_evaluate(config: PipelineConfig, settings: list[str]) -> int:
         )
     if len(reports) >= 2:
         eval_mod.write_comparison(reports, _resolve(config, config.eval["comparison_file"]))
-    return 0
+
+
+def cmd_evaluate(config: PipelineConfig, settings: list[str]) -> None:
+    """One report per setting, over the models ``train-traveler`` wrote."""
+    kinds = _trained_kinds(_parse_settings(settings))  # every token, before any file
+    cases = _cases(config, _load_corpus(config), *_load_table(config))
+    evaluate(config, settings, cases, _load_models(config, kinds))
 
 
 def run_gradcheck(seed: int = 0, rounds: int = 100):
@@ -427,35 +428,31 @@ def run_gradcheck(seed: int = 0, rounds: int = 100):
     }
 
 
-def cmd_gradcheck(seed: int = 0, rounds: int = 100) -> int:
+def cmd_gradcheck(seed: int, rounds: int) -> int:
     results = run_gradcheck(seed=seed, rounds=rounds)
-    ok = True
     for kind, err in results.items():
         status = "ok" if err < 1e-4 else "FAIL"
-        ok = ok and err < 1e-4
         print(f"gradcheck: {kind:<16} max relative error {err:.3e}  [{status}]")
-    return 0 if ok else 1
+    return 0 if all(err < 1e-4 for err in results.values()) else 1
 
 
-def cmd_pipeline(config: PipelineConfig) -> int:
+def cmd_pipeline(config: PipelineConfig) -> None:
+    """Every stage in one pass, each handing its objects to the next: no stage
+    parses a file an earlier one wrote, and training and evaluation share one split."""
     # every value a stage would reject fails here, before the first file is written
     for name in ("corpus", "eval"):
         _build(config, name)
     _build(config, "traveler", input_dim=_build(config, "skipgram").dim)
-    kinds = _trained_kinds(_parse_settings(config.eval["settings"]))
+    settings = config.eval["settings"]
+    kinds = _trained_kinds(_parse_settings(settings))
     _check_values(config, _SECTIONS)
-    _check_coldstart_files(config)
-    for stage in (cmd_generate, cmd_train_embeddings, cmd_coldstart):
-        code = stage(config)
-        if code != 0:
-            return code
-    if kinds:
-        code = cmd_train_traveler(config, kinds)
-        if code != 0:
-            return code
-    reports_dir = _resolve(config, config.eval["reports_dir"])
-    reports_dir.mkdir(exist_ok=True)
-    return cmd_evaluate(config, list(config.eval["settings"]))
+    corpus = generate(config)
+    keys, vectors = train_embeddings(config, corpus)
+    keys, vectors = coldstart(config, keys, vectors, len(keys))
+    cases = _cases(config, corpus, keys, vectors)
+    models = train_traveler(config, cases[0], kinds) if kinds else {}
+    _resolve(config, config.eval["reports_dir"]).mkdir(exist_ok=True)
+    evaluate(config, settings, cases, models)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -486,19 +483,21 @@ def main(argv=None) -> int:
         if not args.config:
             raise ConfigError(f"{args.command} requires --config")
         config = load_config(args.config, seed_override=args.seed, out_override=args.out)
+        if not config.out_dir.is_dir():
+            raise FileNotFoundError(f"output directory does not exist: {config.out_dir}")
         if args.command == "generate":
-            return cmd_generate(config)
-        if args.command == "train-embeddings":
-            return cmd_train_embeddings(config)
-        if args.command == "coldstart":
-            return cmd_coldstart(config)
-        if args.command == "train-traveler":
-            return cmd_train_traveler(config, [args.kind])
-        if args.command == "evaluate":
-            return cmd_evaluate(config, [s.strip() for s in args.settings.split(",") if s.strip()])
-        if args.command == "pipeline":
-            return cmd_pipeline(config)
-        raise ConfigError(f"unknown command {args.command!r}")
+            generate(config)
+        elif args.command == "train-embeddings":
+            train_embeddings(config, _load_corpus(config))
+        elif args.command == "coldstart":
+            cmd_coldstart(config)
+        elif args.command == "train-traveler":
+            cmd_train_traveler(config, args.kind)
+        elif args.command == "evaluate":
+            cmd_evaluate(config, [s.strip() for s in args.settings.split(",") if s.strip()])
+        else:
+            cmd_pipeline(config)
+        return 0
     except (ConfigError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from session2rec import cli, coldstart, corpus, evaluation, neural, traveler
+from session2rec import cli, coldstart, corpus, evaluation, neural, skipgram, traveler
 from session2rec.coldstart import (
     DestinationDemand,
     destination_embeddings,
@@ -110,6 +110,42 @@ def write_config(tmp_path, overrides=None, name="config.json"):
 
 def file_hash(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# the coldstart section that reads the CSVs write_cold_inputs writes
+COLD = {
+    "coldstart": {
+        "demand_file": "demand.csv", "centroids_file": "centroids.csv",
+        "cold_listings_file": "cold.csv", "nearest_destinations": 2,
+    }
+}
+EIGHT_SETTINGS = [
+    "handcrafted", "random", "average", "dan", "lstm", "lstm_attention", "dan_only", "lstm_attention_only",
+]
+
+
+def write_cold_inputs(directory):
+    """Demand, centroid and cold-listing CSVs for TINY: each listing of its
+    vocabulary sends its demand to one of three destinations, and two cold
+    listings lie near the first two."""
+    log, _ = corpus.generate_synthetic(corpus.SyntheticConfig(**TINY["corpus"], seed=TINY["seed"]))
+    keys = corpus.build_vocabulary(log, TINY["skipgram"]["min_count"]).index_to_key
+    (directory / "demand.csv").write_text(
+        "listing_key,destination_id,proportion\n" + "".join(f"{k},D{i % 3},1.0\n" for i, k in enumerate(keys))
+    )
+    (directory / "centroids.csv").write_text(
+        "destination_id,latitude,longitude\nD0,48.85,2.35\nD1,40.71,-74.0\nD2,35.68,139.69\n"
+    )
+    (directory / "cold.csv").write_text("listing_key,latitude,longitude\nCOLD1,48.0,2.0\nCOLD2,39.0,-70.0\n")
+
+
+def artifacts(directory):
+    """{relative path: bytes} of every file under ``directory`` but the
+    training logs, which carry wall times."""
+    return {
+        str(p.relative_to(directory)): p.read_bytes()
+        for p in sorted(directory.rglob("*")) if p.is_file() and p.suffix != ".log"
+    }
 
 
 class TestConfigValidation:
@@ -671,6 +707,12 @@ class TestEvaluate:
         assert f"stale model file {tmp_path / 'traveler_dan.json'}: its {field} is " in err
         assert list((tmp_path / "reports").iterdir()) == []
 
+    def test_repeated_setting_exits_two_before_reading_a_file(self, tmp_path, capsys):
+        path = write_config(tmp_path)  # no session log, table or reports directory
+        assert cli.main(["--config", str(path), "evaluate", "--settings", "handcrafted,dan,dan"]) == 2
+        assert "repeated setting 'dan'" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     def test_model_of_another_kind_exits_two(self, tmp_path, capsys):
         path = self.prepare(tmp_path, ["dan"], ["average"])
         (tmp_path / "traveler_average.json").rename(tmp_path / "traveler_dan.json")
@@ -895,6 +937,7 @@ class TestPipeline:
             ),
             ({"eval": {"settings": ["handcrafted", "dann"]}}, "unknown setting 'dann'"),
             ({"eval": {"settings": []}}, "no settings"),
+            ({"eval": {"settings": ["handcrafted", "dan", "dan"]}}, "repeated setting 'dan'"),
             ({"skipgram": {"min_count": 0}}, "skipgram.min_count must be >= 1"),
             ({"traveler": {"max_prefix_views": 0}}, "traveler.max_prefix_views must be >= 1"),
             ({"eval": {"train_fraction": 1.0}}, "eval.train_fraction must be in (0, 1)"),
@@ -908,8 +951,8 @@ class TestPipeline:
             ),
         ],
         ids=[
-            "kind", "dims", "setting", "no-settings", "min-count", "max-prefix-views", "train-fraction-1",
-            "train-fraction-0", "nearest-destinations", "eval-epochs", "cold-without-demand",
+            "kind", "dims", "setting", "no-settings", "repeated-setting", "min-count", "max-prefix-views",
+            "train-fraction-1", "train-fraction-0", "nearest-destinations", "eval-epochs", "cold-without-demand",
             "cold-without-centroids",
         ],
     )
@@ -919,24 +962,27 @@ class TestPipeline:
         assert message in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
-    def test_trains_each_kind_once_and_parses_the_log_three_times(self, tmp_path, monkeypatch):
-        trained, parsed = [], []
-        train, load = traveler.train_traveler_model, corpus.load_sessions
+    def test_trains_each_kind_once_and_parses_no_file_it_wrote(self, tmp_path, monkeypatch):
+        calls = []
 
-        def counting_train(examples, kind, *args):
-            trained.append(kind)
-            return train(examples, kind, *args)
+        def count(module, name):
+            original = getattr(module, name)
 
-        def counting_load(path):
-            parsed.append(Path(path).name)
-            return load(path)
+            def counting(*args):
+                calls.append(args[1] if name == "train_traveler_model" else name)  # a kind
+                return original(*args)
 
-        monkeypatch.setattr(traveler, "train_traveler_model", counting_train)
-        monkeypatch.setattr(corpus, "load_sessions", counting_load)
+            monkeypatch.setattr(module, name, counting)
+
+        for module, name in [
+            (corpus, "load_sessions"), (skipgram, "load_embeddings_text"), (traveler, "load_traveler_model"),
+            (corpus, "split_by_user"), (corpus, "labeled_prefixes"), (traveler, "train_traveler_model"),
+        ]:
+            count(module, name)
         path = write_config(tmp_path, {"eval": {"settings": ["handcrafted", "dan", "dan_only", "lstm"]}})
         assert cli.main(["--config", str(path), "pipeline"]) == 0
-        assert trained == ["dan", "lstm"]
-        assert parsed == ["sessions.tsv"] * 3
+        # one split, one prefix cut per side, each kind trained once, and no parse
+        assert calls == ["split_by_user", "labeled_prefixes", "labeled_prefixes", "dan", "lstm"]
         assert sorted(p.name for p in tmp_path.glob("traveler_*.json")) == [
             "traveler_dan.json", "traveler_lstm.json",
         ]
@@ -946,3 +992,93 @@ class TestPipeline:
         assert cli.main(["--config", str(path), "pipeline"]) == 0
         assert list(tmp_path.glob("traveler_*")) == []
         assert (tmp_path / "comparison.txt").exists()
+
+
+class TestHandOff:
+    """``pipeline`` hands each stage's objects to the next; they must equal
+    what the next stage would read back from the files."""
+
+    @pytest.mark.parametrize("sessions_per_traveler", [1, 3])
+    def test_generate_returns_the_corpus_it_writes(self, sessions_per_traveler, tmp_path):
+        path = write_config(tmp_path, {"corpus": {"sessions_per_traveler": sessions_per_traveler}})
+        returned = cli.generate(cli.load_config(path))
+        loaded = corpus.load_sessions(tmp_path / "sessions.tsv")
+        assert len(returned.sessions) == len(loaded.sessions) == 120 * sessions_per_traveler
+        for mine, read in zip(returned.sessions, loaded.sessions):
+            assert mine.traveler_key == read.traveler_key
+            assert len(mine.interactions) == len(read.interactions)
+            for it, read_it in zip(mine.interactions, read.interactions):
+                assert (it.listing_key, it.timestamp, it.event_kind) == (
+                    read_it.listing_key, read_it.timestamp, read_it.event_kind,
+                )
+                assert type(it.timestamp) is type(read_it.timestamp) is int
+
+    @pytest.mark.parametrize("with_cold", [False, True], ids=["no-cold-rows", "cold-rows"])
+    def test_tables_handed_on_equal_the_embedding_text(self, with_cold, tmp_path, monkeypatch):
+        handed, read = {}, {}
+
+        def record(name):
+            stage = getattr(cli, name)
+
+            def recording(*args):
+                handed[name] = stage(*args)
+                read[name] = load_embeddings_text(tmp_path / "embeddings.txt")
+                return handed[name]
+
+            monkeypatch.setattr(cli, name, recording)
+
+        record("train_embeddings")
+        record("coldstart")
+        path = write_config(tmp_path, COLD if with_cold else None)
+        if with_cold:
+            write_cold_inputs(tmp_path)
+        assert cli.main(["--config", str(path), "pipeline"]) == 0
+        for name in ("train_embeddings", "coldstart"):
+            (keys, vectors), (text_keys, text_vectors) = handed[name], read[name]
+            assert list(keys) == text_keys, name
+            assert (vectors.dtype, vectors.shape) == (text_vectors.dtype, text_vectors.shape), name
+            assert vectors.tobytes() == text_vectors.tobytes(), name
+        cold_keys = handed["coldstart"][0][len(handed["train_embeddings"][0]):]
+        assert cold_keys == (["COLD1", "COLD2"] if with_cold else [])
+
+    @staticmethod
+    def prepare(directory):
+        """Make ``directory`` with the cold-listing CSVs and a config of all
+        eight settings; returns the ``--config`` arguments."""
+        directory.mkdir()
+        write_cold_inputs(directory)
+        return ["--config", str(write_config(directory, {**COLD, "eval": {"settings": EIGHT_SETTINGS}}))]
+
+    def test_pipeline_writes_what_the_standalone_commands_write(self, tmp_path):
+        runs = {}
+        for name in ("pipeline", "standalone"):
+            directory = tmp_path / name
+            argv = self.prepare(directory)
+            if name == "pipeline":
+                assert cli.main(argv + ["pipeline"]) == 0
+            else:
+                for command in (["generate"], ["train-embeddings"], ["coldstart"]):
+                    assert cli.main(argv + command) == 0, command
+                for kind in ("average", "dan", "lstm", "lstm_attention"):
+                    assert cli.main(argv + ["train-traveler", "--kind", kind]) == 0, kind
+                (directory / "reports").mkdir()
+                assert cli.main(argv + ["evaluate", "--settings", ",".join(EIGHT_SETTINGS)]) == 0
+            runs[name] = artifacts(directory)
+        assert sorted(runs["pipeline"]) == sorted(runs["standalone"])
+        assert len(runs["pipeline"]) == 21  # 17 artifacts, the config and 3 CSV inputs
+        for name, data in runs["pipeline"].items():
+            assert data == runs["standalone"][name], name
+
+    def test_rerun_over_a_damaged_directory_writes_a_clean_run(self, tmp_path):
+        runs = {}
+        for name in ("clean", "damaged"):
+            directory = tmp_path / name
+            argv = self.prepare(directory) + ["pipeline"]
+            assert cli.main(argv) == 0
+            if name == "damaged":
+                embeddings = directory / "embeddings.txt"
+                embeddings.write_bytes(embeddings.read_bytes()[: embeddings.stat().st_size // 2])
+                (directory / "traveler_lstm.json").unlink()
+                assert cli.main(argv) == 0
+            runs[name] = artifacts(directory)
+        assert runs["damaged"] == runs["clean"]
