@@ -227,8 +227,8 @@ def coldstart(config: PipelineConfig, keys, vectors, n_trained) -> tuple[list[st
         rows.append((key, cold.extrapolate_cold(belief, dest_embeddings)))
     cold.append_cold_rows(_resolve(config, config.skipgram["embeddings_file"]), rows)
     print(f"coldstart: appended {len(rows)} rows to {config.skipgram['embeddings_file']}")
-    n = n_trained if rows else len(keys)  # with no rows append_cold_rows leaves the text as it was
-    return [*keys[:n], *(key for key, _ in rows)], np.vstack([vectors[:n], *(row for _, row in rows)])
+    keys = [*keys[:n_trained], *(key for key, _ in rows)]
+    return keys, np.vstack([vectors[:n_trained], *(row for _, row in rows)])
 
 
 def cmd_coldstart(config: PipelineConfig) -> None:

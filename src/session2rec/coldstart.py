@@ -290,17 +290,15 @@ def append_cold_rows(path, rows: list[tuple[str, np.ndarray]]) -> None:
     """Append extrapolated rows to an embedding text file.
 
     A ``#coldstart`` comment precedes the appended block.  A block an earlier
-    run appended is replaced, so a rerun leaves the same bytes.  Nothing is
-    written when there are no rows, leaving the file untouched.
+    run appended is replaced, or removed when there are no rows, so a rerun
+    leaves the same bytes.  A file without a block is left untouched when
+    there are no rows.
     """
-    if not rows:
-        return
-    block = "#coldstart\n" + "".join(
-        key + " " + " ".join(repr(float(x)) for x in vec) + "\n" for key, vec in rows
-    )
     with open(path, "rb+") as fh:
         cut = fh.read().find(b"\n#coldstart\n")
         if cut >= 0:
             fh.seek(cut + 1)
             fh.truncate()
-        fh.write(block.encode("utf-8"))
+        if rows:
+            block = "".join(key + " " + " ".join(repr(float(x)) for x in vec) + "\n" for key, vec in rows)
+            fh.write(("#coldstart\n" + block).encode("utf-8"))

@@ -19,7 +19,7 @@ from .errors import ConfigError, ParseError, bad_listing_key, open_utf8
 EVENT_KINDS = ("view", "book")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interaction:
     """One traveler/listing event: a detail-page view or a booking request."""
 
@@ -34,7 +34,7 @@ class Interaction:
             raise ValueError("timestamp must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Session:
     """Ordered interactions of one traveler within one visit.
 
@@ -104,7 +104,7 @@ class SyntheticGroundTruth:
     booking_rule: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledPrefix:
     """Per-session supervised case: the views before the label event.
 
@@ -177,9 +177,11 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[SessionCorpus, Syntheti
     p_home = 1.0 if k == 1 else 1.0 - config.epsilon
     base_logit = math.log(config.booking_base_rate / (1.0 - config.booking_base_rate))
 
+    keys = [_listing_key(i) for i in range(v)]  # every event of a listing shares its key string
     sessions = []
     t0 = 1_600_000_000_000  # fixed epoch-ms origin
     for ti in range(config.n_travelers):
+        traveler = _traveler_key(ti)
         home = int(rng.integers(k))
         away = np.flatnonzero(cluster_of_index != home)
         for si in range(config.sessions_per_traveler):
@@ -198,22 +200,21 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[SessionCorpus, Syntheti
             stamps = start + np.cumsum(gaps)
 
             interactions = [
-                Interaction(_listing_key(int(li)), int(ts), "view")
-                for li, ts in zip(listing_idx, stamps)
+                Interaction(keys[li], ts, "view") for li, ts in zip(listing_idx.tolist(), stamps.tolist())
             ]
             home_views = int(np.sum(cluster_of_index[listing_idx] == home))
             z = base_logit + config.booking_slope * (home_views - p_home * length)
             if rng.random() < 1.0 / (1.0 + math.exp(-z)):
                 home_mask = cluster_of_index[listing_idx] == home
                 pick = int(np.flatnonzero(home_mask)[-1]) if home_mask.any() else length - 1
-                booked = _listing_key(int(listing_idx[pick]))
+                booked = keys[listing_idx[pick]]
                 interactions.append(
                     Interaction(booked, int(stamps[-1] + rng.integers(10_000, 300_000)), "book")
                 )
-            sessions.append(Session(_traveler_key(ti), tuple(interactions)))
+            sessions.append(Session(traveler, tuple(interactions)))
 
     truth = SyntheticGroundTruth(
-        cluster_of_listing={_listing_key(i): int(cluster_of_index[i]) for i in range(v)},
+        cluster_of_listing={key: int(c) for key, c in zip(keys, cluster_of_index)},
         cluster_count=k,
         booking_rule=(
             "p_book = sigmoid(logit(base_rate) + "
@@ -249,10 +250,12 @@ def load_sessions(path) -> SessionCorpus:
     Records are grouped by (traveler_key, session_id) with interactions
     stably sorted by timestamp.  Sessions appear in first-seen order.
     ParseError names the file and line of a malformed record, including a
-    listing key the embedding text format cannot hold.
+    listing key the embedding text format cannot hold.  Equal listing keys
+    share one string, and each event kind is the ``EVENT_KINDS`` member.
     """
     groups: dict[tuple[str, str], list[Interaction]] = {}
-    listings: set[str] = set()  # keys already checked
+    listings: dict[str, str] = {}  # first string of each key already checked
+    kinds = {kind: kind for kind in EVENT_KINDS}
     with open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -262,7 +265,8 @@ def load_sessions(path) -> SessionCorpus:
             if len(parts) != 5:
                 raise ParseError(f"{path}: line {lineno}: expected 5 tab-separated fields, got {len(parts)}")
             traveler, sid, ts, listing, kind = parts
-            if kind not in EVENT_KINDS:
+            event_kind = kinds.get(kind)
+            if event_kind is None:
                 raise ParseError(f"{path}: line {lineno}: unknown event_kind {kind!r}")
             try:
                 timestamp = int(ts)
@@ -270,11 +274,12 @@ def load_sessions(path) -> SessionCorpus:
                 raise ParseError(f"{path}: line {lineno}: bad timestamp {ts!r}") from None
             if timestamp < 0:
                 raise ParseError(f"{path}: line {lineno}: negative timestamp")
-            if listing not in listings:
+            key = listings.get(listing)
+            if key is None:
                 if bad_listing_key(listing):
                     raise ParseError(f"{path}: line {lineno}: bad listing key {listing!r}")
-                listings.add(listing)
-            groups.setdefault((traveler, sid), []).append(Interaction(listing, timestamp, kind))
+                key = listings[listing] = listing
+            groups.setdefault((traveler, sid), []).append(Interaction(key, timestamp, event_kind))
     if not groups:
         raise ParseError(f"{path}: no sessions")
     sessions = tuple(Session(traveler, tuple(items)) for (traveler, _), items in groups.items())

@@ -196,6 +196,16 @@ def _session_views(corpus: SessionCorpus, vocabulary: Vocabulary) -> tuple[np.nd
     return flat, np.repeat(np.arange(len(sequences)), lengths)
 
 
+def _same_session(session_ids: np.ndarray, offset: int) -> np.ndarray:
+    """Mask over positions ``i``: view ``i + offset`` is in view ``i``'s session."""
+    return session_ids[: max(len(session_ids) - offset, 0)] == session_ids[offset:]
+
+
+def _pair_count(session_ids: np.ndarray, window: int) -> int:
+    """Number of pairs ``_window_pairs`` builds from these views, without building them."""
+    return 2 * sum(int(np.count_nonzero(_same_session(session_ids, o))) for o in range(1, window + 1))
+
+
 def _window_pairs(indices: np.ndarray, session_ids: np.ndarray, window: int) -> np.ndarray:
     """(center, context) pairs of every session at once.
 
@@ -204,10 +214,9 @@ def _window_pairs(indices: np.ndarray, session_ids: np.ndarray, window: int) -> 
     increasing center position, then increasing context position; sessions
     follow one another in order.
     """
-    n = len(indices)
     center_pos, context_pos = [], []
     for offset in range(1, window + 1):
-        left = np.flatnonzero(session_ids[: max(n - offset, 0)] == session_ids[offset:])
+        left = np.flatnonzero(_same_session(session_ids, offset))
         center_pos += [left, left + offset]
         context_pos += [left + offset, left]
     center_pos = np.concatenate(center_pos)
@@ -247,9 +256,11 @@ def train_embeddings(
     Each pair reads the vectors as they stood before its batch.  The learning
     rate decays linearly from the initial to the final value across all
     pairs of all epochs, and each pair of a batch takes the rate of its own
-    position in that sequence.  An epoch's loss is the mean pre-batch loss of
-    its pairs.  Raises ``ValueError`` naming the epoch if a table or the
-    epoch loss stops being finite.
+    position in that sequence.  Every epoch's subsampling mask is drawn and
+    its pairs counted first; an epoch's pairs, order and negatives are built
+    only when it trains, so one epoch's are held at a time.  An epoch's loss
+    is the mean pre-batch loss of its pairs.  Raises ``ValueError`` naming the
+    epoch if a table or the epoch loss stops being finite.
     """
     v = len(vocabulary)
     if v <= 1:
@@ -263,13 +274,12 @@ def train_embeddings(
         vocabulary.counts, vocabulary.total_views, config.subsample_threshold
     )
 
-    # Materialise every epoch's pairs first so the linear decay knows the
-    # total step count before the first update.
-    epoch_pairs = []
-    for _ in range(config.epochs):
-        kept = rng.random(len(views)) < keep_prob[views]
-        epoch_pairs.append(_window_pairs(views[kept], session_ids[kept], config.window))
-    total_steps = sum(len(p) for p in epoch_pairs)
+    # Draw every epoch's subsampling mask before the first shuffle, and count
+    # its pairs, so the linear decay knows the total step count before the
+    # first update.
+    kept = [rng.random(len(views)) < keep_prob[views] for _ in range(config.epochs)]
+    counts = [_pair_count(session_ids[mask], config.window) for mask in kept]
+    total_steps = sum(counts)
     if total_steps == 0:
         raise ValueError("no training pairs after subsampling")
 
@@ -277,20 +287,21 @@ def train_embeddings(
     losses: list[float] = []
     step = 0
     denom = max(1, total_steps - 1)
-    for epoch, pairs in enumerate(epoch_pairs, start=1):
-        if not len(pairs):
+    for epoch, (mask, n_pairs) in enumerate(zip(kept, counts), start=1):
+        if not n_pairs:
             losses.append(losses[-1] if losses else 0.0)
             continue
-        order = rng.permutation(len(pairs))
-        pairs = pairs[order]
+        pairs = _window_pairs(views[mask], session_ids[mask], config.window)
+        pairs = pairs[rng.permutation(n_pairs)]
         negs = negative_sample(pairs[:, 1], v, config.negatives, rng)
         epoch_loss = 0.0
-        for lo in range(0, len(pairs), SGNS_BATCH):
-            hi = min(lo + SGNS_BATCH, len(pairs))
+        for lo in range(0, n_pairs, SGNS_BATCH):
+            hi = min(lo + SGNS_BATCH, n_pairs)
             lr = lr_hi + (lr_lo - lr_hi) * (np.arange(step + lo, step + hi) / denom)
             epoch_loss += sgns_step(pairs[lo:hi, 0], pairs[lo:hi, 1], negs[lo:hi], table, lr)
-        step += len(pairs)
-        losses.append(epoch_loss / len(pairs))
+        del pairs, negs  # freed before the next epoch builds its own
+        step += n_pairs
+        losses.append(epoch_loss / n_pairs)
         if not (
             np.isfinite(losses[-1])
             and np.isfinite(table.input_vectors).all()

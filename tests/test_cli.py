@@ -526,6 +526,25 @@ class TestColdstart:
         assert "coldstart needs demand_file and centroids_file" in capsys.readouterr().err
         assert file_hash(tmp_path / "embeddings.txt") == before
 
+    def test_rerun_without_cold_rows_removes_the_block(self, tmp_path):
+        path = write_config(tmp_path, COLD)
+        write_cold_inputs(tmp_path)
+        argv = ["--config", str(path)]
+        for command in ("generate", "train-embeddings"):
+            assert cli.main(argv + [command]) == 0
+        trained = (tmp_path / "embeddings.txt").read_bytes()
+        assert cli.main(argv + ["coldstart"]) == 0
+        keys, vectors = load_embeddings_text(tmp_path / "embeddings.txt")
+        assert keys[-2:] == ["COLD1", "COLD2"]
+        (tmp_path / "cold.csv").write_text("listing_key,latitude,longitude\n")
+        handed_keys, handed = cli.coldstart(cli.load_config(path), keys, vectors, len(keys) - 2)
+        assert (tmp_path / "embeddings.txt").read_bytes() == trained
+        text_keys, text_vectors = load_embeddings_text(tmp_path / "embeddings.txt")
+        assert handed_keys == text_keys
+        assert handed.tobytes() == text_vectors.tobytes()
+        assert cli.main(argv + ["coldstart"]) == 0  # the standalone rerun keeps the bytes
+        assert (tmp_path / "embeddings.txt").read_bytes() == trained
+
     def test_no_cold_listings_leaves_file_unchanged(self, tmp_path):
         config_path, _ = self.prepare(tmp_path, with_cold=False)
         before = file_hash(tmp_path / "embeddings.txt")

@@ -511,6 +511,14 @@ class TestColdstartFiles:
         assert keys == ["L0", "L1", "L2", "COLD"]
         assert np.array_equal(loaded[3], cold_vec)
 
+    def test_no_rows_remove_an_earlier_block(self, tmp_path, rng):
+        path = tmp_path / "emb.txt"
+        save_embeddings_text(table_from(rng.normal(size=(3, 4))), ["L0", "L1", "L2"], path)
+        trained = path.read_bytes()
+        append_cold_rows(path, [("COLD", rng.normal(size=4))])
+        append_cold_rows(path, [])
+        assert path.read_bytes() == trained
+
 
 class TestColdListingsCsv:
     HEADER = "listing_key,latitude,longitude\n"

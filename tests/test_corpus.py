@@ -1,9 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from session2rec.corpus import (
+    EVENT_KINDS,
     Interaction,
+    LabeledPrefix,
     Session,
     SessionCorpus,
     SyntheticConfig,
@@ -59,7 +63,60 @@ class TestDataModel:
             SessionCorpus(())
 
 
+class TestRecordLayout:
+    """Each event is a slotted record; equal listing keys share one string
+    and every event kind is the ``EVENT_KINDS`` member."""
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            Interaction("A", 0, "view"),
+            Session("t", (Interaction("A", 0, "view"),)),
+            LabeledPrefix("t", (Interaction("A", 0, "view"),), 0),
+        ],
+        ids=["Interaction", "Session", "LabeledPrefix"],
+    )
+    def test_records_have_slots_and_no_dict(self, record):
+        assert "__slots__" in vars(type(record))
+        assert not hasattr(record, "__dict__")
+
+    @staticmethod
+    def assert_shared(corpus):
+        first: dict[str, str] = {}
+        for session in corpus.sessions:
+            for it in session.interactions:
+                assert it.listing_key is first.setdefault(it.listing_key, it.listing_key)
+                assert any(it.event_kind is kind for kind in EVENT_KINDS)
+        assert len(first) > 1
+
+    @pytest.mark.parametrize("sessions_per_traveler", [1, 3])
+    def test_generated_and_parsed_corpora_share_key_strings(self, sessions_per_traveler, tmp_path):
+        corpus, _ = generate_synthetic(SyntheticConfig(
+            n_listings=25, n_clusters=5, n_travelers=40, seed=2, sessions_per_traveler=sessions_per_traveler,
+        ))
+        self.assert_shared(corpus)
+        path = tmp_path / "log.tsv"
+        save_sessions(corpus, path)
+        self.assert_shared(load_sessions(path))
+
+
 class TestGenerateSynthetic:
+    # sha256 of the written log, recorded before the generator shared its key
+    # strings: every RNG draw and every byte of the log must stay
+    LOG_SHA256 = {
+        1: "168dd2722683d9dfe54984efb1a97196dd232c14a107aa7a3956833dbcd8c414",
+        3: "3c0d3dc0a287eef99e91f4e9ee4c5cd4c00c262d1fb7db3c175a6505da99d952",
+    }
+
+    @pytest.mark.parametrize("sessions_per_traveler", [1, 3])
+    def test_log_matches_the_recorded_hash(self, sessions_per_traveler, tmp_path):
+        corpus, _ = generate_synthetic(SyntheticConfig(
+            n_listings=60, n_clusters=4, n_travelers=150, seed=5, sessions_per_traveler=sessions_per_traveler,
+        ))
+        path = tmp_path / "log.tsv"
+        save_sessions(corpus, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.LOG_SHA256[sessions_per_traveler]
+
     def test_single_cluster_forces_membership(self):
         config = SyntheticConfig(
             n_listings=4, n_clusters=1, n_travelers=1, mean_session_len=3,

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -125,6 +126,19 @@ class TestTrainingPairs:
         got = skipgram._window_pairs(views[keep], session_ids[keep], window)
         assert got.shape == (len(expected), 2)
         assert [(int(c), int(x)) for c, x in got] == expected
+
+    @given(
+        lengths=st.lists(st.integers(0, 12), max_size=8),
+        keep=st.lists(st.booleans(), min_size=96, max_size=96),
+        window=st.integers(1, 4),
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_pair_count_equals_the_pairs_built(self, lengths, keep, window):
+        session_ids = np.repeat(np.arange(len(lengths)), lengths)
+        kept = np.array(keep[: len(session_ids)], dtype=bool)
+        views = np.arange(len(session_ids))[kept]
+        pairs = skipgram._window_pairs(views, session_ids[kept], window)
+        assert skipgram._pair_count(session_ids[kept], window) == len(pairs)
 
 
 class TestNegativeSampling:
@@ -479,6 +493,58 @@ class TestTrainEmbeddings:
         assert [float.hex(x) for x in losses] == [float.hex(x) for x in want_losses]
         assert table.input_vectors.tobytes() == want.input_vectors.tobytes()
         assert table.output_vectors.tobytes() == want.output_vectors.tobytes()
+
+    # sha256 of both tables and the per-epoch losses, recorded while every
+    # epoch's pairs were built before the first step: building each epoch's
+    # pairs when it trains must keep every RNG draw and every bit
+    RECORDED = {
+        "dense": (
+            "a64699935de3422ac3ccf38f6a986871661470884ae56613141bb1eeb3ab9553",
+            "ddfc3530d2030b62e1630a462cbaf7547685ab36dece94234dc9aeb831984efe",
+            ["0x1.0a281d105de29p+2", "0x1.0a20be51afb18p+2"],
+        ),
+        "compact": (
+            "c9366037b0d4028958e567412b93c2b6af01ca267f8322a5668fcfb4f22734f7",
+            "3789e3c067757a5463887c93258542017ac06b1c5878a7c43f57a3a2c2fb7f3a",
+            ["0x1.0a2b2252d8743p+2", "0x1.0a2aecbe4d940p+2"],
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "form, n_listings, n_travelers, dim",
+        [("dense", 30, 300, 8), ("compact", 4000, 500, 32)],
+    )
+    def test_training_matches_the_recorded_tables_and_losses(self, form, n_listings, n_travelers, dim):
+        corpus, _ = generate_synthetic(SyntheticConfig(
+            n_listings=n_listings, n_clusters=3, n_travelers=n_travelers, mean_session_len=8,
+            booking_base_rate=0.3, seed=23,
+        ))
+        vocab = build_vocabulary(corpus, min_count=1)
+        table, losses = train_embeddings(corpus, vocab, SkipgramConfig(dim=dim, epochs=2, seed=8))
+        got = (
+            hashlib.sha256(table.input_vectors.tobytes()).hexdigest(),
+            hashlib.sha256(table.output_vectors.tobytes()).hexdigest(),
+            [float.hex(x) for x in losses],
+        )
+        assert got == self.RECORDED[form]
+
+    def test_each_epoch_builds_its_pairs_after_the_last_epoch_trains(self, monkeypatch):
+        events, window_pairs = [], skipgram._window_pairs
+
+        def recording_pairs(indices, session_ids, window):
+            events.append("pairs")
+            return window_pairs(indices, session_ids, window)
+
+        def recording_step(*args):
+            events.append("step")
+            return sgns_step(*args)
+
+        monkeypatch.setattr(skipgram, "_window_pairs", recording_pairs)
+        monkeypatch.setattr(skipgram, "sgns_step", recording_step)
+        corpus, _, vocab = small_synthetic()
+        train_embeddings(corpus, vocab, SkipgramConfig(dim=8, epochs=3, seed=5))
+        runs = [event for i, event in enumerate(events) if i == 0 or events[i - 1] != event]
+        assert runs == ["pairs", "step"] * 3
 
     def test_each_pair_of_a_batch_takes_its_own_decayed_rate(self, monkeypatch):
         calls = []
