@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParseError, bad_listing_key, open_utf8
-from .skipgram import EmbeddingTable
+from .skipgram import EmbeddingTable, _text_row
 
 EARTH_RADIUS_KM = 6371.0088
 SUM_TOLERANCE = 1e-6
@@ -300,5 +300,5 @@ def append_cold_rows(path, rows: list[tuple[str, np.ndarray]]) -> None:
             fh.seek(cut + 1)
             fh.truncate()
         if rows:
-            block = "".join(key + " " + " ".join(repr(float(x)) for x in vec) + "\n" for key, vec in rows)
+            block = "".join(_text_row(key, vec) for key, vec in rows)
             fh.write(("#coldstart\n" + block).encode("utf-8"))

@@ -173,6 +173,7 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[SessionCorpus, Syntheti
     # Round-robin assignment keeps cluster sizes equal whenever K divides V.
     cluster_of_index = np.arange(v) % k
     members = [np.flatnonzero(cluster_of_index == c) for c in range(k)]
+    outside = [np.flatnonzero(cluster_of_index != c) for c in range(k)]
 
     p_home = 1.0 if k == 1 else 1.0 - config.epsilon
     base_logit = math.log(config.booking_base_rate / (1.0 - config.booking_base_rate))
@@ -183,17 +184,18 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[SessionCorpus, Syntheti
     for ti in range(config.n_travelers):
         traveler = _traveler_key(ti)
         home = int(rng.integers(k))
-        away = np.flatnonzero(cluster_of_index != home)
+        own, away = members[home], outside[home]
         for si in range(config.sessions_per_traveler):
             length = max(1, int(rng.poisson(config.mean_session_len)))
+            # a[rng.integers(len(a), size=n)] is rng.choice(a, size=n): the same draws, faster
             if k == 1:
-                listing_idx = rng.choice(members[home], size=length)
+                listing_idx = own[rng.integers(len(own), size=length)]
             else:
                 from_home = rng.random(length) >= config.epsilon
                 listing_idx = np.where(
                     from_home,
-                    rng.choice(members[home], size=length),
-                    rng.choice(away, size=length),
+                    own[rng.integers(len(own), size=length)],
+                    away[rng.integers(len(away), size=length)],
                 )
             gaps = rng.integers(5_000, 120_000, size=length)
             start = t0 + ti * 86_400_000 + si * 3_600_000
@@ -202,11 +204,11 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[SessionCorpus, Syntheti
             interactions = [
                 Interaction(keys[li], ts, "view") for li, ts in zip(listing_idx.tolist(), stamps.tolist())
             ]
-            home_views = int(np.sum(cluster_of_index[listing_idx] == home))
+            home_mask = cluster_of_index[listing_idx] == home
+            home_views = int(np.count_nonzero(home_mask))
             z = base_logit + config.booking_slope * (home_views - p_home * length)
             if rng.random() < 1.0 / (1.0 + math.exp(-z)):
-                home_mask = cluster_of_index[listing_idx] == home
-                pick = int(np.flatnonzero(home_mask)[-1]) if home_mask.any() else length - 1
+                pick = int(np.flatnonzero(home_mask)[-1]) if home_views else length - 1
                 booked = keys[listing_idx[pick]]
                 interactions.append(
                     Interaction(booked, int(stamps[-1] + rng.integers(10_000, 300_000)), "book")

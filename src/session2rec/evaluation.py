@@ -169,13 +169,16 @@ def _case_features(case: TravelerExample) -> np.ndarray:
 
 
 def _feature_matrix(cases: list[TravelerExample], spec: FeatureSetSpec, rng) -> np.ndarray:
+    """The hand-crafted block, then the embedding block: a model's
+    ``traveler.embed_examples`` (the bits of embedding the cases' ``viewed``
+    list), or one random view per case, drawn in case order."""
     blocks = []
     if spec.use_handcrafted:
         blocks.append([_case_features(case) for case in cases])
     if isinstance(spec.model, TravelerModel):
-        blocks.append(traveler_mod.traveler_embedding(spec.model, [case.viewed for case in cases]))
-    elif spec.model is not None:  # RANDOM_VIEW, drawn in case order
-        blocks.append([traveler_mod.baseline_random(case.viewed, rng) for case in cases])
+        blocks.append(traveler_mod.embed_examples(spec.model, cases))
+    elif spec.model is not None:  # RANDOM_VIEW
+        blocks.append([case.vectors[traveler_mod.baseline_random(case.rows, rng)] for case in cases])
     return np.hstack(blocks)
 
 

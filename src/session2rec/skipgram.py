@@ -178,8 +178,8 @@ def sgns_step(centers, contexts, negatives, table: EmbeddingTable, learning_rate
 def _session_views(corpus: SessionCorpus, vocabulary: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
     """Views of every session with >= 2 known views, as one flat index array.
 
-    OOV views are dropped.  Returns (indices, session id per view); the
-    session ids are non-decreasing.
+    OOV views are dropped.  Returns (int32 indices, session id per view);
+    the session ids are non-decreasing.
     """
     key_to_index = vocabulary.key_to_index
     sequences = []
@@ -192,7 +192,7 @@ def _session_views(corpus: SessionCorpus, vocabulary: Vocabulary) -> tuple[np.nd
         if len(idx) >= 2:
             sequences.append(idx)
     lengths = [len(seq) for seq in sequences]
-    flat = np.fromiter((i for seq in sequences for i in seq), dtype=np.int64, count=sum(lengths))
+    flat = np.fromiter((i for seq in sequences for i in seq), dtype=np.int32, count=sum(lengths))
     return flat, np.repeat(np.arange(len(sequences)), lengths)
 
 
@@ -226,22 +226,25 @@ def _window_pairs(indices: np.ndarray, session_ids: np.ndarray, window: int) -> 
 
 
 def negative_sample(contexts: np.ndarray, vocab_size: int, k: int, rng) -> np.ndarray:
-    """Draw k uniform negatives for each of the (n,) contexts; returns (n, k).
+    """Draw k uniform negatives for each of the (n,) contexts; returns (n, k)
+    of the contexts' integer dtype.
 
     A draw equal to its row's context is redrawn; after 16 rounds a
-    colliding draw is kept.
+    colliding draw is kept.  ``rng.integers`` draws the same values and
+    leaves the same state for an int32 and an int64 result, so training's
+    int32 negatives are the int64 stream.
     """
     if vocab_size <= 1:
         raise ValueError("cannot negative-sample a single-listing vocabulary")
     if k < 1:
         raise ValueError("k must be >= 1")
-    draws = rng.integers(0, vocab_size, size=(len(contexts), k))
+    draws = rng.integers(0, vocab_size, size=(len(contexts), k), dtype=contexts.dtype)
     for _ in range(16):
         mask = draws == contexts[:, None]
         hits = int(mask.sum())
         if hits == 0:
             break
-        draws[mask] = rng.integers(0, vocab_size, size=hits)
+        draws[mask] = rng.integers(0, vocab_size, size=hits, dtype=contexts.dtype)
     return draws
 
 
@@ -359,6 +362,12 @@ def embedding_cluster_quality(table: EmbeddingTable, cluster_of_index: np.ndarra
     return intra, inter, purity
 
 
+def _text_row(key: str, row: np.ndarray) -> str:
+    """One line of the embedding text: the key, then the row's shortest
+    round-trip decimals."""
+    return key + " " + " ".join(map(repr, row.tolist())) + "\n"
+
+
 def save_embeddings_text(table: EmbeddingTable, keys, path) -> None:
     """Write the text format: header ``V d`` then one ``key v_1 .. v_d`` row.
 
@@ -370,7 +379,7 @@ def save_embeddings_text(table: EmbeddingTable, keys, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{table.vocab_size} {table.dim}\n")
         for key, row in zip(keys, table.input_vectors):
-            fh.write(key + " " + " ".join(repr(float(x)) for x in row) + "\n")
+            fh.write(_text_row(key, row))
 
 
 def load_embeddings_text(path) -> tuple[list[str], np.ndarray]:

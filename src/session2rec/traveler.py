@@ -24,6 +24,8 @@ computes each example's mean once.
 The LSTM kinds run one packed recurrence: the prefixes sorted by length,
 the four gates stacked into one matrix, step t over the rows still active;
 attention scores a padded step -inf, so it weighs exactly 0.
+An example holds row indices into a shared embedding matrix, not a copy of
+the rows; training and ``embed_examples`` gather a batch's views at once.
 """
 
 from __future__ import annotations
@@ -47,27 +49,43 @@ Params = dict[str, DenseLayer]
 GATES = (("forget", "sigmoid"), ("input", "sigmoid"), ("cell", "tanh"), ("output", "sigmoid"))
 
 TRAINABLE_KINDS = ("average", "dan", "lstm", "lstm_attention")
+# prefixes per inference pass and per pooling gather; bounds their padded (T, B, .) arrays
+INFERENCE_ROWS = 128
 
 
 @dataclass(frozen=True)
 class TravelerExample:
-    """One supervised case: a labeled view prefix and the embedding rows of
-    its in-vocabulary views.  ``features`` holds the prefix's hand-crafted
-    features once the downstream evaluation has built them (read-only)."""
+    """One supervised case: a labeled view prefix and, as a non-empty 1-D
+    integer array ``rows``, its in-vocabulary views' rows of the shared
+    (V, d) matrix ``vectors``, which is referenced, not copied.  ``viewed``
+    gathers the (t, d) rows on each read.  ``features`` holds the prefix's
+    hand-crafted features once the downstream evaluation has built them
+    (read-only)."""
 
     prefix: LabeledPrefix
-    viewed: np.ndarray  # (t, d)
+    rows: np.ndarray  # (t,) rows of vectors, in view order
+    vectors: np.ndarray = field(repr=False)  # (V, d), shared
     features: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.viewed.ndim != 2 or self.viewed.shape[0] < 1:
-            raise ValueError("viewed must be a non-empty (t, d) matrix")
+        rows = self.rows
+        if np.ndim(self.vectors) != 2:
+            raise ValueError("vectors must be a (V, d) matrix")
+        if not (isinstance(rows, np.ndarray) and rows.ndim == 1 and len(rows) and rows.dtype.kind in "iu"):
+            raise ValueError("rows must be a non-empty 1-D integer array")
+        if rows.min() < 0 or rows.max() >= len(self.vectors):
+            raise ValueError(f"rows must lie in [0, {len(self.vectors)})")
         if self.label not in (0, 1):
             raise ValueError("label must be 0 or 1")
 
     @property
     def label(self) -> int:
         return self.prefix.label
+
+    @property
+    def viewed(self) -> np.ndarray:
+        """The (t, d) embedding rows of the prefix's views, gathered."""
+        return self.vectors[self.rows]
 
 
 @dataclass
@@ -128,17 +146,25 @@ def positive_class_weight(labels: np.ndarray, configured: float | None) -> float
     return configured if configured is not None else (len(labels) - n_pos) / n_pos
 
 
+def _segment_means(views: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Row b: the mean of the next ``lengths[b]`` rows of ``views``.  A
+    segment's mean reads only its own rows, so it has the same bits wherever
+    the segment sits."""
+    starts = np.concatenate(([0], np.cumsum(lengths[:-1])))
+    return np.add.reduceat(views, starts, axis=0) / lengths[:, None]
+
+
 def pool_average(viewed_list: list[np.ndarray]) -> np.ndarray:
     """Segment means: row b is the coordinate-wise mean of ``viewed_list[b]``."""
     lengths = np.array([len(viewed) for viewed in viewed_list])
     if len(lengths) == 0 or lengths.min() == 0:
         raise ValueError("cannot pool an empty sequence")
-    starts = np.concatenate(([0], np.cumsum(lengths[:-1])))
-    return np.add.reduceat(np.concatenate(viewed_list), starts, axis=0) / lengths[:, None]
+    return _segment_means(np.concatenate(viewed_list), lengths)
 
 
 def baseline_random(viewed: np.ndarray, rng) -> np.ndarray:
-    """One uniformly chosen viewed embedding (the evaluation's random baseline)."""
+    """One uniformly chosen entry of a (t, d) prefix or of an example's
+    ``rows`` (the evaluation's random baseline)."""
     if len(viewed) == 0:
         raise ValueError("cannot select from an empty sequence")
     return viewed[int(rng.integers(len(viewed)))]
@@ -147,18 +173,51 @@ def baseline_random(viewed: np.ndarray, rng) -> np.ndarray:
 def build_examples(
     prefixes: list[LabeledPrefix], key_to_index: dict[str, int], table: EmbeddingTable
 ) -> list[TravelerExample]:
-    """Map labeled view prefixes to embedding-row sequences.
+    """Map labeled view prefixes to int32 rows of ``table.input_vectors``.
 
     Out-of-vocabulary views are dropped; prefixes left without any view are
     skipped because there is nothing to embed.  Each example keeps its
-    prefix, so the downstream evaluation reads both from one list.
+    prefix, so the downstream evaluation reads both from one list, and
+    refers to the input vectors without copying them: the examples see the
+    table as it stands when they are read.
     """
+    vectors = table.input_vectors
     examples = []
     for case in prefixes:
         rows = [key_to_index[it.listing_key] for it in case.views if it.listing_key in key_to_index]
         if rows:
-            examples.append(TravelerExample(case, table.input_vectors[rows]))
+            examples.append(TravelerExample(case, np.array(rows, dtype=np.int32), vectors))
     return examples
+
+
+def _example_rows(examples: list[TravelerExample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(vectors, codes, lengths): the examples' views as one zero-padded
+    (n, T) int32 matrix of rows of one (V, d) matrix, and each example's
+    view count.  Examples over one shared matrix use it as it is; examples
+    over distinct matrices get them stacked once, in first-seen order, with
+    each example's rows offset into its own matrix's block."""
+    matrices = list({id(ex.vectors): ex.vectors for ex in examples}.values())
+    lengths = np.fromiter((len(ex.rows) for ex in examples), dtype=np.int64, count=len(examples))
+    flat = np.concatenate([ex.rows for ex in examples])
+    if len(matrices) == 1:
+        vectors = matrices[0]
+    else:
+        starts = np.cumsum([0] + [len(m) for m in matrices[:-1]])
+        block = dict(zip(map(id, matrices), starts.tolist()))
+        flat = flat + np.repeat([block[id(ex.vectors)] for ex in examples], lengths)
+        vectors = np.concatenate(matrices)
+    codes = np.zeros((len(examples), lengths.max()), dtype=np.int32)
+    codes[np.arange(codes.shape[1]) < lengths[:, None]] = flat
+    return vectors, codes, lengths
+
+
+def _kernel_input(kind: str, vectors: np.ndarray, codes: np.ndarray, lengths: np.ndarray):
+    """The kind's kernel input for a batch of padded row codes, read with
+    one fancy index: the segment means for a pooled kind, else the packed
+    step-major views."""
+    if KINDS[kind].pooled:
+        return _segment_means(vectors[codes[np.arange(codes.shape[1]) < lengths[:, None]]], lengths)
+    return _pack_codes(vectors, codes, lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -218,26 +277,53 @@ def _attention_backward(score_vector: np.ndarray, hs, weights, d_context):
     return d_score_vec, dh
 
 
-def _recurrent_forward(params: Params, viewed_list):
-    """The LSTM kinds over a batch of prefixes, packed.
+class _Packed(NamedTuple):
+    """A batch as the recurrent kernel reads it: rows by descending length
+    (stable), their lengths, and the step-major zero-padded (T, B, d) views."""
 
-    Rows are sorted by descending length inside the kernel, so step t runs
-    on the first n_t rows, the ones still active, and a finished row is
-    never touched.  The four gate layers are stacked at call time into one
-    (4*d_h, d_h + d) matrix: the view part of every step is one matmul up
-    front, the recurrent part one (n_t, d_h) matmul per step.  x_t is
-    [h_{t-1}, view_t]; h and c start at zero.  The plain LSTM's embedding
-    is the final hidden state, the attended one's the context vector.
-    """
+    order: np.ndarray
+    steps: np.ndarray
+    xs: np.ndarray
+
+
+def _pack_list(viewed_list) -> _Packed:
+    """Pack a list of (t, d) prefixes, one row at a time."""
     lengths = np.array([len(viewed) for viewed in viewed_list])
     if len(lengths) == 0 or lengths.min() == 0:
         raise ValueError("cannot run an empty sequence")
     order = np.argsort(-lengths, kind="stable")
     steps = lengths[order]
-    d = viewed_list[0].shape[1]
-    xs = np.zeros((steps[0], len(order), d))  # step-major, zero-padded
+    xs = np.zeros((steps[0], len(order), viewed_list[0].shape[1]))
     for row, i in enumerate(order):
         xs[: steps[row], row] = viewed_list[i]
+    return _Packed(order, steps, xs)
+
+
+def _pack_codes(vectors: np.ndarray, codes: np.ndarray, lengths: np.ndarray) -> _Packed:
+    """Pack a batch of padded row codes with one fancy index into ``vectors``;
+    the same views as ``_pack_list`` over the gathered prefixes."""
+    order = np.argsort(-lengths, kind="stable")
+    steps = lengths[order]
+    valid = np.arange(steps[0])[:, None] < steps
+    xs = np.zeros((steps[0], len(order), vectors.shape[1]))
+    xs[valid] = vectors[codes[order, : steps[0]].T[valid]]
+    return _Packed(order, steps, xs)
+
+
+def _recurrent_forward(params: Params, viewed):
+    """The LSTM kinds over a batch of prefixes, packed: a list of (t, d)
+    prefixes, or a batch ``_pack_codes`` already packed.
+
+    Rows are sorted by descending length, so step t runs on the first n_t
+    rows, the ones still active, and a finished row is never touched.  The
+    four gate layers are stacked at call time into one (4*d_h, d_h + d)
+    matrix: the view part of every step is one matmul up front, the
+    recurrent part one (n_t, d_h) matmul per step.  x_t is
+    [h_{t-1}, view_t]; h and c start at zero.  The plain LSTM's embedding
+    is the final hidden state, the attended one's the context vector.
+    """
+    order, steps, xs = viewed if isinstance(viewed, _Packed) else _pack_list(viewed)
+    d = xs.shape[2]
     valid = np.arange(steps[0])[:, None] < steps
     d_h = len(params["forget"].bias)
     w = np.concatenate([params[gate].weights for gate, _ in GATES])
@@ -351,7 +437,9 @@ class KindSpec(NamedTuple):
     layers: Callable[[dict], list[LayerSpec]]
     forward: Callable  # (params, viewed_list) -> (probabilities, embeddings, cache)
     backward: Callable  # (params, cache, d loss / d probabilities) -> grads
-    pooled: bool = False  # the kernels also take pool_average rows in place of the prefixes
+    # True: the kernels also take pool_average rows in place of the prefixes;
+    # False: they also take a _Packed batch
+    pooled: bool = False
 
 
 _DAN_DIMS = {"hidden_expand": "pool_proj", "hidden_contract": "hidden", "embedding_dim": "embed"}
@@ -464,11 +552,14 @@ def train_traveler_model(
     Gradients are averaged over shuffled mini-batches; one optimizer step per
     batch.  The layers are built once over the trainer's parameter views,
     whose arrays change in place at every step; the trainer's finite check
-    keeps them valid.  Average and DAN pool each example once, before the
-    first epoch.  The labels are checked once, by ``TravelerExample``, and
-    the class weight by ``positive_class_weight`` or the config; each step
-    runs ``batch_loss_and_grads`` on a slice of one label mask built up
-    front.  The recorded per-epoch loss is the mean pre-update loss over the
+    keeps them valid.  Before the first epoch the examples' rows become one
+    padded int32 row matrix (``_example_rows``): average and DAN pool each
+    example once from it, INFERENCE_ROWS examples per gather, and the LSTM
+    kinds gather each batch's packed input with one fancy index.  The labels
+    are checked once, by ``TravelerExample``, and the class weight by
+    ``positive_class_weight`` or the config; each step runs
+    ``batch_loss_and_grads`` on a slice of one label mask built up front.
+    The recorded per-epoch loss is the mean pre-update loss over the
     epoch's examples.  Deterministic for a fixed config and seed.
     Raises ValueError naming the kind and the epoch as soon as the loss or a
     parameter turns non-finite.
@@ -478,20 +569,26 @@ def train_traveler_model(
     labels = np.array([ex.label for ex in examples])
     w_pos = positive_class_weight(labels, config.positive_class_weight)
     positive = labels == 1
-    for ex in examples:
-        if ex.viewed.shape[1] != config.input_dim:
-            raise ValueError(
-                f"example dim {ex.viewed.shape[1]} does not match config input_dim {config.input_dim}"
-            )
-    viewed = [ex.viewed for ex in examples]
-    # a segment mean reads only its own rows, so pooling once keeps its bits
-    pooled = pool_average(viewed) if KINDS[kind].pooled else None
+    vectors, codes, lengths = _example_rows(examples)
+    if vectors.shape[1] != config.input_dim:
+        raise ValueError(
+            f"example dim {vectors.shape[1]} does not match config input_dim {config.input_dim}"
+        )
+    pooled = None
+    if KINDS[kind].pooled:  # a segment mean reads only its own rows: pooling in chunks keeps its bits
+        pooled = np.concatenate([
+            _kernel_input(kind, vectors, codes[lo : lo + INFERENCE_ROWS], lengths[lo : lo + INFERENCE_ROWS])
+            for lo in range(0, len(examples), INFERENCE_ROWS)
+        ])
 
     def bind(views):
         layers = with_params(params, views)
 
         def loss_and_grads(batch):
-            inputs = [viewed[i] for i in batch] if pooled is None else pooled[batch]
+            if pooled is None:
+                inputs = _kernel_input(kind, vectors, codes[batch], lengths[batch])
+            else:
+                inputs = pooled[batch]
             return batch_loss_and_grads(kind, layers, inputs, positive[batch], w_pos)
 
         return loss_and_grads
@@ -512,9 +609,6 @@ def _prefix_batch(viewed) -> tuple[list[np.ndarray], bool]:
     if min(len(prefix) for prefix in batch) == 0:
         raise ValueError("empty prefix")
     return batch, single
-
-
-INFERENCE_ROWS = 128  # prefixes per inference pass; bounds its padded (T, B, .) arrays
 
 
 def _infer(model: TravelerModel, batch) -> tuple[np.ndarray, np.ndarray]:
@@ -548,6 +642,19 @@ def traveler_embedding(model: TravelerModel, viewed) -> np.ndarray:
     batch, single = _prefix_batch(viewed)
     _, emb = _infer(model, batch)
     return emb[0] if single else emb
+
+
+def embed_examples(model: TravelerModel, examples: list[TravelerExample]) -> np.ndarray:
+    """The (B, k) traveler embeddings of the examples: one forward pass per
+    INFERENCE_ROWS examples from example 0, so each pass sees the prefixes
+    ``traveler_embedding`` gives it for the examples' ``viewed`` list and
+    returns the same bits.  Each pass gathers its views with one fancy
+    index; no example's rows are copied on their own."""
+    passes = []
+    for lo in range(0, len(examples), INFERENCE_ROWS):
+        inputs = _kernel_input(model.kind, *_example_rows(examples[lo : lo + INFERENCE_ROWS]))
+        passes.append(KINDS[model.kind].forward(model.params, inputs)[1])
+    return np.concatenate(passes)
 
 
 def embedding_dim(model: TravelerModel) -> int:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from session2rec import evaluation, neural
+from session2rec import evaluation, neural, traveler as traveler_mod
 from session2rec.corpus import LabeledPrefix
 from session2rec.errors import ConfigError
 from session2rec.evaluation import (
@@ -207,7 +207,7 @@ def synthetic_cases(rng, n=120, d=4, signal=True):
             tuple(view(f"L{int(r)}", 1000 * j) for j, r in enumerate(rows)),
             label,
         )
-        cases.append(TravelerExample(prefix, viewed))
+        cases.append(TravelerExample(prefix, np.arange(len(viewed)), viewed))
     return cases
 
 
@@ -232,7 +232,8 @@ class TestDownstreamEval:
             for i in range(n):
                 label = int(rng.integers(2))
                 prefix = LabeledPrefix(f"u{i}", (view("L0", 0),), label)
-                out.append(TravelerExample(prefix, np.array([[float(label)]])))
+                viewed = np.array([[float(label)]])
+                out.append(TravelerExample(prefix, np.arange(len(viewed)), viewed))
             return out
 
         spec = FeatureSetSpec("pure-leak", False, average_model(1, rng))
@@ -249,7 +250,7 @@ class TestDownstreamEval:
 
     def test_degenerate_labels_rejected(self, rng):
         train = [
-            TravelerExample(replace(case.prefix, label=1), case.viewed)
+            TravelerExample(replace(case.prefix, label=1), np.arange(len(case.viewed)), case.viewed)
             for case in synthetic_cases(rng, n=30)
         ]
         test = synthetic_cases(rng, n=30)
@@ -279,6 +280,23 @@ class TestDownstreamEval:
         reference = np.random.default_rng(5)  # the evaluation's rng, seeded by the config
         expected = [baseline_random(case.viewed, reference) for case in train + test]
         assert np.array_equal(np.vstack(matrices), expected)
+
+    @pytest.mark.parametrize("kind", ["dan", "lstm_attention"])
+    def test_feature_matrix_embeds_the_bits_of_the_viewed_list(self, kind, rng):
+        # more than two inference passes over cases of mixed lengths, on one shared table
+        table = EmbeddingTable(rng.normal(size=(50, 6)), np.zeros((50, 6)))
+        prefixes = [
+            LabeledPrefix(f"u{i}", tuple(view(f"L{j}", j) for j in rng.integers(0, 60, size=t)), i % 2)
+            for i, t in enumerate(rng.integers(1, 20, size=2 * traveler_mod.INFERENCE_ROWS + 37))
+        ]
+        cases = build_downstream_cases(prefixes, {f"L{j}": j for j in range(50)}, table)
+        assert len(cases) > 2 * traveler_mod.INFERENCE_ROWS
+        config = traveler_mod.TravelerConfig(input_dim=6, hidden_expand=9, hidden_contract=4,
+                                             embedding_dim=3, lstm_hidden=5)
+        model = TravelerModel(kind, traveler_mod.init_params(kind, config, rng), input_dim=6)
+        got = evaluation._feature_matrix(cases, FeatureSetSpec(kind, False, model), None)
+        want = traveler_mod.traveler_embedding(model, [case.viewed for case in cases])
+        assert got.tobytes() == want.tobytes()
 
     def test_deterministic_per_seed(self, rng):
         train = synthetic_cases(rng, n=80)

@@ -175,6 +175,24 @@ class TestNegativeSampling:
         assert not np.array_equal(first, want)  # the draws were redrawn
         assert draws.dtype == want.dtype and np.array_equal(draws, want)
 
+    @pytest.mark.parametrize("v", [2, 3, 1000, 2**31 - 1])
+    def test_int32_contexts_draw_the_int64_stream(self, v):
+        contexts = np.arange(200) % 3
+        wide_rng, narrow_rng = np.random.default_rng(4), np.random.default_rng(4)
+        wide = negative_sample(contexts, v, 5, wide_rng)
+        narrow = negative_sample(contexts.astype(np.int32), v, 5, narrow_rng)
+        assert narrow.dtype == np.int32 and np.array_equal(narrow, wide)
+        assert narrow_rng.integers(1 << 62) == wide_rng.integers(1 << 62)  # the same state after
+
+    def test_training_views_and_negatives_are_int32(self):
+        corpus = make_corpus([
+            ("t1", [("A", 0), ("B", 1), ("C", 2), ("A", 3)]),
+            ("t2", [("B", 0), ("C", 1)]),
+        ])
+        views, _ = skipgram._session_views(corpus, build_vocabulary(corpus, min_count=1))
+        assert views.dtype == np.int32
+        assert negative_sample(views, 3, 2, np.random.default_rng(0)).dtype == np.int32
+
     def test_single_listing_vocabulary_is_an_error(self, rng):
         with pytest.raises(ValueError, match="single-listing"):
             negative_sample(np.array([0]), 1, 2, rng)
@@ -673,6 +691,13 @@ class TestNearestNeighbors:
 
 
 class TestPersistence:
+    @pytest.mark.parametrize("scale", [1e-300, 1e-5, 1.0, 1e17])
+    def test_text_row_matches_the_per_value_repr(self, scale, rng):
+        tiny, huge = np.finfo(np.float64).smallest_subnormal, np.finfo(np.float64).max
+        row = np.concatenate([rng.normal(size=16) * scale, [0.0, -0.0, tiny, -tiny, 3 * tiny, huge, -huge]])
+        old = "K " + " ".join(repr(float(x)) for x in row) + "\n"
+        assert skipgram._text_row("K", row) == old
+
     def test_text_round_trip_is_exact(self, tmp_path, rng):
         vecs = rng.normal(size=(7, 5))
         table = EmbeddingTable(vecs, np.zeros_like(vecs))

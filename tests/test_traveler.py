@@ -58,7 +58,7 @@ def zero_lstm(d=3, d_h=2):
 def example(key, viewed, label):
     """A TravelerExample whose prefix holds one placeholder view per row."""
     views = tuple(view(f"L{j}", j) for j in range(len(viewed)))
-    return TravelerExample(LabeledPrefix(key, views, label), viewed)
+    return TravelerExample(LabeledPrefix(key, views, label), np.arange(len(viewed)), viewed)
 
 
 # The per-example kernels that training ran before each kind was batched;
@@ -781,6 +781,82 @@ class TestBuildExamples:
         assert len(examples) == 1
         assert examples[0].label == 1
         assert np.array_equal(examples[0].viewed, table.input_vectors[[0]])
+
+    def test_examples_hold_int32_rows_into_the_shared_table(self, rng):
+        table = EmbeddingTable(rng.normal(size=(5, 3)), np.zeros((5, 3)))
+        key_to_index = {f"L{i}": i for i in range(5)}
+        prefixes = [
+            LabeledPrefix("t1", (view("L3", 0), view("Z", 1), view("L0", 2), view("L3", 3)), 1),
+            LabeledPrefix("t2", (view("L4", 0),), 0),
+        ]
+        examples = build_examples(prefixes, key_to_index, table)
+        copies = [table.input_vectors[[3, 0, 3]], table.input_vectors[[4]]]  # what each example held before
+        for ex, copy in zip(examples, copies):
+            assert np.shares_memory(ex.vectors, table.input_vectors)
+            assert ex.rows.dtype == np.int32
+            assert ex.viewed.tobytes() == copy.tobytes()
+            assert ex.viewed.shape == copy.shape
+
+    @pytest.mark.parametrize(
+        "rows",
+        [np.array([], dtype=np.int64), np.zeros((1, 1), dtype=np.int64), np.array([0, 4]),
+         np.array([-1]), np.array([0.0]), [0]],
+        ids=["empty", "2-D", "past-the-end", "negative", "float", "list"],
+    )
+    def test_bad_rows_rejected(self, rows):
+        prefix = LabeledPrefix("t", (view("A", 0),), 0)
+        with pytest.raises(ValueError, match="rows must"):
+            TravelerExample(prefix, rows, np.zeros((4, 2)))
+
+
+class TestRowIndexTraining:
+    """Training and embedding gather from a padded row matrix; the bits must
+    be those of examples that each hold their own rows."""
+
+    @pytest.mark.parametrize("kind", TRAINABLE_KINDS)
+    def test_shared_table_trains_the_bytes_of_per_example_matrices(self, kind, rng, tmp_path):
+        table = rng.normal(size=(40, 8))
+        lengths = rng.integers(1, 9, size=70)
+        shared, own = [], []
+        for i, t in enumerate(lengths):
+            rows = rng.integers(0, 40, size=t).astype(np.int32)
+            prefix = LabeledPrefix(f"u{i}", tuple(view(f"L{r}", j) for j, r in enumerate(rows)), i % 2)
+            shared.append(TravelerExample(prefix, rows, table))
+            own.append(TravelerExample(prefix, np.arange(t), table[rows]))
+        config = TravelerConfig(
+            input_dim=8, hidden_expand=12, hidden_contract=6, embedding_dim=4,
+            lstm_hidden=4, epochs=3, batch_size=16, seed=5,
+        )
+        written = []
+        for examples in (shared, own):
+            model, _ = train_traveler_model(examples, kind, config)
+            save_traveler_model(model, tmp_path / "model.json")
+            written.append((tmp_path / "model.json").read_bytes())
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("kind", TRAINABLE_KINDS)
+    def test_embed_examples_matches_embedding_the_viewed_list(self, kind, rng, monkeypatch):
+        monkeypatch.setattr(traveler, "INFERENCE_ROWS", 8)  # 21 examples take three passes
+        table = rng.normal(size=(30, 6))
+        examples = [
+            TravelerExample(
+                LabeledPrefix(f"u{i}", (view("A", 0),), i % 2),
+                rng.integers(0, 30, size=int(rng.integers(1, 12))).astype(np.int32), table,
+            )
+            for i in range(21)
+        ]
+        config = TravelerConfig(
+            input_dim=6, hidden_expand=9, hidden_contract=4, embedding_dim=3, lstm_hidden=5
+        )
+        model = TravelerModel(kind, init_params(kind, config, rng), input_dim=6)
+        want = traveler_embedding(model, [ex.viewed for ex in examples])
+        assert traveler.embed_examples(model, examples).tobytes() == want.tobytes()
+
+    def test_examples_of_another_width_rejected(self, rng):
+        examples = [example(f"u{i}", rng.normal(size=(2, 5)), i % 2) for i in range(4)]
+        config = TravelerConfig(input_dim=4, hidden_expand=6, hidden_contract=3, embedding_dim=2)
+        with pytest.raises(ValueError, match="example dim 5 does not match config input_dim 4"):
+            train_traveler_model(examples, "dan", config)
 
 
 class TestPersistenceRoundTrip:
