@@ -32,7 +32,7 @@ corpus, truth = generate_synthetic(config)
 print(f"generated {len(corpus.sessions)} sessions over {config.n_listings} listings")
 print(f"booking rule: {truth.booking_rule}")
 
-bookings = sum(1 for s in corpus.sessions if s.has_booking())
+bookings = sum(any(it.event_kind == "book" for it in s.interactions) for s in corpus.sessions)
 print(f"sessions ending in a booking: {bookings} ({bookings / len(corpus.sessions):.1%})")
 
 sample = corpus.sessions[0]

@@ -37,22 +37,26 @@ from . import evaluation as eval_mod
 from . import neural, skipgram, traveler as traveler_mod
 from .errors import ConfigError, ParseError, open_utf8
 
-# section -> (the library dataclass it builds or None, {CLI-only key: (type, default)})
+# range rules of CLI-only keys: (what the error says, accepts the value)
+_AT_LEAST_ONE = (">= 1", lambda v: v >= 1)
+_FRACTION = ("in (0, 1)", lambda v: 0 < v < 1)
+# section -> (the library dataclass it builds or None,
+#             {CLI-only key: (type, default) or (type, default, range rule)})
 _SECTIONS = {
     "corpus": (corpus_mod.SyntheticConfig, {
         "sessions_file": (str, "sessions.tsv"), "ground_truth_file": (str, "clusters.tsv"),
     }),
     "skipgram": (skipgram.SkipgramConfig, {
-        "min_count": (int, 5), "embeddings_file": (str, "embeddings.txt"),
+        "min_count": (int, 5, _AT_LEAST_ONE), "embeddings_file": (str, "embeddings.txt"),
         "sidecar_file": (str, "embeddings.s2re"),
     }),
     "coldstart": (None, {
         "demand_file": (str | None, None), "centroids_file": (str | None, None),
-        "cold_listings_file": (str | None, None), "nearest_destinations": (int, 5),
+        "cold_listings_file": (str | None, None), "nearest_destinations": (int, 5, _AT_LEAST_ONE),
     }),
-    "traveler": (traveler_mod.TravelerConfig, {"max_prefix_views": (int, 50)}),
+    "traveler": (traveler_mod.TravelerConfig, {"max_prefix_views": (int, 50, _AT_LEAST_ONE)}),
     "eval": (eval_mod.DownstreamConfig, {
-        "train_fraction": (float, 0.7), "settings": (list[str], ["handcrafted", "dan"]),
+        "train_fraction": (float, 0.7, _FRACTION), "settings": (list[str], ["handcrafted", "dan"]),
         "reports_dir": (str, "reports"), "comparison_file": (str, "comparison.txt"),
     }),
 }
@@ -68,7 +72,7 @@ def _dataclass_keys(cls) -> dict[str, tuple[object, object]]:
     return {f.name: (hints[f.name], f.default) for f in fields}
 
 
-# {section: {key: (type, default)}}: the dataclass's exposed fields, then the CLI-only keys
+# {section: {key: (type, default, ...)}}: the dataclass's exposed fields, then the CLI-only keys
 _SCHEMA = {
     name: {**(_dataclass_keys(cls) if cls else {}), **cli_keys}
     for name, (cls, cli_keys) in _SECTIONS.items()
@@ -131,7 +135,7 @@ def load_config(path, seed_override=None, out_override=None) -> PipelineConfig:
             raise ConfigError(f"unknown keys in section {name!r}: {sorted(unknown)}")
         for key, value in section.items():
             _check_value_type(name, key, value, schema[key][0])
-        sections[name] = {key: section.get(key, default) for key, (_, default) in schema.items()}
+        sections[name] = {key: section.get(key, spec[1]) for key, spec in schema.items()}
     seed = seed_override if seed_override is not None else raw.get("seed", 0)
     if type(seed) is not int:
         raise ConfigError("seed must be an integer")
@@ -144,19 +148,15 @@ def _resolve(config: PipelineConfig, name) -> Path:
     return p if p.is_absolute() else config.out_dir / p
 
 
-# CLI-only keys with restricted values: (section, key, what the error says, accepts the value)
-_VALUE_RULES = (
-    ("skipgram", "min_count", ">= 1", lambda v: v >= 1),
-    ("coldstart", "nearest_destinations", ">= 1", lambda v: v >= 1),
-    ("traveler", "max_prefix_views", ">= 1", lambda v: v >= 1),
-    ("eval", "train_fraction", "in (0, 1)", lambda v: 0 < v < 1),
-)
-
-
 def _check_values(config: PipelineConfig, sections) -> None:
-    for section, key, expected, accepts in _VALUE_RULES:
-        if section in sections and not accepts(getattr(config, section)[key]):
-            raise ConfigError(f"{section}.{key} must be {expected}")
+    """ConfigError for the first CLI-only key of ``sections`` whose value
+    breaks its range rule, or for cold listings without the demand and
+    centroid files they need."""
+    for section in sections:
+        for key, (_, _, *rule) in _SECTIONS[section][1].items():
+            for expected, accepts in rule:  # none or one
+                if not accepts(getattr(config, section)[key]):
+                    raise ConfigError(f"{section}.{key} must be {expected}")
     cs = config.coldstart
     missing = not (cs["demand_file"] and cs["centroids_file"])
     if "coldstart" in sections and cs["cold_listings_file"] and missing:

@@ -51,9 +51,6 @@ class Session:
         ordered = tuple(sorted(self.interactions, key=lambda it: it.timestamp))
         object.__setattr__(self, "interactions", ordered)
 
-    def has_booking(self) -> bool:
-        return any(it.event_kind == "book" for it in self.interactions)
-
 
 @dataclass(frozen=True)
 class SessionCorpus:

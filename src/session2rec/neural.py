@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import ParseError, open_utf8
 
-ACTIVATIONS = ("relu", "sigmoid", "tanh", "linear")
 PROB_CLAMP = 1e-7  # keeps binary cross entropy finite
 
 
@@ -42,27 +41,16 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _activate(z, kind):
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    if kind == "sigmoid":
-        return sigmoid(z)
-    if kind == "tanh":
-        return np.tanh(z)
-    return z
-
-
-def _activate_grad(a, kind):
-    """The activation's derivative, from its output ``a``: the forward pass
-    already computed sigmoid(z) and tanh(z), so they are not recomputed."""
-    # relu' is taken as 0 at z == 0, where a == 0
-    if kind == "relu":
-        return (a > 0).astype(float)
-    if kind == "sigmoid":
-        return a * (1.0 - a)
-    if kind == "tanh":
-        return 1.0 - a**2
-    return np.ones_like(a)
+# activation -> (its function of z, its derivative from its output a): the
+# forward pass already computed sigmoid(z) and tanh(z), so they are not
+# recomputed; relu' is taken as 0 at z == 0, where a == 0
+_ACTIVATION_TABLE = {
+    "relu": (lambda z: np.maximum(z, 0.0), lambda a: (a > 0).astype(float)),
+    "sigmoid": (sigmoid, lambda a: a * (1.0 - a)),
+    "tanh": (np.tanh, lambda a: 1.0 - a**2),
+    "linear": (lambda z: z, np.ones_like),
+}
+ACTIVATIONS = tuple(_ACTIVATION_TABLE)
 
 
 def dense_forward(layer: DenseLayer, x: np.ndarray):
@@ -74,7 +62,7 @@ def dense_forward(layer: DenseLayer, x: np.ndarray):
             f"input shape {x.shape} does not match layer in-dim {layer.weights.shape[1]}"
         )
     z = x @ layer.weights.T + layer.bias
-    a = _activate(z, layer.activation)
+    a = _ACTIVATION_TABLE[layer.activation][0](z)
     return a, (x, z, a)
 
 
@@ -83,7 +71,7 @@ def _param_grads(layer: DenseLayer, cache, upstream: np.ndarray):
     x, _, a = cache
     if upstream.shape != a.shape:
         raise ValueError(f"upstream shape {upstream.shape} does not match output {a.shape}")
-    dz = upstream * _activate_grad(a, layer.activation)
+    dz = upstream * _ACTIVATION_TABLE[layer.activation][1](a)
     rows = dz.reshape(-1, dz.shape[-1])
     return dz, rows.T @ x.reshape(-1, x.shape[-1]), rows.sum(axis=0)
 

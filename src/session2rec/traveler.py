@@ -599,15 +599,21 @@ def train_traveler_model(
     return model, trace
 
 
-def _prefix_batch(viewed) -> tuple[list[np.ndarray], bool]:
+def _prefix_batch(viewed, input_dim: int) -> tuple[list[np.ndarray], bool]:
     """(prefix list, whether ``viewed`` was one bare (t, d) prefix);
-    ValueError for no prefixes or an empty one."""
+    ValueError for no prefixes, for one that is not a (t, input_dim) array,
+    or for an empty one."""
     single = isinstance(viewed, np.ndarray)
     batch = [viewed] if single else list(viewed)
     if not batch:
         raise ValueError("no prefixes")
-    if min(len(prefix) for prefix in batch) == 0:
-        raise ValueError("empty prefix")
+    for prefix in batch:
+        shape = getattr(prefix, "shape", None)
+        if shape is None or len(shape) != 2 or shape[1] != input_dim:
+            got = f"shape {shape}" if shape is not None else type(prefix).__name__
+            raise ValueError(f"a prefix must be a (t, {input_dim}) array, got {got}")
+        if shape[0] == 0:
+            raise ValueError("empty prefix")
     return batch, single
 
 
@@ -627,7 +633,7 @@ def _infer(model: TravelerModel, batch) -> tuple[np.ndarray, np.ndarray]:
 def predict_probability(model: TravelerModel, viewed):
     """Booking probability of one (t, d) view prefix, or a (B,) array of
     them for a list of prefixes (batched passes)."""
-    batch, single = _prefix_batch(viewed)
+    batch, single = _prefix_batch(viewed, model.input_dim)
     probs, _ = _infer(model, batch)
     return float(probs[0]) if single else probs
 
@@ -639,7 +645,7 @@ def traveler_embedding(model: TravelerModel, viewed) -> np.ndarray:
     DAN returns its last hidden layer, LSTM the final hidden state, attention
     the context vector and averaging the pooled vector.
     """
-    batch, single = _prefix_batch(viewed)
+    batch, single = _prefix_batch(viewed, model.input_dim)
     _, emb = _infer(model, batch)
     return emb[0] if single else emb
 

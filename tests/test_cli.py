@@ -286,6 +286,61 @@ class TestConfigSchema:
         assert not (tmp_path / "embeddings.txt").exists()
 
 
+# each range rule of a CLI-only key: (section, key, a value it rejects, what
+# `pipeline` prints, the command that reads the key, what that command prints)
+RANGE_RULES = [
+    ("skipgram", "min_count", 0, "skipgram.min_count must be >= 1",
+     ["train-embeddings"], "min_count must be >= 1"),
+    ("coldstart", "nearest_destinations", 0, "coldstart.nearest_destinations must be >= 1",
+     ["coldstart"], "coldstart.nearest_destinations must be >= 1"),
+    ("traveler", "max_prefix_views", 0, "traveler.max_prefix_views must be >= 1",
+     ["train-traveler", "--kind", "dan"], "max_prefix_views must be >= 1"),
+    ("eval", "train_fraction", 1.0, "eval.train_fraction must be in (0, 1)",
+     ["evaluate", "--settings", "handcrafted"], "train_fraction must be in (0, 1)"),
+]
+RANGE_RULE_IDS = [f"{section}.{key}" for section, key, *_ in RANGE_RULES]
+
+
+class TestRangeRules:
+    def test_the_schema_holds_a_rule_for_exactly_these_keys(self):
+        ruled = [
+            (section, key) for section, (_, cli_keys) in cli._SECTIONS.items()
+            for key, spec in cli_keys.items() if len(spec) == 3
+        ]
+        assert ruled == [(section, key) for section, key, *_ in RANGE_RULES]
+
+    @pytest.mark.parametrize(
+        "section, key, value, message, command, command_message", RANGE_RULES, ids=RANGE_RULE_IDS
+    )
+    def test_pipeline_exits_two_before_writing_any_file(
+        self, section, key, value, message, command, command_message, tmp_path, capsys
+    ):
+        path = write_config(tmp_path, {section: {key: value}})
+        assert cli.main(["--config", str(path), "pipeline"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize(
+        "section, key, value, message, command, command_message", RANGE_RULES, ids=RANGE_RULE_IDS
+    )
+    def test_the_command_that_reads_the_key_exits_two_writing_nothing(
+        self, section, key, value, message, command, command_message, tmp_path, capsys
+    ):
+        path = write_config(tmp_path, COLD)
+        write_cold_inputs(tmp_path)
+        for stage in (["generate"], ["train-embeddings"], ["coldstart"]):
+            assert cli.main(["--config", str(path), *stage]) == 0
+        (tmp_path / "reports").mkdir()
+        overrides = {"coldstart": dict(COLD["coldstart"])}
+        overrides.setdefault(section, {})[key] = value
+        write_config(tmp_path, overrides)
+        before = artifacts(tmp_path)
+        capsys.readouterr()
+        assert cli.main(["--config", str(path), *command]) == 2
+        assert capsys.readouterr().err == f"error: {command_message}\n"
+        assert artifacts(tmp_path) == before  # the reports directory included
+
+
 class TestGenerate:
     def test_writes_expected_files(self, tmp_path):
         path = write_config(tmp_path)

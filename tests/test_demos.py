@@ -1,6 +1,6 @@
-"""Demos 02 and 03 print the same neighbours, destinations and beliefs as
-the text captured in ``tests/data``.  Both are deterministic; each runs in
-its own interpreter, as a user would run it."""
+"""Every demo exits 0, each in its own interpreter, as a user would run it.
+Demos 02 and 03 are deterministic and print the same neighbours,
+destinations and beliefs as the text captured in ``tests/data``."""
 
 import os
 import subprocess
@@ -10,10 +10,12 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+CAPTURED = ["02_listing_embeddings", "03_cold_start"]
+UNCAPTURED = sorted({path.stem for path in (ROOT / "demos").glob("*.py")} - set(CAPTURED))
 
 
-@pytest.mark.parametrize("demo", ["02_listing_embeddings", "03_cold_start"])
-def test_demo_prints_the_captured_text(demo):
+def run_demo(demo: str) -> str:
+    """The demo's stdout; fails the test unless it exits 0."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     run = subprocess.run(
@@ -21,4 +23,14 @@ def test_demo_prints_the_captured_text(demo):
         capture_output=True, text=True, env=env, timeout=300, check=False,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout == (ROOT / "tests" / "data" / f"demo_{demo}.txt").read_text(encoding="utf-8")
+    return run.stdout
+
+
+@pytest.mark.parametrize("demo", CAPTURED)
+def test_demo_prints_the_captured_text(demo):
+    assert run_demo(demo) == (ROOT / "tests" / "data" / f"demo_{demo}.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("demo", UNCAPTURED)
+def test_demo_exits_zero(demo):
+    run_demo(demo)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from session2rec.neural import (
+    ACTIVATIONS,
     DenseLayer,
     adam_step,
     dense_backward,
@@ -69,6 +70,22 @@ class TestDenseForward:
     def test_unknown_activation_rejected(self):
         with pytest.raises(ValueError, match="activation"):
             DenseLayer(np.zeros((1, 1)), np.zeros(1), "softplus")
+
+    def test_each_activation_keeps_the_bits_of_its_expression(self, rng):
+        expressions = {
+            "relu": lambda z: np.maximum(z, 0.0),
+            "sigmoid": lambda z: 1.0 / (1.0 + np.exp(-z)),
+            "tanh": np.tanh,
+            "linear": lambda z: z,
+        }
+        assert ACTIVATIONS == tuple(expressions)
+        for activation, expression in expressions.items():
+            for rows in ((), (9,)):
+                layer = random_layer(rng, 5, 3, activation)
+                layer.weights[0], layer.bias[0] = 0.0, 0.0  # z == 0 exactly: the relu kink
+                out, (_, z, a) = dense_forward(layer, rng.normal(scale=40.0, size=rows + (3,)))
+                assert a is out
+                assert out.tobytes() == expression(z).tobytes()
 
 
 class TestDenseBatch:

@@ -755,6 +755,29 @@ class TestTravelerEmbedding:
         with pytest.raises(ValueError, match="empty prefix"):
             traveler_embedding(model, [np.ones((2, 3)), np.zeros((0, 3))])
 
+    @pytest.mark.parametrize("kind", TRAINABLE_KINDS)
+    @pytest.mark.parametrize(
+        "viewed, got",
+        [
+            (np.ones((3, 7)), "shape (3, 7)"),
+            (np.ones(6), "shape (6,)"),
+            ([np.ones((2, 6)), np.ones((2, 4))], "shape (2, 4)"),
+            ([np.ones((2, 6)), np.ones(6)], "shape (6,)"),
+            ([[1.0] * 6], "list"),
+        ],
+        ids=["wide", "1-d", "narrow-member", "1-d-member", "nested-list"],
+    )
+    def test_malformed_prefix_rejected_naming_the_expected_shape(self, kind, viewed, got, rng):
+        config = TravelerConfig(
+            input_dim=6, hidden_expand=9, hidden_contract=4, embedding_dim=3, lstm_hidden=5
+        )
+        model = TravelerModel(kind, init_params(kind, config, rng), input_dim=6)
+        message = re.escape(f"a prefix must be a (t, 6) array, got {got}")
+        with pytest.raises(ValueError, match=message):
+            traveler_embedding(model, viewed)
+        with pytest.raises(ValueError, match=message):
+            predict_probability(model, viewed)
+
     def test_embedding_dims_per_kind(self, rng):
         config = TravelerConfig(
             input_dim=6, hidden_expand=9, hidden_contract=4, embedding_dim=3, lstm_hidden=5
