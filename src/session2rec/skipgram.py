@@ -320,8 +320,9 @@ def nearest_neighbors(table: EmbeddingTable, listing_index: int, top_k: int):
     """Top-k most similar listings by cosine over the input vectors.
 
     The query row is excluded; ties resolve to the lower index.  Zero-norm
-    rows get cosine 0.  Row norms come from the table's cache, and only the
-    rows at or above the k-th largest cosine are sorted.
+    rows get cosine 0.  Row norms come from the table's cache, the dot
+    products are divided by the norms in place, and only the rows at or
+    above the k-th largest cosine are sorted.
     """
     v = table.vocab_size
     if not 0 <= listing_index < v:
@@ -332,8 +333,10 @@ def nearest_neighbors(table: EmbeddingTable, listing_index: int, top_k: int):
     query = vecs[listing_index]
     qn = np.linalg.norm(query)
     denom = table.row_norms() * qn
+    cos = vecs @ query
     with np.errstate(invalid="ignore", divide="ignore"):
-        cos = np.where(denom > 0, vecs @ query / denom, 0.0)
+        cos /= denom
+    cos[~(denom > 0)] = 0.0  # not denom == 0: a nan product (inf norm times 0) also gives 0
     cos[listing_index] = -np.inf
     kth = np.partition(cos, v - top_k)[v - top_k]
     candidates = np.flatnonzero(cos >= kth)  # every tie at the boundary stays in

@@ -20,6 +20,14 @@ from session2rec.errors import ParseError
 from session2rec.skipgram import EmbeddingTable, load_embeddings_text, save_embeddings_text
 
 
+LINE_ENDS = {"lf": b"\n", "crlf": b"\r\n", "cr": b"\r"}
+
+
+def with_line_end(data: bytes, eol: bytes) -> bytes:
+    """``data`` with every line ending in ``eol``."""
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").replace(b"\n", eol)
+
+
 def table_from(vectors):
     vectors = np.asarray(vectors, dtype=np.float64)
     return EmbeddingTable(vectors, np.zeros_like(vectors))
@@ -494,30 +502,57 @@ class TestColdstartFiles:
         centroids = load_centroids_csv(path)
         assert centroids["A"] == GeoPoint(10.5, -3.25)
 
-    def test_append_cold_rows_and_reload(self, tmp_path, rng):
+    @pytest.mark.parametrize("eol", LINE_ENDS.values(), ids=LINE_ENDS)
+    def test_append_cold_rows_and_reload(self, eol, tmp_path, rng):
         vecs = rng.normal(size=(3, 4))
         table = table_from(vecs)
         path = tmp_path / "emb.txt"
         save_embeddings_text(table, ["L0", "L1", "L2"], path)
-        before = path.read_text()
+        path.write_bytes(with_line_end(path.read_bytes(), eol))
+        before = path.read_bytes()
         append_cold_rows(path, [])
-        assert path.read_text() == before  # nothing to append, file untouched
+        assert path.read_bytes() == before  # nothing to append, file untouched
 
         cold_vec = rng.normal(size=4)
         append_cold_rows(path, [("COLD", cold_vec)])
-        text = path.read_text()
-        assert "#coldstart" in text
+        once = path.read_bytes()
+        assert once.startswith(before + b"#coldstart" + eol)
+        assert once == with_line_end(once, eol)  # the block's lines end as the file's
         keys, loaded = load_embeddings_text(path)
         assert keys == ["L0", "L1", "L2", "COLD"]
         assert np.array_equal(loaded[3], cold_vec)
+        append_cold_rows(path, [("COLD", cold_vec)])
+        assert path.read_bytes() == once  # a rerun keeps the bytes
 
-    def test_no_rows_remove_an_earlier_block(self, tmp_path, rng):
+    @pytest.mark.parametrize("eol", LINE_ENDS.values(), ids=LINE_ENDS)
+    def test_no_rows_remove_an_earlier_block(self, eol, tmp_path, rng):
         path = tmp_path / "emb.txt"
         save_embeddings_text(table_from(rng.normal(size=(3, 4))), ["L0", "L1", "L2"], path)
-        trained = path.read_bytes()
+        trained = with_line_end(path.read_bytes(), eol)
+        path.write_bytes(trained)
         append_cold_rows(path, [("COLD", rng.normal(size=4))])
+        # a tool that rewrites line ends (a checkout, an editor) leaves one kind
+        path.write_bytes(with_line_end(path.read_bytes(), eol))
         append_cold_rows(path, [])
         assert path.read_bytes() == trained
+
+    def test_only_a_whole_marker_line_starts_the_block(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        trained = b"2 1\nA#coldstart 0.5\n#coldstart-old\nB 1.0\n"
+        path.write_bytes(trained + b"#coldstart")  # a marker line at the end of the file
+        append_cold_rows(path, [])
+        assert path.read_bytes() == trained
+        append_cold_rows(path, [("C", np.array([2.0]))])
+        append_cold_rows(path, [("C", np.array([2.0]))])
+        assert path.read_bytes() == trained + b"#coldstart\nC 2.0\n"
+        assert load_embeddings_text(path)[0] == ["A#coldstart", "B", "C"]
+
+    def test_last_row_without_a_line_end_gets_one_before_the_block(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"2 1\r\nA 0.5\r\nB 1.0")
+        append_cold_rows(path, [("C", np.array([2.0]))])
+        assert path.read_bytes() == b"2 1\r\nA 0.5\r\nB 1.0\r\n#coldstart\r\nC 2.0\r\n"
+        assert load_embeddings_text(path)[0] == ["A", "B", "C"]
 
 
 class TestColdListingsCsv:

@@ -793,6 +793,112 @@ class TestTravelerEmbedding:
             TravelerModel("random", {}, input_dim=3)
 
 
+def counting_forward(monkeypatch, kind) -> list[int]:
+    """Route the kind's forward through a counter in ``KINDS``; the list
+    gets each pass's prefix count."""
+    spec = traveler.KINDS[kind]
+    calls = []
+
+    def forward(params, viewed):
+        calls.append(len(viewed))
+        return spec.forward(params, viewed)
+
+    monkeypatch.setitem(traveler.KINDS, kind, spec._replace(forward=forward))
+    return calls
+
+
+def bits(value):
+    """dtype, shape and bytes: equal only for the same bits."""
+    array = np.asarray(value)
+    return array.dtype.str, array.shape, array.tobytes()
+
+
+class TestServingMemo:
+    """``traveler_embedding`` and ``predict_probability`` on the same
+    prefixes share one forward pass and return what fresh models return."""
+
+    @staticmethod
+    def case(kind, rng):
+        """(params, one prefix, a list of five prefixes)"""
+        params, one = random_case(kind, rng)
+        prefixes = [rng.normal(size=(int(t), one.shape[1])) for t in rng.integers(1, 9, size=5)]
+        return params, one, prefixes
+
+    @pytest.mark.parametrize("kind", TRAINABLE_KINDS)
+    @pytest.mark.parametrize("many", [False, True], ids=["one-prefix", "list"])
+    @pytest.mark.parametrize("embedding_first", [True, False], ids=["embedding-first", "probability-first"])
+    def test_pair_runs_one_pass_and_keeps_the_bits(self, kind, many, embedding_first, rng, monkeypatch):
+        params, one, prefixes = self.case(kind, rng)
+        viewed = prefixes if many else one
+        d = one.shape[1]
+        expected_emb = traveler_embedding(TravelerModel(kind, params, d), viewed)
+        expected_prob = predict_probability(TravelerModel(kind, params, d), viewed)
+        calls = counting_forward(monkeypatch, kind)
+        model = TravelerModel(kind, params, d)
+        if embedding_first:
+            emb, prob = traveler_embedding(model, viewed), predict_probability(model, viewed)
+        else:
+            prob, emb = predict_probability(model, viewed), traveler_embedding(model, viewed)
+        assert calls == [len(prefixes) if many else 1]
+        assert bits(emb) == bits(expected_emb)
+        assert bits(prob) == bits(expected_prob)
+        assert type(prob) is type(expected_prob)
+
+    @pytest.mark.parametrize("kind", TRAINABLE_KINDS)
+    @pytest.mark.parametrize("change", ["bytes", "count", "in-place"])
+    def test_changed_prefixes_run_a_new_pass(self, kind, change, rng, monkeypatch):
+        params, one, prefixes = self.case(kind, rng)
+        model = TravelerModel(kind, params, one.shape[1])
+        calls = counting_forward(monkeypatch, kind)
+        traveler_embedding(model, prefixes)
+        if change == "bytes":  # one value one ulp up, in a copy
+            second = [p.copy() for p in prefixes]
+            second[2][0, 0] = np.nextafter(second[2][0, 0], np.inf)
+        elif change == "count":  # the same rows and bytes, split into two prefixes
+            second = np.split(np.concatenate(prefixes), [1])
+        else:  # the same arrays, written after the first call
+            prefixes[2][0, 0] += 1.0
+            second = prefixes
+        prob = predict_probability(model, second)
+        assert calls == [5, len(second)]
+        assert bits(prob) == bits(predict_probability(TravelerModel(kind, params, one.shape[1]), second))
+
+    @pytest.mark.parametrize("kind", TRAINABLE_KINDS)
+    def test_writing_into_a_result_leaves_later_results(self, kind, rng):
+        params, one, prefixes = self.case(kind, rng)
+        model = TravelerModel(kind, params, one.shape[1])
+        for viewed in (one, prefixes):
+            emb = traveler_embedding(model, viewed)
+            expected = bits(emb)
+            emb[...] = np.nan
+            assert bits(traveler_embedding(model, viewed)) == expected
+        probs = predict_probability(model, prefixes)
+        expected = bits(probs)
+        probs[:] = 2.0
+        assert bits(predict_probability(model, prefixes)) == expected
+
+    @pytest.mark.parametrize("kind", TRAINABLE_KINDS)
+    def test_lists_over_one_pass_are_not_kept(self, kind, rng, monkeypatch):
+        monkeypatch.setattr(traveler, "INFERENCE_ROWS", 4)  # 5 prefixes take two passes
+        params, one, prefixes = self.case(kind, rng)
+        model = TravelerModel(kind, params, one.shape[1])
+        calls = counting_forward(monkeypatch, kind)
+        traveler_embedding(model, prefixes)
+        predict_probability(model, prefixes)
+        assert calls == [4, 1, 4, 1]
+
+    @pytest.mark.parametrize("kind", TRAINABLE_KINDS)
+    def test_memo_leaves_equality_repr_and_saved_bytes(self, kind, rng, tmp_path):
+        params, one, _ = self.case(kind, rng)
+        served, fresh = (TravelerModel(kind, params, one.shape[1], 4, {"split": "train"}) for _ in "ab")
+        traveler_embedding(served, one)
+        assert served == fresh
+        assert repr(served) == repr(fresh)
+        save_traveler_model(served, tmp_path / "served.json")
+        save_traveler_model(fresh, tmp_path / "fresh.json")
+        assert (tmp_path / "served.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
+
+
 class TestBuildExamples:
     def test_oov_views_dropped_and_empty_skipped(self):
         table = EmbeddingTable(np.arange(8.0).reshape(2, 4), np.zeros((2, 4)))
