@@ -207,16 +207,16 @@ def _load_table(config: PipelineConfig) -> tuple[list[str], np.ndarray]:
     return skipgram.load_embeddings_text(_resolve(config, config.skipgram["embeddings_file"]))
 
 
-def coldstart(config: PipelineConfig, keys, vectors, n_trained) -> tuple[list[str], np.ndarray]:
+def coldstart(config: PipelineConfig, keys, vectors) -> tuple[list[str], np.ndarray]:
     """Replace the embedding text's cold block with a row per cold listing.
-    ``keys`` and ``vectors`` are the table the text holds, its first
-    ``n_trained`` rows trained; returns them as the text now holds them."""
+    ``keys`` and ``vectors``, the trained rows alone, are what demand rows and
+    cold keys are checked against; returns the table as the text now holds it."""
     cs = config.coldstart
     if not cs["cold_listings_file"]:
         print("coldstart: no cold listings configured, nothing to do")
         return keys, vectors
     key_to_index = {k: i for i, k in enumerate(keys)}
-    listings = cold.load_cold_listings_csv(_resolve(config, cs["cold_listings_file"]), set(keys[:n_trained]))
+    listings = cold.load_cold_listings_csv(_resolve(config, cs["cold_listings_file"]), key_to_index)
     demand = cold.load_demand_csv(_resolve(config, cs["demand_file"]), key_to_index)
     centroids = cold.load_centroids_csv(_resolve(config, cs["centroids_file"]))
     table = skipgram.EmbeddingTable(vectors, np.zeros_like(vectors))
@@ -227,18 +227,18 @@ def coldstart(config: PipelineConfig, keys, vectors, n_trained) -> tuple[list[st
         rows.append((key, cold.extrapolate_cold(belief, dest_embeddings)))
     cold.append_cold_rows(_resolve(config, config.skipgram["embeddings_file"]), rows)
     print(f"coldstart: appended {len(rows)} rows to {config.skipgram['embeddings_file']}")
-    keys = [*keys[:n_trained], *(key for key, _ in rows)]
-    return keys, np.vstack([vectors[:n_trained], *(row for _, row in rows)])
+    return [*keys, *(key for key, _ in rows)], np.vstack([vectors, *(row for _, row in rows)])
 
 
 def cmd_coldstart(config: PipelineConfig) -> None:
     _check_values(config, ["coldstart"])
-    keys = vectors = n_trained = None  # the table is read only for cold listings
+    keys = vectors = None  # the table is read only for cold listings
     if config.coldstart["cold_listings_file"]:
         keys, vectors = _load_table(config)
         with open_utf8(_resolve(config, config.skipgram["embeddings_file"])) as fh:
             n_trained = int(fh.readline().split()[0])  # the loader checked it against the rows
-    coldstart(config, keys, vectors, n_trained)
+        keys, vectors = keys[:n_trained], vectors[:n_trained]
+    coldstart(config, keys, vectors)
 
 
 def _cases(config: PipelineConfig, corpus, keys, vectors) -> list[list[traveler_mod.TravelerExample]]:
@@ -290,6 +290,7 @@ def cmd_train_traveler(config: PipelineConfig, kind: str) -> None:
     """Train and write the model of ``kind``."""
     if kind not in traveler_mod.TRAINABLE_KINDS:
         raise ConfigError(f"unknown kind {kind!r}; valid kinds: {', '.join(traveler_mod.TRAINABLE_KINDS)}")
+    _check_values(config, ["traveler", "eval"])
     train_cases, _ = _cases(config, _load_corpus(config), *_load_table(config))
     train_traveler(config, train_cases, [kind])
 
@@ -370,6 +371,7 @@ def evaluate(config: PipelineConfig, settings: list[str], cases, models) -> None
 def cmd_evaluate(config: PipelineConfig, settings: list[str]) -> None:
     """One report per setting, over the models ``train-traveler`` wrote."""
     kinds = _trained_kinds(_parse_settings(settings))  # every token, before any file
+    _check_values(config, ["traveler", "eval"])
     cases = _cases(config, _load_corpus(config), *_load_table(config))
     evaluate(config, settings, cases, _load_models(config, kinds))
 
@@ -448,7 +450,7 @@ def cmd_pipeline(config: PipelineConfig) -> None:
     _check_values(config, _SECTIONS)
     corpus = generate(config)
     keys, vectors = train_embeddings(config, corpus)
-    keys, vectors = coldstart(config, keys, vectors, len(keys))
+    keys, vectors = coldstart(config, keys, vectors)
     cases = _cases(config, corpus, keys, vectors)
     models = train_traveler(config, cases[0], kinds) if kinds else {}
     _resolve(config, config.eval["reports_dir"]).mkdir(exist_ok=True)
@@ -488,6 +490,7 @@ def main(argv=None) -> int:
         if args.command == "generate":
             generate(config)
         elif args.command == "train-embeddings":
+            _check_values(config, ["skipgram"])
             train_embeddings(config, _load_corpus(config))
         elif args.command == "coldstart":
             cmd_coldstart(config)

@@ -23,7 +23,6 @@ EARTH_RADIUS_KM = 6371.0088
 SUM_TOLERANCE = 1e-6
 SHORTLIST_SLACK = 1e-9  # relative margin over the m-th nearest haversine term
 COLD_MARKER = b"#coldstart"  # the line before the appended cold rows
-DEMAND_BLOCK = 4096  # demand rows per scatter-add: the temporary stays DEMAND_BLOCK x d
 
 
 @dataclass(frozen=True)
@@ -92,8 +91,8 @@ def destination_embeddings(table: EmbeddingTable, demand: DestinationDemand) -> 
     incoming proportion makes the result a weighted mean, i.e. an expectation
     of the listing representation under the demand it drives.  Destinations
     whose proportions sum to 0 are omitted; the rest keep the order of their
-    first row.  Scatter-adds over blocks of ``DEMAND_BLOCK`` rows, taken in
-    row order, sum every destination's rows in row order.
+    first row.  One ``np.bincount`` per column sums each destination's rows
+    in row order from 0.0, as a row-by-row loop does, with no n x d temporary.
     """
     n, listings, proportions = len(demand.rows), demand.listings, demand.proportions
     unknown = (listings < 0) | (listings >= table.vocab_size)
@@ -103,12 +102,8 @@ def destination_embeddings(table: EmbeddingTable, demand: DestinationDemand) -> 
     slots = np.fromiter(
         (slot_of.setdefault(row[1], len(slot_of)) for row in demand.rows), dtype=np.int64, count=n
     )
-    sums = np.zeros((len(slot_of), table.dim))
-    for lo in range(0, n, DEMAND_BLOCK):  # blocks in row order keep each sum's order
-        block = slice(lo, lo + DEMAND_BLOCK)
-        terms = table.input_vectors[listings[block]]
-        terms *= proportions[block, None]
-        np.add.at(sums, slots[block], terms)
+    terms = (column[listings] * proportions for column in table.input_vectors.T)  # one column at a time
+    sums = np.stack([np.bincount(slots, weights=t, minlength=len(slot_of)) for t in terms], axis=1)
     mass = np.bincount(slots, weights=proportions, minlength=len(slot_of))
     support = np.bincount(slots[proportions > 0], minlength=len(slot_of))
     kept = {d: s for d, s in slot_of.items() if mass[s] > 0}

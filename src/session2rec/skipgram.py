@@ -196,33 +196,34 @@ def _session_views(corpus: SessionCorpus, vocabulary: Vocabulary) -> tuple[np.nd
     return flat, np.repeat(np.arange(len(sequences)), lengths)
 
 
-def _same_session(session_ids: np.ndarray, offset: int) -> np.ndarray:
-    """Mask over positions ``i``: view ``i + offset`` is in view ``i``'s session."""
-    return session_ids[: max(len(session_ids) - offset, 0)] == session_ids[offset:]
+def _shifted(values: np.ndarray, window: int, fill) -> list[np.ndarray]:
+    """``values`` moved by each offset -window .. -1, 1 .. window: entry ``i``
+    holds ``values[i + offset]``, or ``fill`` past either end."""
+    n, pad = len(values), np.full(window, fill, dtype=values.dtype)
+    padded = np.concatenate([pad, values, pad])
+    return [padded[window + o : window + o + n] for o in (*range(-window, 0), *range(1, window + 1))]
+
+
+def _window_mask(session_ids: np.ndarray, window: int) -> np.ndarray:
+    """(n, 2 * window) bool mask: (i, j) says view ``i``'s ``j``-th ``_shifted``
+    neighbour is in its session (ids are >= 0, the fill -1 matches none)."""
+    return np.stack([other == session_ids for other in _shifted(session_ids, window, -1)], axis=1)
 
 
 def _pair_count(session_ids: np.ndarray, window: int) -> int:
     """Number of pairs ``_window_pairs`` builds from these views, without building them."""
-    return 2 * sum(int(np.count_nonzero(_same_session(session_ids, o))) for o in range(1, window + 1))
+    return int(np.count_nonzero(_window_mask(session_ids, window)))
 
 
 def _window_pairs(indices: np.ndarray, session_ids: np.ndarray, window: int) -> np.ndarray:
-    """(center, context) pairs of every session at once.
-
+    """(center, context) pairs of every session at once, of ``indices``' dtype:
     ``indices`` holds the views of consecutive sessions, ``session_ids`` the
-    non-decreasing session of each view.  Within a session, pairs come out by
-    increasing center position, then increasing context position; sessions
-    follow one another in order.
-    """
-    center_pos, context_pos = [], []
-    for offset in range(1, window + 1):
-        left = np.flatnonzero(_same_session(session_ids, offset))
-        center_pos += [left, left + offset]
-        context_pos += [left + offset, left]
-    center_pos = np.concatenate(center_pos)
-    context_pos = np.concatenate(context_pos)
-    order = np.lexsort((context_pos, center_pos))
-    return np.stack([indices[center_pos[order]], indices[context_pos[order]]], axis=1)
+    non-decreasing session of each view.  The window mask picks the pairs in
+    row-major order, by center then context position, from (n, 2 * window)
+    arrays of the indices, with no position array."""
+    mask = _window_mask(session_ids, window)
+    contexts = np.stack(_shifted(indices, window, 0), axis=1)
+    return np.stack([np.broadcast_to(indices[:, None], mask.shape)[mask], contexts[mask]], axis=1)
 
 
 def negative_sample(contexts: np.ndarray, vocab_size: int, k: int, rng) -> np.ndarray:

@@ -287,16 +287,15 @@ class TestConfigSchema:
 
 
 # each range rule of a CLI-only key: (section, key, a value it rejects, what
-# `pipeline` prints, the command that reads the key, what that command prints)
+# `pipeline` and the command that reads the key print, that command)
 RANGE_RULES = [
-    ("skipgram", "min_count", 0, "skipgram.min_count must be >= 1",
-     ["train-embeddings"], "min_count must be >= 1"),
+    ("skipgram", "min_count", 0, "skipgram.min_count must be >= 1", ["train-embeddings"]),
     ("coldstart", "nearest_destinations", 0, "coldstart.nearest_destinations must be >= 1",
-     ["coldstart"], "coldstart.nearest_destinations must be >= 1"),
+     ["coldstart"]),
     ("traveler", "max_prefix_views", 0, "traveler.max_prefix_views must be >= 1",
-     ["train-traveler", "--kind", "dan"], "max_prefix_views must be >= 1"),
+     ["train-traveler", "--kind", "dan"]),
     ("eval", "train_fraction", 1.0, "eval.train_fraction must be in (0, 1)",
-     ["evaluate", "--settings", "handcrafted"], "train_fraction must be in (0, 1)"),
+     ["evaluate", "--settings", "handcrafted"]),
 ]
 RANGE_RULE_IDS = [f"{section}.{key}" for section, key, *_ in RANGE_RULES]
 
@@ -310,10 +309,10 @@ class TestRangeRules:
         assert ruled == [(section, key) for section, key, *_ in RANGE_RULES]
 
     @pytest.mark.parametrize(
-        "section, key, value, message, command, command_message", RANGE_RULES, ids=RANGE_RULE_IDS
+        "section, key, value, message, command", RANGE_RULES, ids=RANGE_RULE_IDS
     )
     def test_pipeline_exits_two_before_writing_any_file(
-        self, section, key, value, message, command, command_message, tmp_path, capsys
+        self, section, key, value, message, command, tmp_path, capsys
     ):
         path = write_config(tmp_path, {section: {key: value}})
         assert cli.main(["--config", str(path), "pipeline"]) == 2
@@ -321,10 +320,10 @@ class TestRangeRules:
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.mark.parametrize(
-        "section, key, value, message, command, command_message", RANGE_RULES, ids=RANGE_RULE_IDS
+        "section, key, value, message, command", RANGE_RULES, ids=RANGE_RULE_IDS
     )
     def test_the_command_that_reads_the_key_exits_two_writing_nothing(
-        self, section, key, value, message, command, command_message, tmp_path, capsys
+        self, section, key, value, message, command, tmp_path, capsys
     ):
         path = write_config(tmp_path, COLD)
         write_cold_inputs(tmp_path)
@@ -337,7 +336,7 @@ class TestRangeRules:
         before = artifacts(tmp_path)
         capsys.readouterr()
         assert cli.main(["--config", str(path), *command]) == 2
-        assert capsys.readouterr().err == f"error: {command_message}\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert artifacts(tmp_path) == before  # the reports directory included
 
 
@@ -592,13 +591,26 @@ class TestColdstart:
         keys, vectors = load_embeddings_text(tmp_path / "embeddings.txt")
         assert keys[-2:] == ["COLD1", "COLD2"]
         (tmp_path / "cold.csv").write_text("listing_key,latitude,longitude\n")
-        handed_keys, handed = cli.coldstart(cli.load_config(path), keys, vectors, len(keys) - 2)
+        handed_keys, handed = cli.coldstart(cli.load_config(path), keys[:-2], vectors[:-2])
         assert (tmp_path / "embeddings.txt").read_bytes() == trained
         text_keys, text_vectors = load_embeddings_text(tmp_path / "embeddings.txt")
         assert handed_keys == text_keys
         assert handed.tobytes() == text_vectors.tobytes()
         assert cli.main(argv + ["coldstart"]) == 0  # the standalone rerun keeps the bytes
         assert (tmp_path / "embeddings.txt").read_bytes() == trained
+
+    def test_rerun_rejects_demand_naming_an_earlier_cold_listing(self, tmp_path, capsys):
+        config_path, _ = self.prepare(tmp_path)
+        assert cli.main(["--config", str(config_path), "coldstart"]) == 0
+        with open(tmp_path / "demand.csv", "a") as fh:
+            fh.write("COLD1,north,1.0\n")
+        (tmp_path / "cold.csv").write_text("listing_key,latitude,longitude\nCOLD2,60.0,10.0\n")
+        before = (tmp_path / "embeddings.txt").read_bytes()
+        capsys.readouterr()
+        # COLD1's row is the earlier cold block, not a trained row: a first run rejects it too
+        assert cli.main(["--config", str(config_path), "coldstart"]) == 2
+        assert capsys.readouterr().err.endswith("demand.csv: line 4: unknown listing key 'COLD1'\n")
+        assert (tmp_path / "embeddings.txt").read_bytes() == before
 
     def test_no_cold_listings_leaves_file_unchanged(self, tmp_path):
         config_path, _ = self.prepare(tmp_path, with_cold=False)

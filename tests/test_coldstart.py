@@ -213,14 +213,14 @@ class TestDestinationEmbeddings:
         result = destination_embeddings(table, demand)
         assert "B" not in result.vectors
 
-    @pytest.mark.parametrize("block", [1, 7, coldstart.DEMAND_BLOCK])
-    def test_matches_oracle_bit_for_bit(self, block, rng, monkeypatch):
-        monkeypatch.setattr(coldstart, "DEMAND_BLOCK", block)
-        n, d = 300, 7
+    # the second case: 4500 demand rows over 150 destinations, some rows with zero proportion
+    @pytest.mark.parametrize("n, n_dests", [(300, 40), (1500, 150)], ids=["300x3-rows", "1500x3-rows"])
+    def test_matches_oracle_bit_for_bit(self, n, n_dests, rng):
+        d = 7
         table = table_from(rng.normal(size=(n, d)))
         rows = []
         for listing in rng.permutation(n):
-            dests = rng.choice(40, size=3, replace=False)
+            dests = rng.choice(n_dests, size=3, replace=False)
             w = rng.random(3)
             w[rng.random(3) < 0.2] = 0.0  # some rows carry no demand
             w = w / w.sum() if w.sum() > 0 else np.array([1.0, 0.0, 0.0])
