@@ -37,8 +37,12 @@ class DenseLayer:
 
 
 def sigmoid(x):
-    """Elementwise logistic function."""
-    return 1.0 / (1.0 + np.exp(-x))
+    """Elementwise logistic function, 1 / (1 + exp(-x)), computed in the
+    buffer of ``exp(-x)`` (a scalar has none); a float's reciprocal is
+    1.0 / x to the bit."""
+    e = np.exp(-x)
+    e += 1.0
+    return np.reciprocal(e, out=e) if isinstance(e, np.ndarray) else 1.0 / e
 
 
 # activation -> (its function of z, its derivative from its output a): the

@@ -43,12 +43,15 @@ class EmbeddingTable:
     The first neighbour query computes the norms of the input vectors and
     caches them for the next queries.  ``sgns_step``, the one library
     function that writes the table in place, drops the cache; a caller that
-    writes ``input_vectors`` itself builds a new table.
+    writes ``input_vectors`` itself builds a new table.  The first
+    ``sgns_step`` also caches its scatter's bin offsets, which depend on
+    the width alone; ``train_embeddings`` returns its table without them.
     """
 
     input_vectors: np.ndarray
     output_vectors: np.ndarray
     _row_norms: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _bin_offsets: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.input_vectors.shape != self.output_vectors.shape:
@@ -71,6 +74,13 @@ class EmbeddingTable:
         if self._row_norms is None:
             self._row_norms = np.linalg.norm(self.input_vectors, axis=1)
         return self._row_norms
+
+    def _bin_offset_rows(self, n_bins: int) -> np.ndarray:
+        """(n_bins, d) flat ``np.bincount`` bins, entry (i, j) = i * d + j: a
+        prefix of one cached table, rebuilt when a call needs more rows."""
+        if self._bin_offsets is None or len(self._bin_offsets) < n_bins:
+            self._bin_offsets = np.arange(n_bins * self.dim).reshape(n_bins, self.dim)
+        return self._bin_offsets[:n_bins]
 
 
 @dataclass(frozen=True)
@@ -105,11 +115,18 @@ class SkipgramConfig:
             raise ConfigError("subsample_threshold must be > 0")
 
 
-def _bin_sums(slot: np.ndarray, updates: np.ndarray, n_bins: int) -> np.ndarray:
-    """(n_bins, d) sums: row ``i`` adds, in input order, the updates whose slot is ``i``."""
-    dim = updates.shape[1]
-    bins = (slot[:, None] * dim + np.arange(dim)).ravel()
+def _bin_sums(slot: np.ndarray, updates: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """(n_bins, d) sums over the (n_bins, d) ``offsets``: row ``i`` adds, in
+    input order, the updates whose slot is ``i``."""
+    n_bins, dim = offsets.shape
+    bins = offsets.take(slot, axis=0).ravel()
     return np.bincount(bins, weights=updates.ravel(), minlength=n_bins * dim).reshape(n_bins, dim)
+
+
+def _clamped(scores: np.ndarray) -> np.ndarray:
+    """``scores`` clipped to +-LOGIT_CLAMP in place."""
+    np.maximum(scores, -LOGIT_CLAMP, out=scores)
+    return np.minimum(scores, LOGIT_CLAMP, out=scores)
 
 
 def sgns_step(centers, contexts, negatives, table: EmbeddingTable, learning_rate) -> float:
@@ -117,57 +134,74 @@ def sgns_step(centers, contexts, negatives, table: EmbeddingTable, learning_rate
 
     ``centers`` and ``contexts`` are (B,) indices, ``negatives`` is (B, k) and
     ``learning_rate`` a scalar or one rate per row.  Scalars and a (k,)
-    negative list are accepted for a single triple.  Every gradient is taken
-    from the vectors as they stood before the batch; rows touched more than
-    once (a repeated center or context, a negative equal to its context)
-    receive the summed update.  Returns the summed pre-update loss.
+    negative list are accepted for a single triple.  The gathers read
+    indices of any integer dtype as they are (training's are int32); a
+    ``TypeError`` names an argument that is not integer and a
+    ``ValueError`` one that holds a negative index, before either table
+    moves.  Every gradient is taken from the vectors as they stood before
+    the batch; rows touched more than once (a repeated center or context,
+    a negative equal to its context) receive the summed update.  Returns
+    the summed pre-update loss.
 
     Both tables are updated by one scatter.  Input row ``i`` is bin row
     ``i`` and output row ``j`` is bin row ``V + j``; one ``np.bincount`` sums
     each bin's terms in input order (centers; contexts, then negatives), and
-    the sums are subtracted from the tables in place.  With n = B * (k + 2)
-    touched rows, the bins are all ``2V x d`` cells when ``V * d <=
-    DENSE_CELLS + n * d``; past that size, zero-filling and subtracting the
-    untouched rows costs more than sorting the n rows with ``np.unique``,
-    and the bins are the distinct touched rows only.  Both forms give the
-    same floats: each bin holds the same terms in the same order, and
-    subtracting an all-zero bin leaves a row unchanged.
+    the sums are subtracted from the tables in place.  The flat bins are
+    taken by bin row from the table's cached ``(rows, d)`` offsets.  With
+    n = B * (k + 2) touched rows, the bins are all ``2V x d`` cells when
+    ``V * d <= DENSE_CELLS + n * d``; past that size, zero-filling and
+    subtracting the untouched rows costs more than sorting the n rows with
+    ``np.unique``, and the bins are the distinct touched rows only.  Both
+    forms give the same floats: each bin holds the same terms in the same
+    order, and subtracting an all-zero bin leaves a row unchanged.
     """
-    centers = np.atleast_1d(np.asarray(centers, dtype=np.int64))
-    contexts = np.atleast_1d(np.asarray(contexts, dtype=np.int64))
-    negatives = np.asarray(negatives, dtype=np.int64).reshape(len(centers), -1)
+    centers, contexts = np.atleast_1d(np.asarray(centers)), np.atleast_1d(np.asarray(contexts))
+    negatives = np.asarray(negatives).reshape(len(centers), -1)
+    names = ("centers", "contexts", "negatives")  # in bin-row order
+    for name, indices in zip(names, (centers, contexts, negatives)):
+        if indices.dtype.kind not in "iu":
+            raise TypeError(f"{name} must be integer indices, not {indices.dtype}")
     batch, k = negatives.shape
     rate = np.asarray(learning_rate, dtype=np.float64)
     if rate.ndim == 0:
         rate = np.full(batch, rate)
     if not (rate > 0).all():
         raise ValueError("learning_rate must be > 0")
+    # one bin row per touched row: centers, contexts, then negatives
+    rows = np.concatenate([centers, contexts, negatives.ravel()], dtype=np.intp)
+    if rows.min() < 0:
+        first = int(np.argmax(rows < 0))
+        raise ValueError(f"{names[min(first // batch, 2)]} holds a negative index, {rows[first]}")
     inp, out = table.input_vectors, table.output_vectors
     v, dim = inp.shape
+    rows[batch:] += v
     center_vecs, pos_vecs = inp.take(centers, axis=0), out.take(contexts, axis=0)
     neg_vecs = out.take(negatives, axis=0)
 
-    s_pos = np.clip(np.einsum("bd,bd->b", center_vecs, pos_vecs), -LOGIT_CLAMP, LOGIT_CLAMP)
-    s_neg = np.clip(np.einsum("bkd,bd->bk", neg_vecs, center_vecs), -LOGIT_CLAMP, LOGIT_CLAMP)
-    p_pos = sigmoid(s_pos)
-    loss = -float(np.log(p_pos).sum() + np.log(sigmoid(-s_neg)).sum())
+    s_pos = _clamped(np.einsum("bd,bd->b", center_vecs, pos_vecs))
+    s_neg = _clamped(np.einsum("bkd,bd->bk", neg_vecs, center_vecs))
+    g_pos = sigmoid(s_pos)
+    loss = -float(np.log(g_pos).sum() + np.log(sigmoid(-s_neg)).sum())
 
-    g_pos = (p_pos - 1.0) * rate  # rate * d loss / d s_pos
-    g_neg = sigmoid(s_neg) * rate[:, None]  # rate * d loss / d s_neg
-    # one row of updates per touched row: centers, contexts, then negatives
-    updates = np.empty((batch * (k + 2), dim))
-    np.add(g_pos[:, None] * pos_vecs, np.einsum("bkd,bk->bd", neg_vecs, g_neg), out=updates[:batch])
+    g_pos -= 1.0
+    g_pos *= rate  # rate * d loss / d s_pos
+    g_neg = sigmoid(s_neg)
+    g_neg *= rate[:, None]  # rate * d loss / d s_neg
+    updates = np.empty((len(rows), dim))
+    np.einsum("bkd,bk->bd", neg_vecs, g_neg, out=updates[:batch])
+    pos_vecs *= g_pos[:, None]
+    updates[:batch] += pos_vecs
     np.multiply(g_pos[:, None], center_vecs, out=updates[batch : 2 * batch])
     np.einsum("bk,bd->bkd", g_neg, center_vecs, out=updates[2 * batch :].reshape(batch, k, dim))
-    rows = np.concatenate([centers, contexts + v, negatives.ravel() + v])
 
     if v * dim <= DENSE_CELLS + len(rows) * dim:
-        sums = _bin_sums(rows, updates, 2 * v)
+        sums = _bin_sums(rows, updates, table._bin_offset_rows(2 * v))
         inp -= sums[:v]
         out -= sums[v:]
     else:
         touched, slot = np.unique(rows, return_inverse=True)
-        sums = _bin_sums(slot, updates, len(touched))
+        # sized for all n rows, so batches with more distinct rows reuse the table
+        sums = _bin_sums(slot, updates, table._bin_offset_rows(len(rows))[: len(touched)])
         split = np.searchsorted(touched, v)
         inp[touched[:split]] -= sums[:split]
         out[touched[split:] - v] -= sums[split:]
@@ -240,9 +274,9 @@ def negative_sample(contexts: np.ndarray, vocab_size: int, k: int, rng) -> np.nd
     if k < 1:
         raise ValueError("k must be >= 1")
     draws = rng.integers(0, vocab_size, size=(len(contexts), k), dtype=contexts.dtype)
+    mask = np.empty(draws.shape, dtype=bool)  # one collision mask, refilled each round
     for _ in range(16):
-        mask = draws == contexts[:, None]
-        hits = int(mask.sum())
+        hits = int(np.equal(draws, contexts[:, None], out=mask).sum())
         if hits == 0:
             break
         draws[mask] = rng.integers(0, vocab_size, size=hits, dtype=contexts.dtype)
@@ -296,7 +330,9 @@ def train_embeddings(
             losses.append(losses[-1] if losses else 0.0)
             continue
         pairs = _window_pairs(views[mask], session_ids[mask], config.window)
-        pairs = pairs[rng.permutation(n_pairs)]
+        # swap whole 8-byte (center, context) rows in place: the pairs and the
+        # generator state of pairs[rng.permutation(n_pairs)]
+        rng.shuffle(pairs.view(np.int64)[:, 0])
         negs = negative_sample(pairs[:, 1], v, config.negatives, rng)
         epoch_loss = 0.0
         for lo in range(0, n_pairs, SGNS_BATCH):
@@ -314,6 +350,7 @@ def train_embeddings(
             raise ValueError(
                 f"skip-gram training diverged in epoch {epoch}: non-finite loss or vectors"
             )
+    table._bin_offsets = None  # serves training only
     return table, losses
 
 

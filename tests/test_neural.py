@@ -41,6 +41,34 @@ def activate_grad_oracle(z, kind):
     return np.ones_like(z)
 
 
+class TestSigmoid:
+    """The one logistic rule: 1 / (1 + exp(-x)) to the bit, for arrays and scalars."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_arrays_match_the_formula_bit_for_bit(self, rng, dtype):
+        special = [-np.inf, -800.0, -30.0, -5e-324, 0.0, -0.0, 5e-324, 30.0, 800.0, np.inf, np.nan]
+        x = np.concatenate([rng.normal(scale=8.0, size=211), special]).astype(dtype).reshape(2, -1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = 1.0 / (1.0 + np.exp(-x))
+            got = sigmoid(x)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "x", [0.25, -3, np.float64(1.5), np.float32(-2.5), np.array(4.0)], ids=repr
+    )
+    def test_scalars_match_the_formula(self, x):
+        want = 1.0 / (1.0 + np.exp(-x))
+        got = sigmoid(x)
+        assert type(got) is type(want) and got == want
+
+    def test_the_input_is_left_as_it_was(self, rng):
+        x = rng.normal(size=10)
+        before = x.copy()
+        sigmoid(x)
+        assert x.tobytes() == before.tobytes()
+
+
 class TestDenseForward:
     def test_zero_parameters_relu(self):
         layer = DenseLayer(np.zeros((3, 4)), np.zeros(3), "relu")

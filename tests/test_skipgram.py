@@ -140,6 +140,24 @@ class TestTrainingPairs:
         pairs = skipgram._window_pairs(views, session_ids[kept], window)
         assert skipgram._pair_count(session_ids[kept], window) == len(pairs)
 
+    def test_training_pairs_are_c_contiguous_int32_rows(self):
+        # train_embeddings shuffles the pairs as one int64 per (center, context) row
+        corpus, _, vocab = small_synthetic()
+        views, session_ids = skipgram._session_views(corpus, vocab)
+        pairs = skipgram._window_pairs(views, session_ids, 3)
+        assert pairs.dtype == np.int32 and pairs.flags.c_contiguous and pairs.shape[1] == 2
+        assert pairs.view(np.int64).shape == (len(pairs), 1)
+
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    def test_in_place_shuffle_matches_the_permutation(self, n):
+        pairs = np.random.default_rng(n).integers(-(2**31), 2**31, size=(n, 2), dtype=np.int32)
+        permuted_rng, shuffled_rng = np.random.default_rng(5), np.random.default_rng(5)
+        want = pairs[permuted_rng.permutation(n)]
+        got = pairs.copy()
+        shuffled_rng.shuffle(got.view(np.int64)[:, 0])
+        assert got.tobytes() == want.tobytes()
+        assert shuffled_rng.integers(1 << 62) == permuted_rng.integers(1 << 62)
+
 
 class TestNegativeSampling:
     def test_two_listing_vocabulary_forces_the_other(self, rng):
@@ -339,6 +357,80 @@ class TestSgnsStepMatchesOracle:
         rates = 0.25 if scalar_rate else rng.uniform(0.01, 0.5, b)
         inp, out = rng.normal(size=(v, d)), rng.normal(size=(v, d))
         assert_step_matches_oracle(inp, out, centers, contexts, negatives, rates)
+
+
+class TestSgnsStepIndices:
+    """Index arrays of any integer dtype give the same bits; anything else is
+    rejected, naming the argument, before either table moves."""
+
+    SIDES = TestSgnsStepMatchesOracle.SIDES
+
+    @pytest.mark.parametrize("v, d, dense", SIDES)
+    def test_int32_int64_and_lists_give_the_same_bits(self, rng, v, d, dense):
+        centers, contexts = rng.integers(0, v, 9), rng.integers(0, v, 9)
+        negatives = rng.integers(0, v, (9, 4))
+        centers[:2], negatives[0, 0], negatives[1] = [0, v - 1], contexts[0], v - 1
+        assert takes_dense_form(v, d, *negatives.shape) == dense
+        inp, out, rates = rng.normal(size=(v, d)), rng.normal(size=(v, d)), np.linspace(0.4, 0.1, 9)
+        results = set()
+        for convert in (lambda a: a.astype(np.int32), lambda a: a.astype(np.int64), np.ndarray.tolist):
+            table = EmbeddingTable(inp.copy(), out.copy())
+            loss = sgns_step(convert(centers), convert(contexts), convert(negatives), table, rates)
+            results.add((float.hex(loss), table.input_vectors.tobytes(), table.output_vectors.tobytes()))
+        assert len(results) == 1
+
+    @pytest.mark.parametrize("argument", ["centers", "contexts", "negatives"])
+    @pytest.mark.parametrize("v, d, dense", SIDES)
+    def test_a_float_index_is_a_type_error_naming_the_argument(self, rng, v, d, dense, argument):
+        # 1.7 used to be truncated to row 1
+        inp, out = rng.normal(size=(v, d)), rng.normal(size=(v, d))
+        table = EmbeddingTable(inp.copy(), out.copy())
+        args = {"centers": [0], "contexts": [2], "negatives": [[3]]}
+        args[argument] = np.array(args[argument]) + 1.7
+        with pytest.raises(TypeError, match=f"^{argument} must be integer indices"):
+            sgns_step(args["centers"], args["contexts"], args["negatives"], table, 0.1)
+        assert table.input_vectors.tobytes() == inp.tobytes()
+        assert table.output_vectors.tobytes() == out.tobytes()
+
+    @pytest.mark.parametrize("argument", ["centers", "contexts", "negatives"])
+    @pytest.mark.parametrize("v, d, dense", SIDES)
+    def test_a_negative_index_is_a_value_error_naming_the_argument(self, rng, v, d, dense, argument):
+        # -1 used to be read as row V - 1; as a context or a negative, -1 + V
+        # is a bin row of the input half, so it moved input row V - 1 (and
+        # so did a -1 center in the compact form)
+        inp, out = rng.normal(size=(v, d)), rng.normal(size=(v, d))
+        table = EmbeddingTable(inp.copy(), out.copy())
+        args = {"centers": [0, 1], "contexts": [2, 0], "negatives": [[3, 1], [2, 2]]}
+        args[argument] = np.array(args[argument])
+        args[argument].flat[-1] = -1
+        with pytest.raises(ValueError, match=f"^{argument} holds a negative index"):
+            sgns_step(args["centers"], args["contexts"], args["negatives"], table, 0.1)
+        assert table.input_vectors.tobytes() == inp.tobytes()
+        assert table.output_vectors.tobytes() == out.tobytes()
+
+    def test_one_table_through_both_forms_and_growing_batches_matches_the_oracle(self, rng):
+        # at V = 2000, d = 32 and k = 5 a batch of 140 takes the dense bins and
+        # one of 100 the compact bins; the cached offsets serve every step
+        v, d, k = 2000, 32, 5
+        inp, out = rng.normal(size=(v, d)), rng.normal(size=(v, d))
+        got, want = EmbeddingTable(inp.copy(), out.copy()), EmbeddingTable(inp.copy(), out.copy())
+        for batch in (3, 100, 140, 60, 100, 140, 1):
+            centers, contexts = rng.integers(0, v, batch), rng.integers(0, v, batch)
+            negatives = rng.integers(0, v, (batch, k))
+            assert takes_dense_form(v, d, batch, k) == (batch == 140)
+            want_loss = oracle_sgns_step(centers, contexts, negatives, want, 0.2)
+            got_loss = sgns_step(centers, contexts, negatives, got, 0.2)
+            assert float.hex(got_loss) == float.hex(want_loss)
+            assert got.input_vectors.tobytes() == want.input_vectors.tobytes()
+            assert got.output_vectors.tobytes() == want.output_vectors.tobytes()
+
+    def test_the_offsets_stay_out_of_the_repr_and_the_trained_table(self):
+        corpus, _, vocab = small_synthetic()
+        table, _ = train_embeddings(corpus, vocab, SkipgramConfig(dim=8, epochs=1, seed=3))
+        assert table._bin_offsets is None
+        before = repr(table)
+        sgns_step([0], [1], [[2]], table, 1e-300)  # caches the offsets, moves no float
+        assert table._bin_offsets is not None and repr(table) == before
 
 
 def small_synthetic(seed=21, n_travelers=300):
