@@ -17,7 +17,14 @@ Kernels (the shape of perfbench's ``listing_embed`` unless named):
   ``np.unique`` scatter;
 * ``window pairs + negatives``: ``_window_pairs`` over every view, window
   3, then ``negative_sample`` of 5 per pair;
-* ``train_embeddings``: the 5-epoch, d = 32 training of ``listing_embed``.
+* ``train_embeddings``: the 5-epoch, d = 32 training of ``listing_embed``;
+* ``nearest_neighbors lookup``: top-10 neighbours of the 750 rows that
+  ``lookup``'s nn requests query, on its planted 20,200 x 32 table;
+* ``nearest_neighbors V=300``: top-10 neighbours of every row of the
+  table's first 300 rows.
+
+The neighbour kernels build a fresh table each round, so its first query
+fills the table's caches, as the first request of a served table does.
 
 For each kernel it prints both trees' median time and IQR (as a share of
 the median), the change/parent ratio of the medians and the rounds the
@@ -36,6 +43,7 @@ import functools
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import sys
 import time
@@ -52,6 +60,7 @@ LISTING_EMBED = {"n_listings": 300, "n_clusters": 10, "n_travelers": 3000, "mean
                  "booking_base_rate": 0.3}
 MIN_COUNT, DIM, EPOCHS, WINDOW, NEGATIVES, BATCH = 5, 32, 5, 3, 5, 128
 STEPS = 20  # sgns_step batches per timed call
+TOP_K = 10  # perfbench's lookup
 
 
 def load_tree(checkout: Path, name: str):
@@ -128,11 +137,55 @@ def train_embeddings(pkg):
     return lambda: run
 
 
+def lookup_table_and_queries() -> tuple[np.ndarray, np.ndarray]:
+    """perfbench ``lookup``'s planted table (20,000 warm and 200 cold rows,
+    d = 32) and the rows its nn requests query: its generator's draws, in
+    its order, with the draws that feed nothing here discarded."""
+    v, k, d, n_cold, n_destinations, requests = 20000, 50, 32, 200, 500, 3000
+    rng = np.random.default_rng([SEED, 3])
+    clusters = np.concatenate([np.arange(v) % k, rng.integers(k, size=n_cold)])
+    centroids = rng.normal(0.0, 1.0 / math.sqrt(d), size=(k, d))
+    vectors = centroids[clusters] + rng.normal(0.0, 1.0 / math.sqrt(d), size=(len(clusters), d))
+    rng.uniform(-60.0, 70.0, size=n_destinations), rng.uniform(-170.0, 170.0, size=n_destinations)
+    per_cluster = n_destinations // k
+    rng.integers(per_cluster, size=v), rng.integers(1, per_cluster, size=v)
+    kinds = rng.permutation(np.repeat(np.arange(4), requests // 4))
+    rng.integers(n_destinations, size=requests)
+    rng.uniform(-0.5, 0.5, size=requests), rng.uniform(-0.5, 0.5, size=requests)
+    picks = rng.integers(v + n_cold, size=requests)
+    return vectors, picks[kinds == 0]  # request kind 0 is nn
+
+
+def neighbours(rows: int | None):
+    """Top-``TOP_K`` neighbours on lookup's table (all of it for None) at
+    its nn queries, or on its first ``rows`` rows at every row."""
+
+    def build(pkg):
+        vectors, queries = lookup_table_and_queries()
+        if rows is not None:
+            vectors, queries = vectors[:rows].copy(), np.arange(rows)
+
+        def prepare():
+            table = pkg.skipgram.EmbeddingTable(vectors, np.zeros_like(vectors))
+
+            def run():
+                found = [pkg.skipgram.nearest_neighbors(table, int(q), TOP_K) for q in queries]
+                return np.array([[i for i, _ in f] for f in found]), np.array([[c for _, c in f] for f in found])
+
+            return run
+
+        return prepare
+
+    return build
+
+
 KERNELS = {
     "sgns_step dense": sgns_steps(300),
     "sgns_step sparse": sgns_steps(20000),
     "window pairs + negatives": window_pairs_and_negatives,
     "train_embeddings": train_embeddings,
+    "nearest_neighbors lookup": neighbours(None),
+    "nearest_neighbors V=300": neighbours(300),
 }
 
 

@@ -234,9 +234,9 @@ def cmd_coldstart(config: PipelineConfig) -> None:
     _check_values(config, ["coldstart"])
     keys = vectors = None  # the table is read only for cold listings
     if config.coldstart["cold_listings_file"]:
-        keys, vectors = _load_table(config)
-        with open_utf8(_resolve(config, config.skipgram["embeddings_file"])) as fh:
-            n_trained = int(fh.readline().split()[0])  # the loader checked it against the rows
+        keys, vectors, n_trained = skipgram._read_embeddings_text(
+            _resolve(config, config.skipgram["embeddings_file"])
+        )
         keys, vectors = keys[:n_trained], vectors[:n_trained]
     coldstart(config, keys, vectors)
 

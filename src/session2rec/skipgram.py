@@ -31,6 +31,15 @@ SGNS_BATCH = 128  # pairs per update; every pair of a batch reads pre-batch vect
 # sgns_step bins all 2V rows while V * d <= DENSE_CELLS + touched rows * d: the
 # measured crossover of the two scatter forms (2-core x86-64 VM, numpy 2.4.6)
 DENSE_CELLS = 1 << 15
+# nearest_neighbors screens with float32 unit rows once V * d >= SCREEN_CELLS: the
+# measured crossover (2-core x86-64 VM, numpy 2.4.6, OpenBLAS 0.3.31), and about
+# where the float64 table outgrows a 1-2 MB L2.  The screen needs every nonzero
+# row norm and the query norm in SCREEN_NORMS, where no square or product of the
+# float64 scan leaves the normal range; its threshold is taken from the maxima
+# of groups of up to SCREEN_GROUP rows
+SCREEN_CELLS = 1 << 17
+SCREEN_NORMS = (2.0**-500, 2.0**500)
+SCREEN_GROUP = 16
 SIDECAR_MAGIC = b"S2RE"
 SIDECAR_VERSION = 1
 SIDECAR_HEADER = struct.Struct("<4sBQQ")  # magic, version, V, d
@@ -41,9 +50,12 @@ class EmbeddingTable:
     """Input/output vector pair for every vocabulary index.
 
     The first neighbour query computes the norms of the input vectors and
-    caches them for the next queries.  ``sgns_step``, the one library
-    function that writes the table in place, drops the cache; a caller that
-    writes ``input_vectors`` itself builds a new table.  The first
+    caches them for the next queries; on a table of at least
+    ``SCREEN_CELLS`` cells it also caches ``unit_rows()``, a float32 copy of
+    the unit rows (V x d, half the bytes of the input table).
+    ``drop_input_caches`` forgets both.  ``sgns_step``, the one library
+    function that writes the table in place, calls it; a caller that writes
+    ``input_vectors`` itself calls it too, or builds a new table.  The first
     ``sgns_step`` also caches its scatter's bin offsets, which depend on
     the width alone; ``train_embeddings`` returns its table without them.
     """
@@ -52,6 +64,7 @@ class EmbeddingTable:
     output_vectors: np.ndarray
     _row_norms: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _bin_offsets: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _unit_rows: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.input_vectors.shape != self.output_vectors.shape:
@@ -74,6 +87,25 @@ class EmbeddingTable:
         if self._row_norms is None:
             self._row_norms = np.linalg.norm(self.input_vectors, axis=1)
         return self._row_norms
+
+    def unit_rows(self) -> np.ndarray | None:
+        """Every input vector divided by its cached norm in float64, then
+        rounded once to float32 (zero-norm rows stay 0); built once and
+        cached.  None when a nonzero norm lies outside ``SCREEN_NORMS``."""
+        if self._unit_rows is None:
+            norms = self.row_norms()
+            lo, hi = SCREEN_NORMS
+            if ((norms == 0) | ((lo <= norms) & (norms <= hi))).all():
+                self._unit_rows = np.zeros(self.input_vectors.shape, dtype=np.float32)
+                np.divide(self.input_vectors, norms[:, None], out=self._unit_rows,
+                          where=norms[:, None] > 0, casting="same_kind")
+            else:
+                self._unit_rows = np.zeros((0, self.dim), dtype=np.float32)  # the screen is ruled out
+        return self._unit_rows if len(self._unit_rows) else None
+
+    def drop_input_caches(self) -> None:
+        """Forget the row norms and unit rows: call after writing ``input_vectors`` in place."""
+        self._row_norms = self._unit_rows = None
 
     def _bin_offset_rows(self, n_bins: int) -> np.ndarray:
         """(n_bins, d) flat ``np.bincount`` bins, entry (i, j) = i * d + j: a
@@ -205,7 +237,7 @@ def sgns_step(centers, contexts, negatives, table: EmbeddingTable, learning_rate
         split = np.searchsorted(touched, v)
         inp[touched[:split]] -= sums[:split]
         out[touched[split:] - v] -= sums[split:]
-    table._row_norms = None  # the input vectors moved
+    table.drop_input_caches()  # the input vectors moved
     return loss
 
 
@@ -354,32 +386,81 @@ def train_embeddings(
     return table, losses
 
 
+def _screened_rows(table: EmbeddingTable, query: np.ndarray, qn, listing_index: int, top_k: int):
+    """Rows ``nearest_neighbors`` scores in float64: the whole aligned 4-row
+    blocks that hold a row the float32 screen cannot rule out of the top k,
+    in order, or None, every row, where the screen does not apply."""
+    v, dim = table.input_vectors.shape
+    unit = table.unit_rows() if v * dim >= SCREEN_CELLS else None
+    if unit is None or not SCREEN_NORMS[0] <= qn <= SCREEN_NORMS[1]:
+        return None
+    screen = unit @ (query / qn).astype(np.float32)
+    screen[listing_index] = -np.inf
+    # tau, the k-th largest maximum of n disjoint groups of rows (rows j, j + n,
+    # j + 2n, ...), is at most the k-th largest score.  Each score is within
+    # e = (d + 4) 2^-24 of its cosine, so the k-th largest cosine is >= tau - e
+    # and every row at or above it scores >= tau - 2e.
+    size = min(SCREEN_GROUP, v // top_k)
+    n = v // size
+    tau = np.partition(screen[: size * n].reshape(size, n).max(axis=0), n - top_k)[n - top_k]
+    hit = np.zeros(-(-v // 4), dtype=bool)
+    hit[np.flatnonzero(screen >= tau - np.float32(2 * (dim + 4) * 2.0**-24)) >> 2] = True
+    if v % 4 == 1:
+        hit[-2] |= hit[-1]  # a lone last row would be scored by ddot, not by gemv's tail
+    rows = (np.flatnonzero(hit)[:, None] * 4 + np.arange(4)).ravel()
+    return rows[rows < v]
+
+
 def nearest_neighbors(table: EmbeddingTable, listing_index: int, top_k: int):
     """Top-k most similar listings by cosine over the input vectors.
 
     The query row is excluded; ties resolve to the lower index.  Zero-norm
-    rows get cosine 0.  Row norms come from the table's cache, the dot
-    products are divided by the norms in place, and only the rows at or
-    above the k-th largest cosine are sorted.
+    rows get cosine 0.  Each cosine is the float64 dot product divided in
+    place by the cached row norm times the query norm, and only the rows at
+    or above the k-th largest cosine are sorted.
+
+    On a table of at least ``SCREEN_CELLS`` cells, one float32 product with
+    ``table.unit_rows()`` first screens every row, reading half the bytes of
+    the float64 scan.  Each score is within ``e = (d + 4) 2^-24`` of the
+    row's cosine: 2^-24 for rounding each of the two unit vectors to
+    float32, ``d 2^-24`` for the float32 dot product, and 2^-23 of slack
+    for the float64 roundings and the rounding of the threshold.  Every row
+    within ``2e`` of the k-th best score is kept, and that holds every row
+    at or above the k-th largest cosine, ties included.  Only the kept rows
+    are scored in float64, with the bits of a scan of the whole table:
+    BLAS's gemv computes rows four at a time and the last ``V mod 4`` rows
+    of a call by a tail kernel, so the kept rows are scored in whole 4-row
+    blocks aligned as in the table, in one call whose last rows are the
+    table's own last partial block.  Where a norm leaves ``SCREEN_NORMS``
+    (a zero or infinite query norm, an infinite row norm), every row is
+    scored, in one scan of the table.  These are the bits of a
+    single-threaded BLAS: OpenBLAS splits a product of 460,800 cells or
+    more over its threads at rows that need not be multiples of 4, so
+    there, as before, the bits can follow the thread count.
     """
     v = table.vocab_size
     if not 0 <= listing_index < v:
         raise IndexError(f"listing index {listing_index} out of range [0, {v})")
     if not 0 < top_k < v:
         raise ValueError("top_k must be in [1, V)")
-    vecs = table.input_vectors
+    vecs, norms = table.input_vectors, table.row_norms()
     query = vecs[listing_index]
     qn = np.linalg.norm(query)
-    denom = table.row_norms() * qn
-    cos = vecs @ query
+    rows = _screened_rows(table, query, qn, listing_index, top_k)
+    if rows is None:  # every row, in one contiguous scan
+        cos, denom, own = vecs @ query, norms * qn, listing_index
+    else:
+        cos, denom, own = vecs.take(rows, axis=0) @ query, norms[rows] * qn, rows == listing_index
     with np.errstate(invalid="ignore", divide="ignore"):
         cos /= denom
     cos[~(denom > 0)] = 0.0  # not denom == 0: a nan product (inf norm times 0) also gives 0
-    cos[listing_index] = -np.inf
-    kth = np.partition(cos, v - top_k)[v - top_k]
+    cos[own] = -np.inf
+    n = len(cos)
+    kth = np.partition(cos, n - top_k)[n - top_k]
     candidates = np.flatnonzero(cos >= kth)  # every tie at the boundary stays in
     ranked = candidates[np.lexsort((candidates, -cos[candidates]))[:top_k]]
-    return [(int(i), float(cos[i])) for i in ranked]
+    found = ranked if rows is None else rows[ranked]
+    return list(zip(found.tolist(), cos[ranked].tolist()))
 
 
 def embedding_cluster_quality(table: EmbeddingTable, cluster_of_index: np.ndarray):
@@ -432,6 +513,13 @@ def load_embeddings_text(path) -> tuple[list[str], np.ndarray]:
     is not a finite number, a key seen before, and (line 1) a header count
     other than the number of rows before ``#coldstart`` (all rows without it).
     """
+    keys, vectors, _ = _read_embeddings_text(path)
+    return keys, vectors
+
+
+def _read_embeddings_text(path) -> tuple[list[str], np.ndarray, int]:
+    """``load_embeddings_text``'s read, which also returns the number of
+    trained rows: the rows before ``#coldstart``, as the header counts."""
     with open_utf8(path) as fh:
         header = fh.readline().split()
         try:
@@ -472,7 +560,7 @@ def load_embeddings_text(path) -> tuple[list[str], np.ndarray]:
     n_trained = len(keys) if n_trained is None else n_trained
     if count != n_trained:
         raise ParseError(f"{path}: line 1: header count {count}, but {n_trained} trained rows")
-    return keys, vectors
+    return keys, vectors, n_trained
 
 
 def save_embeddings_binary(table: EmbeddingTable, path) -> None:

@@ -195,5 +195,5 @@ def oracle_sgns_step(centers, contexts, negatives, table: EmbeddingTable, learni
         np.concatenate([contexts, negatives.ravel()]),
         np.concatenate([d_pos, d_negs.reshape(-1, out.shape[1])]),
     )
-    table._row_norms = None  # the input vectors moved
+    table.drop_input_caches()  # the input vectors moved
     return loss

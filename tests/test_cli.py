@@ -492,6 +492,22 @@ class TestColdstart:
         assert cli.main(["--config", str(config_path), "coldstart"]) == 0
         assert (tmp_path / "embeddings.txt").read_bytes() == first
 
+    def test_rerun_reads_the_embedding_text_once(self, tmp_path, monkeypatch):
+        config_path, _ = self.prepare(tmp_path)
+        assert cli.main(["--config", str(config_path), "coldstart"]) == 0
+        first = (tmp_path / "embeddings.txt").read_bytes()
+        opened = []
+        for module in (cli, skipgram):
+            def counting(path, *args, _open=module.open_utf8, **kwargs):
+                opened.append(Path(path).name)
+                return _open(path, *args, **kwargs)
+
+            monkeypatch.setattr(module, "open_utf8", counting)
+        # the rerun cuts the old cold block off at the header count of its one read
+        assert cli.main(["--config", str(config_path), "coldstart"]) == 0
+        assert opened.count("embeddings.txt") == 1
+        assert (tmp_path / "embeddings.txt").read_bytes() == first
+
     def test_inputs_with_a_byte_order_mark_append_the_same_row(self, tmp_path):
         config_path, _ = self.prepare(tmp_path)
         assert cli.main(["--config", str(config_path), "coldstart"]) == 0

@@ -8,7 +8,10 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-KERNELS = ["sgns_step dense", "sgns_step sparse", "window pairs + negatives", "train_embeddings"]
+KERNELS = [
+    "sgns_step dense", "sgns_step sparse", "window pairs + negatives", "train_embeddings",
+    "nearest_neighbors lookup", "nearest_neighbors V=300",
+]
 
 
 def kernel_ab(parent: Path, change: Path, out: Path) -> subprocess.CompletedProcess:
@@ -33,7 +36,7 @@ def test_this_tree_against_itself_has_equal_bits(tmp_path):
 
 def test_a_kernel_whose_bits_differ_fails_the_run(tmp_path):
     # a batch size of 64 moves training's bits, not the kernels that call
-    # sgns_step, _window_pairs or negative_sample directly
+    # sgns_step, _window_pairs, negative_sample or nearest_neighbors directly
     change = tmp_path / "change"
     shutil.copytree(ROOT / "src", change / "src")
     source = change / "src" / "session2rec" / "skipgram.py"
@@ -44,6 +47,6 @@ def test_a_kernel_whose_bits_differ_fails_the_run(tmp_path):
     assert run.returncode == 1, run.stderr
     results = json.loads((tmp_path / "ab.json").read_text())
     assert {name: r["bits_equal"] for name, r in results.items()} == {
-        **dict.fromkeys(KERNELS[:3], True), "train_embeddings": False,
+        **dict.fromkeys(KERNELS, True), "train_embeddings": False,
     }
     assert "DIFFER" in run.stdout

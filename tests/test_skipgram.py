@@ -60,6 +60,38 @@ def assert_neighbors_match_oracle(table, listing_index, top_k):
     assert np.array([c for _, c in got]).tobytes() == np.array([c for _, c in want]).tobytes()
 
 
+# (rows, copy_from, top_k): V small integer rows of width 3, then V copies of
+# drawn ones, so duplicates and ties abound
+SMALL_TABLES_WITH_DUPLICATES = st.integers(2, 9).flatmap(
+    lambda v: st.tuples(
+        st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3), min_size=v, max_size=v),
+        st.lists(st.integers(0, v - 1), min_size=v, max_size=v),
+        st.integers(1, v - 1),
+    )
+)
+
+
+def assert_every_query_matches_oracle(rows, copy_from, top_k):
+    vecs = np.array(rows, dtype=np.float64)
+    vecs = np.concatenate([vecs, vecs[copy_from]])  # V more rows, each a copy of a drawn one
+    table = EmbeddingTable(vecs, np.zeros_like(vecs))
+    for query in range(len(vecs)):
+        assert_neighbors_match_oracle(table, query, top_k)
+
+
+# 160,000 cells at d = 32: the table takes the float32 screen, and stays below
+# the 460,800 cells at which OpenBLAS splits one gemv over threads, so the
+# oracle's scan has the single-threaded bits at any thread count
+SCREEN_ROWS = 5000
+
+
+def screened_table(vecs: np.ndarray) -> EmbeddingTable:
+    table = EmbeddingTable(vecs, np.zeros_like(vecs))
+    assert table.vocab_size * table.dim >= skipgram.SCREEN_CELLS
+    assert table.unit_rows() is not None
+    return table
+
+
 def sgns_loss_and_grads(center_vec, pos_vec, neg_vecs):
     """Per-pair oracle of ``sgns_step``: loss and exact gradients of one
     positive/negative classification step.
@@ -755,31 +787,146 @@ class TestNearestNeighbors:
             assert_neighbors_match_oracle(table, 0, top_k)
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(2, 9).flatmap(
-            lambda v: st.tuples(
-                st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3), min_size=v, max_size=v),
-                st.lists(st.integers(0, v - 1), min_size=v, max_size=v),
-                st.integers(1, v - 1),
-            )
-        )
-    )
+    @given(SMALL_TABLES_WITH_DUPLICATES)
     def test_small_tables_with_forced_duplicates_match_oracle(self, case):
-        rows, copy_from, top_k = case
-        vecs = np.array(rows, dtype=np.float64)
-        vecs = np.concatenate([vecs, vecs[copy_from]])  # V more rows, each a copy of a drawn one
-        table = EmbeddingTable(vecs, np.zeros_like(vecs))
-        for query in range(len(vecs)):
-            assert_neighbors_match_oracle(table, query, top_k)
+        assert_every_query_matches_oracle(*case)
 
     def test_sgns_step_drops_the_cached_norms(self, rng):
-        vecs = rng.normal(size=(12, 4))
-        table = EmbeddingTable(vecs.copy(), rng.normal(size=(12, 4)))
-        assert_neighbors_match_oracle(table, 0, 5)
-        sgns_step([1, 2, 3], [4, 5, 6], [[7, 8], [9, 10], [11, 0]], table, 1.0)
-        assert not np.array_equal(table.input_vectors, vecs)
-        assert_neighbors_match_oracle(table, 0, 5)
-        assert_neighbors_match_oracle(table, 1, 11)
+        for rows in (12, SCREEN_ROWS):  # the second takes the float32 screen
+            vecs = rng.normal(size=(rows, 32))
+            table = EmbeddingTable(vecs.copy(), rng.normal(size=(rows, 32)))
+            assert_neighbors_match_oracle(table, 0, 5)
+            assert table._row_norms is not None
+            assert (table._unit_rows is not None) == (rows == SCREEN_ROWS)
+            sgns_step([1, 2, 3], [4, 5, 6], [[7, 8], [9, 10], [11, 0]], table, 1.0)
+            assert not np.array_equal(table.input_vectors, vecs)
+            assert table._row_norms is None and table._unit_rows is None
+            for query in (0, 1, 2, 3):
+                assert_neighbors_match_oracle(table, query, 5)
+                assert_neighbors_match_oracle(table, query, 11)
+
+
+class TestNearestNeighborScreen:
+    """``nearest_neighbors`` on tables that take the float32 screen returns
+    the oracle's full scan bit for bit."""
+
+    def test_unit_rows_are_each_quotient_rounded_to_float32(self, rng):
+        vecs = rng.normal(size=(SCREEN_ROWS, 32))
+        vecs[[7, SCREEN_ROWS - 1]] = 0.0
+        table = screened_table(vecs)
+        unit = table.unit_rows()
+        norms = np.linalg.norm(vecs, axis=1)
+        with np.errstate(invalid="ignore"):
+            want = np.where(norms[:, None] > 0, vecs / norms[:, None], 0.0).astype(np.float32)
+        assert unit.dtype == np.float32 and unit.nbytes * 2 == vecs.nbytes
+        assert unit.tobytes() == want.tobytes()
+        assert table.unit_rows() is unit  # cached
+
+    def test_small_tables_scan_every_row_without_the_float32_copy(self, rng):
+        vecs = rng.normal(size=(300, 32))
+        table = EmbeddingTable(vecs, np.zeros_like(vecs))
+        assert_neighbors_match_oracle(table, 4, 10)
+        assert table._unit_rows is None
+
+    @pytest.mark.parametrize("rows", [SCREEN_ROWS + r for r in range(4)], ids=lambda v: f"V={v}")
+    def test_neighbours_in_the_last_block_match_oracle(self, rows, rng):
+        vecs = rng.normal(size=(rows, 32))
+        # the last block, partial unless V % 4 == 0; each query is a near copy
+        # of one of its rows, so its nearest neighbours sit there
+        last = np.arange(4 * ((rows - 1) // 4), rows)
+        queries = rng.choice(rows - 8, size=8, replace=False)
+        vecs[queries] = vecs[last[np.arange(8) % len(last)]] + 0.05 * rng.normal(size=(8, 32))
+        table = screened_table(vecs)
+        for query in (*queries, *last):
+            for top_k in (1, 2, 3, 4, 10):
+                assert_neighbors_match_oracle(table, int(query), top_k)
+
+    @pytest.mark.parametrize("kind", ["duplicates", "scaled copies", "1 ulp apart", "1e-7 apart"])
+    def test_near_ties_straddling_the_kth_place_match_oracle(self, kind, rng):
+        vecs = rng.normal(size=(SCREEN_ROWS + 3, 32))
+        base = vecs[1]
+        # 24 rows tie with base, spread over the table and its last block
+        ties = np.concatenate([rng.choice(np.arange(2, SCREEN_ROWS), size=21, replace=False),
+                               [SCREEN_ROWS, SCREEN_ROWS + 1, SCREEN_ROWS + 2]])
+        if kind == "duplicates":
+            vecs[ties] = base
+        elif kind == "scaled copies":
+            vecs[ties] = base * rng.choice([3.0, 0.1, 7.0, 1 / 3, 2.0, 1e3], size=24)[:, None]
+        elif kind == "1 ulp apart":
+            up = rng.random(size=(24, 32)) < 0.5
+            vecs[ties] = np.where(up, np.nextafter(base, np.inf), np.nextafter(base, -np.inf))
+        else:  # about a float32 rounding apart: the screen orders these at random
+            vecs[ties] = base * (1 + 1e-7 * rng.normal(size=(24, 32)))
+        vecs[0] = base + 0.3 * rng.normal(size=32)  # every tie row scores about 0.95
+        table = screened_table(vecs)
+        for top_k in range(1, 30):
+            assert_neighbors_match_oracle(table, 0, top_k)
+        assert_neighbors_match_oracle(table, int(ties[0]), 25)
+
+    @pytest.mark.parametrize("rows", [5, 9, 13])
+    def test_a_lone_last_row_has_the_bits_of_the_full_scan(self, rows, rng, monkeypatch):
+        # at k = 1 a table of V % 4 == 1 rows can keep its last row alone, and
+        # numpy computes a one-row product by ddot, not by gemv's tail kernel
+        monkeypatch.setattr(skipgram, "SCREEN_CELLS", 0)
+        for _ in range(20):
+            vecs = rng.normal(size=(rows, 32))
+            vecs[0] = vecs[-1] + 0.01 * rng.normal(size=32)
+            assert_neighbors_match_oracle(EmbeddingTable(vecs, np.zeros_like(vecs)), 0, 1)
+
+    def test_zero_rows_and_a_zero_query_match_oracle(self, rng):
+        vecs = rng.normal(size=(SCREEN_ROWS + 1, 32))
+        zeros = np.concatenate([rng.choice(np.arange(4, SCREEN_ROWS), size=49, replace=False), [SCREEN_ROWS]])
+        vecs[zeros] = 0.0
+        table = screened_table(vecs)
+        for top_k in (1, 10, SCREEN_ROWS // 2, SCREEN_ROWS):
+            assert_neighbors_match_oracle(table, 3, top_k)
+            assert_neighbors_match_oracle(table, int(zeros[0]), top_k)  # every cosine 0
+
+    def test_rows_whose_norm_underflows_to_zero_score_zero(self, rng):
+        # a row of 1e-200 squares to 0: its norm is 0 and its cosine 0 to every
+        # row, a parallel row included; the screen still applies
+        vecs = rng.normal(size=(SCREEN_ROWS + 2, 32))
+        tiny = [5, 9, SCREEN_ROWS + 1]
+        vecs[tiny] = 1e-200
+        table = screened_table(vecs)
+        assert table.row_norms()[tiny].tolist() == [0.0, 0.0, 0.0]
+        for top_k in (1, 10, SCREEN_ROWS + 1):
+            assert_neighbors_match_oracle(table, 0, top_k)
+            assert_neighbors_match_oracle(table, 5, top_k)
+        assert nearest_neighbors(table, 5, 3) == [(0, 0.0), (1, 0.0), (2, 0.0)]
+
+    def test_rows_whose_norm_overflows_scan_every_row(self, rng):
+        # a row of 1e200 squares to inf: its cosine is a finite dot product over
+        # an infinite norm, -0.0 where the dot product is negative
+        vecs = rng.normal(size=(SCREEN_ROWS + 2, 32))
+        vecs[[6, SCREEN_ROWS]] = 1e200
+        table = EmbeddingTable(vecs, np.zeros_like(vecs))
+        query = int(np.flatnonzero(vecs[: SCREEN_ROWS // 2].sum(axis=1) < 0)[0])
+        with np.errstate(over="ignore"):  # the squares and the oracle's products of 1e200
+            assert table.unit_rows() is None
+            cos = dict(nearest_neighbors(table, query, SCREEN_ROWS + 1))
+            assert math.copysign(1.0, cos[6]) == -1.0 and cos[6] == 0.0
+            for top_k in (1, 10, SCREEN_ROWS + 1):
+                assert_neighbors_match_oracle(table, query, top_k)
+
+    def test_rows_with_subnormal_squares_scan_every_row(self, rng):
+        # a norm below 2^-500 comes from subnormal squares, which the screen's
+        # error bound does not cover
+        vecs = rng.normal(size=(SCREEN_ROWS, 32))
+        vecs[[8, 11]] *= 1e-160
+        table = EmbeddingTable(vecs, np.zeros_like(vecs))
+        assert 0 < table.row_norms()[8] < skipgram.SCREEN_NORMS[0]
+        assert table.unit_rows() is None
+        for top_k in (1, 10):
+            assert_neighbors_match_oracle(table, 0, top_k)
+            assert_neighbors_match_oracle(table, 8, top_k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(SMALL_TABLES_WITH_DUPLICATES)
+    def test_small_screened_tables_with_forced_duplicates_match_oracle(self, case):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(skipgram, "SCREEN_CELLS", 0)  # every table takes the screen
+            assert_every_query_matches_oracle(*case)
 
 
 class TestPersistence:
